@@ -292,7 +292,11 @@ def build_parser() -> _Parser:
     def common(p, scan=False):
         p.add_argument("--out", default=None, help="write the report to this path instead of stdout")
         if scan:
-            p.add_argument("--shards", type=int, default=1)
+            p.add_argument(
+                "--shards", type=int, default=1, metavar="K",
+                help="partitions of the collision index; the residue engine builds one key range "
+                "at a time, so its memory falls to about 1/K; reports are identical for every K",
+            )
             p.add_argument("--memory-ceiling", type=int, default=None, help="bytes; env ECINJ_MEMORY_CEILING overrides the default")
 
     p = sub.add_parser("curve-info", help="curve summary")

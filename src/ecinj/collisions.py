@@ -1,30 +1,38 @@
 """Exact collision detection over value streams, and the injectivity scans
 built on it.
 
-Two engines share the index/merge machinery:
+Two engines:
 
 * `collision_scan` holds exact canonical values.  Dedup keys are the
   canonical (num, den) pairs, so equality is exact with no hashing false
-  positives (dict buckets are confirmed by exact comparison).
+  positives (dict buckets are confirmed by exact comparison).  The exact
+  P/f scans and `zagier_probe` use it.
 
 * The residue engine fingerprints each value by its residues modulo a few
   deterministic 61-bit primes.  Equal exact values always produce equal
-  fingerprints at suitable primes, so no true collision can be missed;
-  every candidate bucket is re-verified by exact re-evaluation before it
-  may enter the report.  This is what makes the large scans tractable:
-  orbit values grow quadratically in digit count and are far too large to
+  fingerprints at suitable primes, so no true collision can be missed.
+  Orbit values grow quadratically in digit count and are far too large to
   store exactly (measured: the |m| <= 2000 orbit would need hours and
-  gigabytes), while residues are constant-size.
+  gigabytes), while residues are constant-size.  The first prime's residues
+  are uint64 numpy keys: they are sorted in place, and only items whose key
+  occurs more than once become candidates.  Candidates are grouped by their
+  residues at every prime, and each surviving bucket is split by exact
+  re-evaluation before it may enter the report.
 
-Reports are deterministic: partitioning a stream into k shards and merging
-the per-shard indexes yields byte-identical output for any k, and classes
-are sorted by value before emission.
+The residue engine splits the key space into `shards` key-range partitions
+processed one after another, so the memory it holds is about 1/shards of
+the whole and is checked exactly against the ceiling before it is
+allocated.  Reports are deterministic and byte-identical for every shard
+count: keys inside a class are in stream order, and classes are sorted by
+value before emission.
 """
 
 import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
+
+import numpy as np
 
 from .curve import Point, add, scalar_mul
 from .injection import UniquenessFunction, validate_params
@@ -37,7 +45,19 @@ from .reporting import VERSION, canonical_json, config_digest
 logger = logging.getLogger(__name__)
 
 PROGRESS_EVERY = 10**6
-DEFAULT_MEMORY_CEILING = 4 * 2**30  # bytes of index estimate
+DEFAULT_MEMORY_CEILING = 4 * 2**30  # bytes
+
+# Bytes the residue engine holds per key of a partition: the uint64
+# first-prime key and one byte of the mask of repeated sorted keys.  The
+# repeated keys themselves come on top; there are none unless first-prime
+# residues collide.
+PARTITION_BYTES_PER_KEY = 9
+# Bytes per key of one generated block at its largest, in the candidate
+# pass: the keys (8), their searchsorted positions (8), the gathered run
+# values (8) and the hit mask (1).
+BLOCK_BYTES_PER_KEY = 25
+# Keys generated per block, at most.
+BLOCK_KEYS = 2**20
 
 # bounds below which the exact engine is used by the "auto" method
 EXACT_P_SCAN_BOUND = 300
@@ -84,11 +104,13 @@ class CollisionReport:
 
 
 def _build_index(entries, *, shards, progress_every, memory_ceiling, size_of):
-    """Index a stream of (bucket_key, key) into bucket -> [(index, key), ...].
+    """Index a stream of (bucket_key, key) into bucket -> [(index, key), ...]
+    for the exact engine.
 
     The stream is dealt round-robin to `shards` independent maps which are
     then merged; entries are re-sorted by stream index, so the result is
-    identical for every shard count.
+    identical for every shard count.  Memory use is an estimate from
+    `size_of`, checked against the ceiling as the index grows.
     """
     shard_maps = [{} for _ in range(max(1, shards))]
     used = 0
@@ -154,49 +176,99 @@ def collision_scan(
     return CollisionReport(total, classes, [], config or {})
 
 
-def _residue_collision_scan(
-    entries: Iterable[tuple],
-    *,
-    confirm: Callable,
-    shards: int,
-    config: dict,
-    memory_ceiling: Optional[int],
-    progress_every: int,
-    duplicate_points: Optional[list] = None,
-) -> CollisionReport:
-    """Fingerprint scan: entries are (packed_residue, key).
+def _fingerprint_classes(scan, n, row, p, key_block, resolve, *, shards, memory_ceiling):
+    """Collision classes among n stream items, found from first-prime keys.
 
-    Buckets with >= 2 keys are candidates only; `confirm(keys)` must return
-    the exact values [(key, Fraction)] and the bucket is split by exact
-    value.  Only groups that re-verify exactly become classes.
+    `key_block(lo, hi)` returns the uint64 residues mod `p` of items
+    lo..hi-1 in stream order; lo is a multiple of `row` and hi is one too, or
+    n.  Partition s of `shards` holds the keys in [s*w, (s+1)*w) with
+    w = ceil(p / shards), built block by block and then sorted in place.
+    The items whose key occurs more than once in it are found again, in
+    stream order, by a second block pass and handed to
+    `resolve(indices) -> (surviving_buckets, classes)`.  Equal values have
+    equal keys, so a class never spans two partitions.
+
+    Before anything is allocated, the bytes a partition needs (its keys and
+    one block) are checked against `memory_ceiling`.
     """
-    index, total = _build_index(
-        entries,
-        shards=shards,
-        progress_every=progress_every,
-        memory_ceiling=memory_ceiling,
-        size_of=lambda b: 32,
-    )
+    shards = max(1, shards)
+    width = -(-p // shards)
+    step = row * max(1, min(BLOCK_KEYS, -(-n // shards)) // row)
+    block_bytes = BLOCK_BYTES_PER_KEY * min(step, n)
+
+    def check_ceiling(keys):
+        needed = PARTITION_BYTES_PER_KEY * keys + block_bytes
+        if memory_ceiling is not None and needed > memory_ceiling:
+            raise MemoryCeilingError(
+                f"{scan}: a partition of {keys} keys needs {needed} bytes, "
+                f"over the memory ceiling of {memory_ceiling}; use more shards"
+            )
+
+    def blocks():
+        for lo in range(0, n, step):
+            yield lo, key_block(lo, min(lo + step, n))
+
+    def in_partition(keys, s):
+        mask = keys >= s * width
+        mask &= keys < (s + 1) * width
+        return mask
+
+    if shards == 1:
+        sizes = [n]
+    else:
+        check_ceiling(-(-n // shards))  # the largest partition holds at least this many
+        sizes = [0] * shards
+        for _, keys in blocks():
+            for s in range(shards):
+                sizes[s] += int(np.count_nonzero(in_partition(keys, s)))
+    check_ceiling(max(sizes))
+
     classes = []
-    for slot in index.values():
-        if len(slot) < 2:
-            continue
-        by_value = {}
-        exact = confirm([k for _, k in slot])
-        for key, value in exact:
-            by_value.setdefault(value, []).append(key)
-        for value, keys in by_value.items():
-            if len(keys) >= 2:
-                classes.append(CollisionClass(value, keys))
+    for s, size in enumerate(sizes):
+        part = np.empty(size, dtype=np.uint64)
+        filled = 0
+        for _, keys in blocks():
+            mask = in_partition(keys, s)
+            count = int(np.count_nonzero(mask))
+            np.compress(mask, keys, out=part[filled:filled + count])
+            filled += count
+        part.sort()
+        runs = np.unique(part[1:][part[1:] == part[:-1]])
+        del part
+        candidates = []
+        if len(runs):
+            for lo, keys in blocks():
+                at = np.searchsorted(runs, keys)
+                np.minimum(at, len(runs) - 1, out=at)
+                candidates.extend((lo + np.flatnonzero(runs[at] == keys)).tolist())
+        surviving, found = resolve(candidates)
+        logger.info(
+            "%s partition %d/%d: %d keys, %d candidate runs, "
+            "%d buckets survive every prime, %d confirmed classes",
+            scan, s + 1, shards, size, len(runs), surviving, len(found),
+        )
+        classes.extend(found)
     classes.sort(key=lambda c: c.value)
-    return CollisionReport(total, classes, duplicate_points or [], config)
+    return classes
 
 
-def _pack(residues) -> int:
-    acc = 0
-    for r in residues:
-        acc = (acc << 64) | r
-    return acc
+def _confirm_buckets(keys, fingerprint, exact):
+    """Group candidate keys (in stream order) by `fingerprint`, their residues
+    at every prime, and split each bucket of two or more by `exact` value.
+
+    Returns (number of buckets of two or more, classes confirmed exactly).
+    """
+    buckets = {}
+    for key in keys:
+        buckets.setdefault(fingerprint(key), []).append(key)
+    surviving = [bucket for bucket in buckets.values() if len(bucket) >= 2]
+    classes = []
+    for bucket in surviving:
+        by_value = {}
+        for key in bucket:
+            by_value.setdefault(exact(key), []).append(key)
+        classes.extend(CollisionClass(v, ks) for v, ks in by_value.items() if len(ks) >= 2)
+    return len(surviving), classes
 
 
 class _OrbitResidues:
@@ -258,7 +330,11 @@ def _exact_orbit_point(spec: OrbitSpec, m: int, k: int = 0) -> Point:
 
 
 def _choose_residue_systems(spec: OrbitSpec, num_primes: int, must_invert):
-    """Deterministically pick the first suitable primes below PRIME_SEARCH_START."""
+    """Deterministically pick the first suitable primes below PRIME_SEARCH_START.
+
+    Returns (labels, systems).  Every system emits the orbit labels in the
+    same order, so residues line up by position across primes.
+    """
     infinity_cache = {}
 
     def is_exact_infinity(m):
@@ -272,11 +348,22 @@ def _choose_residue_systems(spec: OrbitSpec, num_primes: int, must_invert):
             for q in must_invert:
                 fraction_mod(q, p)
             systems.append(_OrbitResidues(spec, p, is_exact_infinity))
-        except UnsuitablePrimeError:
+        except UnsuitablePrimeError as exc:
+            logger.info("prime %d skipped: %s", p, exc)
             continue
         if len(systems) == num_primes:
-            return systems
-    raise RuntimeError("prime search exhausted")  # unreachable
+            break
+    else:
+        # only reachable when the search starts at a small prime
+        raise RuntimeError("prime search exhausted")
+    labels = [label for label, _ in systems[0].labeled]
+    for sysm in systems[1:]:
+        if [label for label, _ in sysm.labeled] != labels:
+            raise RuntimeError(
+                f"orbit labels mod {sysm.p} differ from those mod {systems[0].p}"
+            )
+    logger.info("primes chosen: %s", ", ".join(str(sysm.p) for sysm in systems))
+    return labels, systems
 
 
 class _ExactLabelEvaluator:
@@ -363,7 +450,9 @@ def p_injectivity_scan(
 
     Labels whose points coincide (possible only with a wrong torsion list)
     are flagged as duplicate points, not value collisions, and only the
-    first occurrence stays in the value scan.
+    first occurrence stays in the value scan.  With the residue method,
+    `shards` key-range partitions are built one at a time, and the bytes
+    one needs are checked against `memory_ceiling` before it is allocated.
     """
     _require_valid(u)
     spec.validate()
@@ -392,35 +481,47 @@ def p_injectivity_scan(
     if method != "residue":
         raise ValueError(f"unknown method {method!r}")
 
-    systems = _choose_residue_systems(
+    labels, systems = _choose_residue_systems(
         spec, num_primes, must_invert=[u.params.alpha, u.params.beta]
     )
-    labels = [label for label, _ in systems[0].labeled]
-    point_res = {}
-    value_res = {}
-    for sysm in systems:
-        ar = fraction_mod(u.params.alpha, sysm.p)
-        br = fraction_mod(u.params.beta, sysm.p)
-        assert [label for label, _ in sysm.labeled] == labels
-        for label, (x, y) in sysm.labeled:
-            point_res.setdefault(label, []).extend((x, y))
-            value_res.setdefault(label, []).append((ar * x + br * y) % sysm.p)
+    coefficients = [
+        (sysm, fraction_mod(u.params.alpha, sysm.p), fraction_mod(u.params.beta, sysm.p))
+        for sysm in systems
+    ]
+    position = {label: i for i, label in enumerate(labels)}
 
+    def point_residues(label):
+        return tuple(sysm.labeled[position[label]][1] for sysm in systems)
+
+    def value_residues(label):
+        residues = []
+        for sysm, ar, br in coefficients:
+            x, y = sysm.labeled[position[label]][1]
+            residues.append((ar * x + br * y) % sysm.p)
+        return tuple(residues)
+
+    # Equal points have equal P, so the runs of equal first-prime P residues
+    # hold every candidate for a duplicate point and for a value collision.
+    first, ar, br = coefficients[0]
+    keys = np.array([(ar * x + br * y) % first.p for _, (x, y) in first.labeled], dtype=np.uint64)
     evaluator = _ExactLabelEvaluator(u, spec)
-    duplicates, kept = _split_duplicate_points(
-        labels,
-        point_of=lambda lb: _pack(point_res[lb]),
-        confirm_point=evaluator.point,
+    duplicates = []
+
+    def resolve(indices):
+        groups, kept = _split_duplicate_points(
+            [labels[i] for i in indices], point_of=point_residues, confirm_point=evaluator.point
+        )
+        duplicates.extend(groups)
+        return _confirm_buckets(kept, value_residues, evaluator.p_value)
+
+    classes = _fingerprint_classes(
+        "P-scan", len(keys), 1, first.p, lambda lo, hi: keys[lo:hi], resolve,
+        shards=shards, memory_ceiling=memory_ceiling,
     )
-    return _residue_collision_scan(
-        ((_pack(value_res[label]), label) for label in kept),
-        confirm=lambda keys: [(k, evaluator.p_value(k)) for k in keys],
-        shards=shards,
-        config=config,
-        memory_ceiling=memory_ceiling,
-        progress_every=progress_every,
-        duplicate_points=duplicates,
-    )
+    duplicates.sort(key=lambda g: str(g[0]))
+    # every label of a duplicate group but its first leaves the value scan
+    total = len(labels) - sum(len(g) - 1 for g in duplicates)
+    return CollisionReport(total, classes, duplicates, config)
 
 
 def f_injectivity_scan(
@@ -439,7 +540,10 @@ def f_injectivity_scan(
     Precondition: eval_P must be collision-free on the same orbit, so the
     scanned set plays the role of the injective open set.  `strategy`
     selects the direct pair-value index (default) or the difference
-    strategy, which indexes n-th-power differences in a second pass.
+    strategy, which indexes n-th-power differences in a second pass.  The
+    direct residue scan holds about (PARTITION_BYTES_PER_KEY * k^2) / shards
+    bytes for k orbit points, plus one block, and checks that figure against
+    `memory_ceiling` before allocating it.
     """
     _require_valid(u)
     spec.validate()
@@ -474,10 +578,9 @@ def f_injectivity_scan(
     if method != "residue":
         raise ValueError(f"unknown method {method!r}")
 
-    systems = _choose_residue_systems(
+    labels, systems = _choose_residue_systems(
         spec, num_primes, must_invert=[u.params.alpha, u.params.beta, u.params.gamma]
     )
-    labels = [label for label, _ in systems[0].labeled]
     per_prime = []
     for sysm in systems:
         p = sysm.p
@@ -495,24 +598,34 @@ def f_injectivity_scan(
     if strategy != "direct":
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    def pair_entries():
-        k = len(labels)
-        for i in range(k):
-            l1 = labels[i]
-            for j in range(k):
-                acc = 0
-                for p, gr, pw in per_prime:
-                    acc = (acc << 64) | (pw[i] + gr * pw[j]) % p
-                yield (acc, (l1, labels[j]))
+    k = len(labels)
+    position = {label: i for i, label in enumerate(labels)}
 
-    return _residue_collision_scan(
-        pair_entries(),
-        confirm=lambda keys: [(k, evaluator.f_value(k)) for k in keys],
-        shards=shards,
-        config=config,
-        memory_ceiling=memory_ceiling,
-        progress_every=progress_every,
+    def pair_residues(pair):
+        i, j = position[pair[0]], position[pair[1]]
+        return tuple((pw[i] + gr * pw[j]) % p for p, gr, pw in per_prime)
+
+    # The key of pair (i, j) is (left[i] + right[j]) mod p at the first
+    # prime, at flat index i*k + j.  Both terms are below p < 2**61, so
+    # their sum cannot overflow uint64.
+    p, gr, pw = per_prime[0]
+    left = np.array(pw, dtype=np.uint64)
+    right = np.array([gr * w % p for w in pw], dtype=np.uint64)
+
+    def key_block(lo, hi):
+        keys = np.add(left[lo // k:hi // k, None], right).ravel()
+        np.subtract(keys, p, out=keys, where=keys >= p)
+        return keys
+
+    def resolve(indices):
+        pairs = [(labels[x // k], labels[x % k]) for x in indices]
+        return _confirm_buckets(pairs, pair_residues, evaluator.f_value)
+
+    classes = _fingerprint_classes(
+        "f-scan", k * k, max(k, 1), p, key_block, resolve,
+        shards=shards, memory_ceiling=memory_ceiling,
     )
+    return CollisionReport(k * k, classes, [], config)
 
 
 def _difference_candidates(labels, per_prime):
