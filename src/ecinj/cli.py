@@ -19,7 +19,7 @@ from .collisions import (
     zagier_probe,
 )
 from .curve import Curve, Point
-from .injection import InjectionParams, UniquenessFunction, validate_params
+from .injection import InjectionParams, UniquenessFunction
 from .pairing import cantor_pair, cantor_unpair
 from .points import OrbitSpec, brute_force_points, orbit
 from .rational import format_rational, parse_rational
@@ -105,9 +105,6 @@ def _build_ufunc(args) -> tuple:
     curve = _parse_curve(args.curve)
     gen = _parse_point(args.gen, curve)
     params = _parse_params(args.params)
-    violations = validate_params(params)
-    if violations:
-        raise CliError("invalid parameters: " + "; ".join(violations))
     torsion = _parse_torsion(getattr(args, "torsion", ""), curve)
     spec = OrbitSpec(gen, args.M, torsion)
     return UniquenessFunction(params, curve), spec
@@ -144,23 +141,14 @@ def cmd_enumerate(args) -> int:
 
 def cmd_check_p(args) -> int:
     u, spec = _build_ufunc(args)
-    report = p_injectivity_scan(
-        u, spec, method=args.method, shards=args.shards, memory_ceiling=_memory_ceiling(args)
-    )
+    report = p_injectivity_scan(u, spec, method=args.method, memory_ceiling=_memory_ceiling(args))
     _emit(args, report.to_json())
     return report.exit_code
 
 
 def cmd_check_f(args) -> int:
     u, spec = _build_ufunc(args)
-    report = f_injectivity_scan(
-        u,
-        spec,
-        method=args.method,
-        strategy=args.strategy,
-        shards=args.shards,
-        memory_ceiling=_memory_ceiling(args),
-    )
+    report = f_injectivity_scan(u, spec, method=args.method, memory_ceiling=_memory_ceiling(args))
     _emit(args, report.to_json())
     return report.exit_code
 
@@ -280,7 +268,7 @@ def cmd_cantor(args) -> int:
 
 
 def cmd_zagier_probe(args) -> int:
-    report = zagier_probe(args.H, shards=args.shards, memory_ceiling=_memory_ceiling(args))
+    report = zagier_probe(args.H, memory_ceiling=_memory_ceiling(args))
     _emit(args, report.to_json())
     return report.exit_code
 
@@ -293,11 +281,11 @@ def build_parser() -> _Parser:
         p.add_argument("--out", default=None, help="write the report to this path instead of stdout")
         if scan:
             p.add_argument(
-                "--shards", type=int, default=1, metavar="K",
-                help="partitions of the collision index; the residue engine builds one key range "
-                "at a time, so its memory falls to about 1/K; reports are identical for every K",
+                "--memory-ceiling", type=int, default=None, metavar="BYTES",
+                help="bytes the collision index may hold (default 4 GiB, or env ECINJ_MEMORY_CEILING); "
+                "the residue engine splits its keys into as few key ranges as fit, "
+                "and reports are identical for every ceiling that passes",
             )
-            p.add_argument("--memory-ceiling", type=int, default=None, help="bytes; env ECINJ_MEMORY_CEILING overrides the default")
 
     p = sub.add_parser("curve-info", help="curve summary")
     p.add_argument("--curve", default=DEFAULT_CURVE)
@@ -321,8 +309,6 @@ def build_parser() -> _Parser:
         p.add_argument("--params", default=DEFAULT_PARAMS)
         p.add_argument("--M", type=int, default=60)
         p.add_argument("--method", choices=["auto", "exact", "residue"], default="auto")
-        if name == "check-f":
-            p.add_argument("--strategy", choices=["direct", "difference"], default="direct")
         common(p, scan=True)
         p.set_defaults(func=fn)
 

@@ -3,10 +3,9 @@ built on it.
 
 Two engines:
 
-* `collision_scan` holds exact canonical values.  Dedup keys are the
-  canonical (num, den) pairs, so equality is exact with no hashing false
-  positives (dict buckets are confirmed by exact comparison).  The exact
-  P/f scans and `zagier_probe` use it.
+* `collision_scan` holds exact canonical values in one dict.  Dedup keys
+  are the canonical (num, den) pairs, so equality is exact with no hashing
+  false positives.  The exact P/f scans and `zagier_probe` use it.
 
 * The residue engine fingerprints each value by its residues modulo a few
   deterministic 61-bit primes.  Equal exact values always produce equal
@@ -19,15 +18,18 @@ Two engines:
   residues at every prime, and each surviving bucket is split by exact
   re-evaluation before it may enter the report.
 
-The residue engine splits the key space into `shards` key-range partitions
-processed one after another, so the memory it holds is about 1/shards of
-the whole and is checked exactly against the ceiling before it is
-allocated.  Reports are deterministic and byte-identical for every shard
-count: keys inside a class are in stream order, and classes are sorted by
-value before emission.
+The memory ceiling is the only resource setting.  The residue engine
+splits the key space into as few key-range partitions as fit the ceiling,
+processed one after another, and counts every partition's size exactly
+before it is allocated; the exact engine checks a running estimate of its
+index.  Reports are deterministic and do not depend on the ceiling: keys
+inside a class are in stream order, and classes are sorted by value before
+emission.
 """
 
+import bisect
 import logging
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -44,8 +46,17 @@ from .reporting import VERSION, canonical_json, config_digest
 
 logger = logging.getLogger(__name__)
 
-PROGRESS_EVERY = 10**6
+PROGRESS_EVERY = 10**6  # exact engine: items between progress records; read at call time
 DEFAULT_MEMORY_CEILING = 4 * 2**30  # bytes
+
+# Bytes the exact index holds, measured with tracemalloc on `zagier_probe`
+# streams (H = 10 and 15): an entry (a key of two short strings and its
+# list slot) takes about 176 bytes, and a new value's bucket (dict slot,
+# (num, den) tuple and list) 120-145 bytes more, on top of its two ints,
+# which are counted exactly.  The constants leave about 8% headroom over
+# the whole scan's measured peak.
+INDEX_BYTES_PER_ENTRY = 200
+INDEX_BYTES_PER_BUCKET = 176
 
 # Bytes the residue engine holds per key of a partition: the uint64
 # first-prime key and one byte of the mask of repeated sorted keys.  The
@@ -58,12 +69,16 @@ PARTITION_BYTES_PER_KEY = 9
 BLOCK_BYTES_PER_KEY = 25
 # Keys generated per block, at most.
 BLOCK_KEYS = 2**20
+# Partition counts the residue engine tries, each sized exactly, from the
+# first one at which an even split of the keys would fit the ceiling.
+PARTITION_TRIES = 16
 
 # bounds below which the exact engine is used by the "auto" method
 EXACT_P_SCAN_BOUND = 300
 EXACT_F_SCAN_BOUND = 60
 
 PRIME_SEARCH_START = 2**61
+NUM_PRIMES = 2  # primes of each residue fingerprint
 
 
 class MemoryCeilingError(RuntimeError):
@@ -103,141 +118,84 @@ class CollisionReport:
         return canonical_json(self.to_json_dict())
 
 
-def _build_index(entries, *, shards, progress_every, memory_ceiling, size_of):
-    """Index a stream of (bucket_key, key) into bucket -> [(index, key), ...]
-    for the exact engine.
+def collision_scan(
+    stream: Iterable[tuple],
+    *,
+    config: Optional[dict] = None,
+    memory_ceiling: Optional[int] = DEFAULT_MEMORY_CEILING,
+) -> CollisionReport:
+    """Group exactly equal values in a stream of (key, value) pairs.
 
-    The stream is dealt round-robin to `shards` independent maps which are
-    then merged; entries are re-sorted by stream index, so the result is
-    identical for every shard count.  Memory use is an estimate from
-    `size_of`, checked against the ceiling as the index grows.
+    Classes (>= 2 keys sharing one value) are sorted by value; key order
+    inside a class is stream order.  The index's bytes are estimated as it
+    grows and checked against `memory_ceiling`.
     """
-    shard_maps = [{} for _ in range(max(1, shards))]
+    index = {}
     used = 0
     total = 0
-    for i, (bucket, key) in enumerate(entries):
-        m = shard_maps[i % len(shard_maps)]
-        slot = m.get(bucket)
+    for key, value in stream:
+        bucket = (value.numerator, value.denominator)
+        slot = index.get(bucket)
         if slot is None:
-            used += size_of(bucket) + 96
-            m[bucket] = [(i, key)]
-        else:
-            used += 64
-            slot.append((i, key))
+            used += INDEX_BYTES_PER_BUCKET + sys.getsizeof(bucket[0]) + sys.getsizeof(bucket[1])
+            index[bucket] = slot = []
+        slot.append(key)
+        used += INDEX_BYTES_PER_ENTRY
         total += 1
         if memory_ceiling is not None and used > memory_ceiling:
             raise MemoryCeilingError(
                 f"collision index estimate {used} bytes exceeds ceiling {memory_ceiling}"
             )
-        if progress_every and total % progress_every == 0:
+        if total % PROGRESS_EVERY == 0:
             logger.info("scanned %d items; index estimate %d bytes", total, used)
-    merged = {}
-    for m in shard_maps:
-        for bucket, slot in m.items():
-            merged.setdefault(bucket, []).extend(slot)
-    for slot in merged.values():
-        slot.sort(key=lambda e: e[0])
-    return merged, total
-
-
-def _exact_size(bucket) -> int:
-    num, den = bucket
-    return (num.bit_length() + den.bit_length()) // 8
-
-
-def collision_scan(
-    stream: Iterable[tuple],
-    *,
-    shards: int = 1,
-    config: Optional[dict] = None,
-    memory_ceiling: Optional[int] = DEFAULT_MEMORY_CEILING,
-    progress_every: int = PROGRESS_EVERY,
-) -> CollisionReport:
-    """Group exactly equal values in a stream of (key, value) pairs.
-
-    Memory is bounded by the number of distinct values.  Classes (>= 2 keys
-    sharing one value) are sorted by value; key order inside a class is
-    stream order regardless of shard count.
-    """
-    entries = (((v.numerator, v.denominator), k) for k, v in stream)
-    index, total = _build_index(
-        entries,
-        shards=shards,
-        progress_every=progress_every,
-        memory_ceiling=memory_ceiling,
-        size_of=_exact_size,
-    )
     classes = [
-        CollisionClass(Fraction(num, den), [k for _, k in slot])
-        for (num, den), slot in index.items()
-        if len(slot) >= 2
+        CollisionClass(Fraction(num, den), keys)
+        for (num, den), keys in index.items()
+        if len(keys) >= 2
     ]
     classes.sort(key=lambda c: c.value)
     return CollisionReport(total, classes, [], config or {})
 
 
-def _fingerprint_classes(scan, n, row, p, key_block, resolve, *, shards, memory_ceiling):
+def _fingerprint_classes(scan, n, row, p, key_block, resolve, *, memory_ceiling):
     """Collision classes among n stream items, found from first-prime keys.
 
     `key_block(lo, hi)` returns the uint64 residues mod `p` of items
     lo..hi-1 in stream order; lo is a multiple of `row` and hi is one too, or
-    n.  Partition s of `shards` holds the keys in [s*w, (s+1)*w) with
-    w = ceil(p / shards), built block by block and then sorted in place.
+    n.  Partition s of `count` holds the keys in [s*w, (s+1)*w) with
+    w = ceil(p / count), built block by block and then sorted in place.
     The items whose key occurs more than once in it are found again, in
     stream order, by a second block pass and handed to
     `resolve(indices) -> (surviving_buckets, classes)`.  Equal values have
     equal keys, so a class never spans two partitions.
 
-    Before anything is allocated, the bytes a partition needs (its keys and
-    one block) are checked against `memory_ceiling`.
+    `count` is the fewest partitions whose largest one fits `memory_ceiling`
+    together with one block; sizes are counted exactly before anything is
+    allocated.
     """
-    shards = max(1, shards)
-    width = -(-p // shards)
-    step = row * max(1, min(BLOCK_KEYS, -(-n // shards)) // row)
-    block_bytes = BLOCK_BYTES_PER_KEY * min(step, n)
-
-    def check_ceiling(keys):
-        needed = PARTITION_BYTES_PER_KEY * keys + block_bytes
-        if memory_ceiling is not None and needed > memory_ceiling:
-            raise MemoryCeilingError(
-                f"{scan}: a partition of {keys} keys needs {needed} bytes, "
-                f"over the memory ceiling of {memory_ceiling}; use more shards"
-            )
-
-    def blocks():
-        for lo in range(0, n, step):
-            yield lo, key_block(lo, min(lo + step, n))
+    count, sizes = _partition_sizes(scan, n, row, p, key_block, memory_ceiling)
+    width = -(-p // count)
 
     def in_partition(keys, s):
         mask = keys >= s * width
         mask &= keys < (s + 1) * width
         return mask
 
-    if shards == 1:
-        sizes = [n]
-    else:
-        check_ceiling(-(-n // shards))  # the largest partition holds at least this many
-        sizes = [0] * shards
-        for _, keys in blocks():
-            for s in range(shards):
-                sizes[s] += int(np.count_nonzero(in_partition(keys, s)))
-    check_ceiling(max(sizes))
-
     classes = []
     for s, size in enumerate(sizes):
         part = np.empty(size, dtype=np.uint64)
         filled = 0
-        for _, keys in blocks():
+        for _, keys in _blocks(n, row, count, key_block):
             mask = in_partition(keys, s)
-            count = int(np.count_nonzero(mask))
-            np.compress(mask, keys, out=part[filled:filled + count])
-            filled += count
+            taken = int(np.count_nonzero(mask))
+            np.compress(mask, keys, out=part[filled:filled + taken])
+            filled += taken
         part.sort()
         runs = np.unique(part[1:][part[1:] == part[:-1]])
         del part
         candidates = []
         if len(runs):
-            for lo, keys in blocks():
+            for lo, keys in _blocks(n, row, count, key_block):
                 at = np.searchsorted(runs, keys)
                 np.minimum(at, len(runs) - 1, out=at)
                 candidates.extend((lo + np.flatnonzero(runs[at] == keys)).tolist())
@@ -245,11 +203,64 @@ def _fingerprint_classes(scan, n, row, p, key_block, resolve, *, shards, memory_
         logger.info(
             "%s partition %d/%d: %d keys, %d candidate runs, "
             "%d buckets survive every prime, %d confirmed classes",
-            scan, s + 1, shards, size, len(runs), surviving, len(found),
+            scan, s + 1, count, size, len(runs), surviving, len(found),
         )
         classes.extend(found)
     classes.sort(key=lambda c: c.value)
     return classes
+
+
+def _block_step(n, row, count):
+    """Keys per block when n keys are split into `count` partitions: whole
+    rows, at most BLOCK_KEYS or an even partition share, at least one row."""
+    return row * max(1, min(BLOCK_KEYS, -(-n // count)) // row)
+
+
+def _blocks(n, row, count, key_block):
+    step = _block_step(n, row, count)
+    for lo in range(0, n, step):
+        yield lo, key_block(lo, min(lo + step, n))
+
+
+def _partition_sizes(scan, n, row, p, key_block, memory_ceiling):
+    """(count, exact size of each partition) for the fewest key-range
+    partitions whose largest one fits `memory_ceiling` with one block.
+
+    One partition is taken without a pass when all n keys fit.  Otherwise
+    the counts from the first whose even share would fit are tried in turn,
+    PARTITION_TRIES at most, each counted exactly by one pass over the blocks.
+    """
+
+    def needed(count, largest):
+        block = BLOCK_BYTES_PER_KEY * min(_block_step(n, row, count), n)
+        return PARTITION_BYTES_PER_KEY * largest + block
+
+    if memory_ceiling is None or needed(1, n) <= memory_ceiling:
+        return 1, [n]
+    least = needed(n, 1)  # one key and one block of one row
+    if least > memory_ceiling:
+        raise MemoryCeilingError(
+            f"{scan}: needs at least {least} bytes for one block of {min(row, n)} keys, "
+            f"over the memory ceiling of {memory_ceiling}"
+        )
+    # the largest partition holds at least an even share of the keys
+    first = 1 + bisect.bisect_left(
+        range(1, n + 1), True, key=lambda c: needed(c, -(-n // c)) <= memory_ceiling
+    )
+    tried = []
+    for count in range(first, first + PARTITION_TRIES):
+        width = -(-p // count)
+        sizes = np.zeros(count, dtype=np.int64)
+        for _, keys in _blocks(n, row, count, key_block):
+            sizes += np.bincount(keys // width, minlength=count)
+        tried.append((needed(count, int(sizes.max())), count))
+        if tried[-1][0] <= memory_ceiling:
+            return count, sizes.tolist()
+    least, count = min(tried)
+    raise MemoryCeilingError(
+        f"{scan}: no count of {first} to {first + PARTITION_TRIES - 1} key-range partitions "
+        f"fits the memory ceiling of {memory_ceiling}; {count} partitions need {least} bytes"
+    )
 
 
 def _confirm_buckets(keys, fingerprint, exact):
@@ -329,8 +340,9 @@ def _exact_orbit_point(spec: OrbitSpec, m: int, k: int = 0) -> Point:
     return pt
 
 
-def _choose_residue_systems(spec: OrbitSpec, num_primes: int, must_invert):
-    """Deterministically pick the first suitable primes below PRIME_SEARCH_START.
+def _choose_residue_systems(spec: OrbitSpec, must_invert):
+    """Deterministically pick the first NUM_PRIMES suitable primes below
+    PRIME_SEARCH_START.
 
     Returns (labels, systems).  Every system emits the orbit labels in the
     same order, so residues line up by position across primes.
@@ -351,7 +363,7 @@ def _choose_residue_systems(spec: OrbitSpec, num_primes: int, must_invert):
         except UnsuitablePrimeError as exc:
             logger.info("prime %d skipped: %s", p, exc)
             continue
-        if len(systems) == num_primes:
+        if len(systems) == NUM_PRIMES:
             break
     else:
         # only reachable when the search starts at a small prime
@@ -436,23 +448,62 @@ def _require_valid(u: UniquenessFunction):
         raise ValueError("invalid injection parameters: " + "; ".join(violations))
 
 
+def _residue_p_findings(u, labels, systems, evaluator, memory_ceiling):
+    """(classes, duplicate point groups) of P over the orbit labels of the
+    residue systems, found from the first prime's P residues.
+
+    Equal points have equal P, so the runs of equal first-prime P residues
+    hold every candidate for a duplicate point and for a value collision.
+    Of each duplicate group only the first label stays in the value scan.
+    """
+    coefficients = [
+        (sysm, fraction_mod(u.params.alpha, sysm.p), fraction_mod(u.params.beta, sysm.p))
+        for sysm in systems
+    ]
+    position = {label: i for i, label in enumerate(labels)}
+
+    def point_residues(label):
+        return tuple(sysm.labeled[position[label]][1] for sysm in systems)
+
+    def value_residues(label):
+        residues = []
+        for sysm, ar, br in coefficients:
+            x, y = sysm.labeled[position[label]][1]
+            residues.append((ar * x + br * y) % sysm.p)
+        return tuple(residues)
+
+    first, ar, br = coefficients[0]
+    keys = np.array([(ar * x + br * y) % first.p for _, (x, y) in first.labeled], dtype=np.uint64)
+    duplicates = []
+
+    def resolve(indices):
+        groups, kept = _split_duplicate_points(
+            [labels[i] for i in indices], point_of=point_residues, confirm_point=evaluator.point
+        )
+        duplicates.extend(groups)
+        return _confirm_buckets(kept, value_residues, evaluator.p_value)
+
+    classes = _fingerprint_classes(
+        "P-scan", len(keys), 1, first.p, lambda lo, hi: keys[lo:hi], resolve,
+        memory_ceiling=memory_ceiling,
+    )
+    duplicates.sort(key=lambda g: str(g[0]))
+    return classes, duplicates
+
+
 def p_injectivity_scan(
     u: UniquenessFunction,
     spec: OrbitSpec,
     *,
     method: str = "auto",
-    shards: int = 1,
-    num_primes: int = 2,
     memory_ceiling: Optional[int] = DEFAULT_MEMORY_CEILING,
-    progress_every: int = PROGRESS_EVERY,
 ) -> CollisionReport:
     """Scan eval_P over the orbit for exact value collisions.
 
     Labels whose points coincide (possible only with a wrong torsion list)
     are flagged as duplicate points, not value collisions, and only the
-    first occurrence stays in the value scan.  With the residue method,
-    `shards` key-range partitions are built one at a time, and the bytes
-    one needs are checked against `memory_ceiling` before it is allocated.
+    first occurrence stays in the value scan.  With the residue method the
+    key-range partitions are as few as fit `memory_ceiling`.
     """
     _require_valid(u)
     spec.validate()
@@ -470,10 +521,8 @@ def p_injectivity_scan(
         )
         report = collision_scan(
             ((label, u.eval_P(points[label])) for label in kept),
-            shards=shards,
             config=config,
             memory_ceiling=memory_ceiling,
-            progress_every=progress_every,
         )
         report.duplicate_points = duplicates
         return report
@@ -482,46 +531,17 @@ def p_injectivity_scan(
         raise ValueError(f"unknown method {method!r}")
 
     labels, systems = _choose_residue_systems(
-        spec, num_primes, must_invert=[u.params.alpha, u.params.beta]
+        spec, must_invert=[u.params.alpha, u.params.beta]
     )
-    coefficients = [
-        (sysm, fraction_mod(u.params.alpha, sysm.p), fraction_mod(u.params.beta, sysm.p))
-        for sysm in systems
-    ]
-    position = {label: i for i, label in enumerate(labels)}
-
-    def point_residues(label):
-        return tuple(sysm.labeled[position[label]][1] for sysm in systems)
-
-    def value_residues(label):
-        residues = []
-        for sysm, ar, br in coefficients:
-            x, y = sysm.labeled[position[label]][1]
-            residues.append((ar * x + br * y) % sysm.p)
-        return tuple(residues)
-
-    # Equal points have equal P, so the runs of equal first-prime P residues
-    # hold every candidate for a duplicate point and for a value collision.
-    first, ar, br = coefficients[0]
-    keys = np.array([(ar * x + br * y) % first.p for _, (x, y) in first.labeled], dtype=np.uint64)
-    evaluator = _ExactLabelEvaluator(u, spec)
-    duplicates = []
-
-    def resolve(indices):
-        groups, kept = _split_duplicate_points(
-            [labels[i] for i in indices], point_of=point_residues, confirm_point=evaluator.point
-        )
-        duplicates.extend(groups)
-        return _confirm_buckets(kept, value_residues, evaluator.p_value)
-
-    classes = _fingerprint_classes(
-        "P-scan", len(keys), 1, first.p, lambda lo, hi: keys[lo:hi], resolve,
-        shards=shards, memory_ceiling=memory_ceiling,
+    classes, duplicates = _residue_p_findings(
+        u, labels, systems, _ExactLabelEvaluator(u, spec), memory_ceiling
     )
-    duplicates.sort(key=lambda g: str(g[0]))
     # every label of a duplicate group but its first leaves the value scan
     total = len(labels) - sum(len(g) - 1 for g in duplicates)
     return CollisionReport(total, classes, duplicates, config)
+
+
+P_NOT_INJECTIVE = "P not injective on scanned set; shrink or exclude collision points"
 
 
 def f_injectivity_scan(
@@ -529,58 +549,48 @@ def f_injectivity_scan(
     spec: OrbitSpec,
     *,
     method: str = "auto",
-    strategy: str = "direct",
-    shards: int = 1,
-    num_primes: int = 2,
     memory_ceiling: Optional[int] = DEFAULT_MEMORY_CEILING,
-    progress_every: int = PROGRESS_EVERY,
 ) -> CollisionReport:
     """Scan eval_f over all ordered orbit-point pairs; keys are (m1, m2).
 
     Precondition: eval_P must be collision-free on the same orbit, so the
-    scanned set plays the role of the injective open set.  `strategy`
-    selects the direct pair-value index (default) or the difference
-    strategy, which indexes n-th-power differences in a second pass.  The
-    direct residue scan holds about (PARTITION_BYTES_PER_KEY * k^2) / shards
-    bytes for k orbit points, plus one block, and checks that figure against
-    `memory_ceiling` before allocating it.
+    scanned set plays the role of the injective open set.  It is checked on
+    the scan's own data: the exact P values, or the residue systems' P
+    residues with exact confirmation.  The residue scan holds about
+    PARTITION_BYTES_PER_KEY * k^2 bytes for k orbit points, plus one block,
+    in as many key-range partitions as `memory_ceiling` needs.
     """
     _require_valid(u)
     spec.validate()
-    pre = p_injectivity_scan(
-        u, spec, method=method, num_primes=num_primes,
-        memory_ceiling=memory_ceiling, progress_every=progress_every,
-    )
-    if pre.classes or pre.duplicate_points:
-        raise ValueError("P not injective on scanned set; shrink or exclude collision points")
     if method == "auto":
         method = "exact" if spec.bound <= EXACT_F_SCAN_BOUND else "residue"
     config = _scan_config("f_injectivity_scan", u, spec, method)
-    config["strategy"] = strategy
+    config["strategy"] = "direct"  # hashed into config_digest; the only f-strategy
     n, gamma = u.params.n, u.params.gamma
 
     if method == "exact":
-        labeled = list(orbit(spec))
-        powers = [(label, u.eval_P(pt) ** n) for label, pt in labeled]
+        pvalues = [(label, u.eval_P(pt)) for label, pt in orbit(spec)]
+        # equal points have equal P, so this also refuses duplicate points
+        if len({v for _, v in pvalues}) < len(pvalues):
+            raise ValueError(P_NOT_INJECTIVE)
+        powers = [(label, v**n) for label, v in pvalues]
 
         def pair_values():
             for (l1, a), (l2, b) in pair_stream(powers):
                 yield ((l1, l2), a + gamma * b)
 
-        return collision_scan(
-            pair_values(),
-            shards=shards,
-            config=config,
-            memory_ceiling=memory_ceiling,
-            progress_every=progress_every,
-        )
+        return collision_scan(pair_values(), config=config, memory_ceiling=memory_ceiling)
 
     if method != "residue":
         raise ValueError(f"unknown method {method!r}")
 
     labels, systems = _choose_residue_systems(
-        spec, num_primes, must_invert=[u.params.alpha, u.params.beta, u.params.gamma]
+        spec, must_invert=[u.params.alpha, u.params.beta, gamma]
     )
+    evaluator = _ExactLabelEvaluator(u, spec)
+    p_classes, duplicates = _residue_p_findings(u, labels, systems, evaluator, memory_ceiling)
+    if p_classes or duplicates:
+        raise ValueError(P_NOT_INJECTIVE)
     per_prime = []
     for sysm in systems:
         p = sysm.p
@@ -588,15 +598,6 @@ def f_injectivity_scan(
         gr = fraction_mod(gamma, p)
         pw = [pow((ar * x + br * y) % p, n, p) for _, (x, y) in sysm.labeled]
         per_prime.append((p, gr, pw))
-    evaluator = _ExactLabelEvaluator(u, spec)
-
-    if strategy == "difference":
-        pairs = _difference_candidates(labels, per_prime)
-        return _confirmed_report_from_candidates(
-            pairs, labels, evaluator, config, total=len(labels) ** 2
-        )
-    if strategy != "direct":
-        raise ValueError(f"unknown strategy {strategy!r}")
 
     k = len(labels)
     position = {label: i for i, label in enumerate(labels)}
@@ -622,65 +623,15 @@ def f_injectivity_scan(
         return _confirm_buckets(pairs, pair_residues, evaluator.f_value)
 
     classes = _fingerprint_classes(
-        "f-scan", k * k, max(k, 1), p, key_block, resolve,
-        shards=shards, memory_ceiling=memory_ceiling,
+        "f-scan", k * k, max(k, 1), p, key_block, resolve, memory_ceiling=memory_ceiling,
     )
     return CollisionReport(k * k, classes, [], config)
-
-
-def _difference_candidates(labels, per_prime):
-    """Pairs of ordered pairs that satisfy a^n - c^n = gamma*(d^n - b^n) on
-    every prime's residues: the difference form of f(A,B) = f(C,D).
-
-    Pass 1 indexes the left side over (A, C); pass 2 probes with the right
-    side over (D, B).  Identity matches (A, B) = (C, D) are skipped.
-    """
-    k = len(labels)
-    index = {}
-    for i in range(k):
-        for j in range(k):
-            acc = 0
-            for p, _, pw in per_prime:
-                acc = (acc << 64) | (pw[i] - pw[j]) % p
-            index.setdefault(acc, []).append((i, j))
-    candidates = set()
-    for d in range(k):
-        for b in range(k):
-            acc = 0
-            for p, gr, pw in per_prime:
-                acc = (acc << 64) | gr * (pw[d] - pw[b]) % p
-            for a, c in index.get(acc, ()):
-                if (a, b) == (c, d):
-                    continue
-                first = (labels[a], labels[b])
-                second = (labels[c], labels[d])
-                candidates.add((min(first, second, key=str), max(first, second, key=str)))
-    return candidates
-
-
-def _confirmed_report_from_candidates(candidates, labels, evaluator, config, total):
-    by_value = {}
-    for first, second in sorted(candidates, key=str):
-        for pair in (first, second):
-            v = evaluator.f_value(pair)
-            if pair not in by_value.setdefault(v, []):
-                by_value[v].append(pair)
-    order = {label: i for i, label in enumerate(labels)}
-    classes = []
-    for value, pairs in by_value.items():
-        pairs = sorted(set(pairs), key=lambda pr: (order[pr[0]], order[pr[1]]))
-        if len(pairs) >= 2:
-            classes.append(CollisionClass(value, pairs))
-    classes.sort(key=lambda c: c.value)
-    return CollisionReport(total, classes, [], config)
 
 
 def zagier_probe(
     h_bound: int,
     *,
-    shards: int = 1,
     memory_ceiling: Optional[int] = DEFAULT_MEMORY_CEILING,
-    progress_every: int = PROGRESS_EVERY,
 ) -> CollisionReport:
     """Exact collision scan of r1^7 + 3*r2^7 over all ordered pairs of
     rationals of height <= h_bound.  A nonempty class would be a finding
@@ -693,10 +644,4 @@ def zagier_probe(
             for r2 in rats:
                 yield ((format_rational(r1), format_rational(r2)), zagier_eval(r1, r2, 7, 3))
 
-    return collision_scan(
-        entries(),
-        shards=shards,
-        config=config,
-        memory_ceiling=memory_ceiling,
-        progress_every=progress_every,
-    )
+    return collision_scan(entries(), config=config, memory_ceiling=memory_ceiling)

@@ -1,8 +1,8 @@
 """Canonical JSON rendering and config digests shared by all report producers.
 
 Reports must be byte-identical for identical semantic configuration, so every
-producer funnels through `canonical_json`.  Execution knobs (shard count,
-progress interval, memory ceiling) are deliberately excluded from digests.
+producer funnels through `canonical_json`.  The memory ceiling, the one
+execution setting, is deliberately excluded from digests.
 """
 
 import hashlib

@@ -2,6 +2,7 @@
 its elapsed time (visible with `pytest -s`) and enforcing the stated
 runtime budget."""
 
+import logging
 import random
 import time
 from fractions import Fraction
@@ -99,12 +100,16 @@ def test_criterion_3_p_injectivity_desk_scan(ufunc248, gen248):
         assert report.duplicate_points == []
 
 
-def test_criterion_4_f_injectivity_desk_scan(ufunc248, gen248):
-    with Budget(4, 600, "f = P^9 + 2 P^9 collision-free over 160000 pairs; shard-invariant"):
+def test_criterion_4_f_injectivity_desk_scan(ufunc248, gen248, caplog):
+    caplog.set_level(logging.INFO, logger="ecinj.collisions")
+    with Budget(4, 600, "f = P^9 + 2 P^9 collision-free over 160000 pairs; partition-invariant"):
         spec = OrbitSpec(gen248, 200)
-        report = f_injectivity_scan(ufunc248, spec, shards=1)
-        sharded = f_injectivity_scan(ufunc248, spec, shards=4)
-        assert report.to_json() == sharded.to_json()
+        report = f_injectivity_scan(ufunc248, spec)
+        caplog.clear()
+        # 1.5 MB fits a quarter of the 160000 keys with its block, not a third
+        partitioned = f_injectivity_scan(ufunc248, spec, memory_ceiling=1_500_000)
+        assert sum(r.getMessage().startswith("f-scan partition") for r in caplog.records) >= 4
+        assert report.to_json() == partitioned.to_json()
         assert report.total_scanned == 160_000
         reverify(
             report,

@@ -1,4 +1,8 @@
+import hashlib
 import json
+import logging
+
+import pytest
 
 from ecinj.cli import main
 
@@ -18,15 +22,43 @@ def test_check_f_headline(capsys):
     assert report["version"] and report["config_digest"]
 
 
-def test_check_p_determinism_across_shards(capsys):
-    code1, out1, _ = run(capsys, "check-p", "--M", "50", "--shards", "1")
-    code2, out2, _ = run(capsys, "check-p", "--M", "50", "--shards", "4")
+def test_check_p_determinism_across_shards(capsys, caplog):
+    caplog.set_level(logging.INFO, logger="ecinj.collisions")
+
+    def partitions():
+        count = sum(r.getMessage().startswith("P-scan partition") for r in caplog.records)
+        caplog.clear()
+        return count
+
+    code1, out1, _ = run(capsys, "check-p", "--M", "400")
+    assert partitions() == 1
+    # one partition of 800 keys would need 27,200 bytes
+    code2, out2, _ = run(capsys, "check-p", "--M", "400", "--memory-ceiling", "20000")
+    assert partitions() >= 2
     assert code1 == code2 == 0
     assert out1 == out2
 
 
-def test_gamma_violation_exits_one(capsys):
-    code, _, err = run(capsys, "check-f", "--params", "1,1,1,9", "--M", "5")
+# sha256 of stdout: reports are byte-identical however the scan is run
+GOLDEN_SHA256 = {
+    ("check-p", "--M", "50"): "8ee4c61110345bb9b3599eeeb23318a234434e1db9c71c8452f01d87de963a2d",
+    ("check-p", "--M", "400"): "e28bbdf6173d83f4b449a675e33071506a3e046a04640045a191be725279d6c4",
+    ("check-f", "--M", "10"): "db809208c354bd2da9cfac0fb9ef9ea0b5b098fb38234bd03d5d65dc5163275e",
+    ("check-f", "--M", "80"): "0d3fe964d2ce2d4ac705b6d30c205ce4af4b1f7bcdd27a3ff57526b505d2a793",
+    ("zagier-probe",): "af142a4642e989ffb53d04eaf253b6007ff861f789ee40d0deacf760b9dd2808",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_SHA256), ids=" ".join)
+def test_report_bytes_pinned(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[argv]
+
+
+@pytest.mark.parametrize("command", ["check-p", "check-f"])
+def test_gamma_violation_exits_one(capsys, command):
+    code, _, err = run(capsys, command, "--params", "1,1,1,9", "--M", "5")
     assert code == 1
     assert "gamma" in err
 

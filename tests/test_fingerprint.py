@@ -101,15 +101,17 @@ def test_non_invertible_coefficient_skips_prime(small_primes, caplog, curve248, 
     small_primes(2**8)
     u = UniquenessFunction(InjectionParams(*params), curve248)
     spec = OrbitSpec(gen248, 3)
-    residue = f_injectivity_scan(u, spec, method="residue")
+    p_residue = p_injectivity_scan(u, spec, method="residue")
+    f_residue = f_injectivity_scan(u, spec, method="residue")
     chosen = [r.getMessage() for r in caplog.records if r.getMessage().startswith("primes chosen")]
-    # one prime choice for the P pre-scan, then one for the f-scan
+    # one prime choice for the P-scan, then one for the f-scan and its P precondition
     assert chosen == [
         "primes chosen: 241, 239" if scan in skipped_by else "primes chosen: 251, 241"
         for scan in ("P", "f")
     ]
     assert any("prime 251 skipped: denominator" in r.getMessage() for r in caplog.records)
-    assert findings(residue) == findings(f_injectivity_scan(u, spec, method="exact"))
+    assert findings(p_residue) == findings(p_injectivity_scan(u, spec, method="exact"))
+    assert findings(f_residue) == findings(f_injectivity_scan(u, spec, method="exact"))
 
 
 @pytest.mark.parametrize(
@@ -151,18 +153,33 @@ def test_misaligned_labels_raise(monkeypatch, ufunc248, gen248):
 def test_memory_ceiling_is_exact_per_partition(caplog, ufunc248, gen248):
     caplog.set_level(logging.INFO, logger="ecinj.collisions")
     spec = OrbitSpec(gen248, 20)
-    pairs = 40 * 40
-    ceiling = 12 * pairs  # between 16 bytes a pair over 4 partitions and 16 bytes a pair
-    # one partition holds every key, and one block covers every pair
-    needed = (PARTITION_BYTES_PER_KEY + BLOCK_BYTES_PER_KEY) * pairs
-    with pytest.raises(MemoryCeilingError, match=f"needs {needed} bytes"):
-        f_injectivity_scan(ufunc248, spec, method="residue", shards=1, memory_ceiling=ceiling)
+    pairs, row = 40 * 40, 40
+    # one partition would hold every key, with a block covering every pair:
+    # PARTITION_BYTES_PER_KEY + BLOCK_BYTES_PER_KEY = 34 bytes a pair
+    partitioned = f_injectivity_scan(ufunc248, spec, method="residue", memory_ceiling=12 * pairs)
+    counted = partitions(caplog, "f")
+    assert len(counted) >= 3
+    assert sum(part["keys"] for part in counted) == pairs
+    unlimited = f_injectivity_scan(ufunc248, spec, method="residue", memory_ceiling=None)
+    assert partitioned.to_json() == unlimited.to_json()
+
+    caplog.clear()
+    needed = BLOCK_BYTES_PER_KEY * row + PARTITION_BYTES_PER_KEY  # one row's block and one key
+    with pytest.raises(MemoryCeilingError, match=f"needs at least {needed} bytes"):
+        f_injectivity_scan(ufunc248, spec, method="residue", memory_ceiling=needed - 1)
     assert partitions(caplog, "f") == []  # refused before any key was built
-    sharded = f_injectivity_scan(ufunc248, spec, method="residue", shards=4, memory_ceiling=ceiling)
-    assert len(partitions(caplog, "f")) == 4
-    assert sum(part["keys"] for part in partitions(caplog, "f")) == pairs
-    unlimited = f_injectivity_scan(ufunc248, spec, method="residue", shards=1, memory_ceiling=None)
-    assert sharded.to_json() == unlimited.to_json()
+
+
+def test_no_partition_count_fits_crowded_keys(small_primes, caplog, ufunc248, gen248):
+    small_primes(2**7)  # 144 f keys take at most 127 values
+    spec = OrbitSpec(gen248, 6)
+    # an even share of two keys fits from 72 partitions on, but a partition
+    # spans two key values at every count tried, and some pair of values
+    # holds three keys or more
+    ceiling = 2 * PARTITION_BYTES_PER_KEY + BLOCK_BYTES_PER_KEY * 12
+    with pytest.raises(MemoryCeilingError, match="no count of 72 to 87 key-range partitions"):
+        f_injectivity_scan(ufunc248, spec, method="residue", memory_ceiling=ceiling)
+    assert partitions(caplog, "f") == []
 
 
 small_int = st.integers(-4, 4)
@@ -179,12 +196,13 @@ nonzero = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2
     alpha=nonzero,
     beta=nonzero,
     gamma=st.sampled_from([Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(3, 2)]),
-    shards=st.integers(1, 3),
+    # 4000 and 1000 bytes split the f-scan's keys from k = 11 and k = 6 orbit points on
+    ceiling=st.sampled_from([None, 4000, 1000]),
     start=st.integers(2**6, 2**16),
 )
 @example(a=-2, x0=0, y0=1, with_torsion=False, bound=2, alpha=Fraction(1), beta=Fraction(1),
-         gamma=Fraction(2), shards=1, start=2**6)  # order-4 generator: planted findings
-def test_residue_matches_exact(a, x0, y0, with_torsion, bound, alpha, beta, gamma, shards, start):
+         gamma=Fraction(2), ceiling=None, start=2**6)  # order-4 generator: planted findings
+def test_residue_matches_exact(a, x0, y0, with_torsion, bound, alpha, beta, gamma, ceiling, start):
     b = y0 * y0 - x0**3 - a * x0  # puts (x0, y0) on the curve
     assume(4 * a**3 + 27 * b**2 != 0)
     c = Curve(a, b)
@@ -197,12 +215,13 @@ def test_residue_matches_exact(a, x0, y0, with_torsion, bound, alpha, beta, gamm
     spec = OrbitSpec(c.point(x0, y0), bound, torsion)
     u = UniquenessFunction(InjectionParams(alpha, beta, gamma, 9), c)
 
-    def outcome(scan, method):
+    def outcome(scan, **kwargs):
         try:
-            return findings(scan(u, spec, method=method, shards=shards))
+            return findings(scan(u, spec, **kwargs))
         except ValueError as exc:
             return str(exc)
 
     with mock.patch.object(collisions, "PRIME_SEARCH_START", start):
         for scan in (p_injectivity_scan, f_injectivity_scan):
-            assert outcome(scan, "residue") == outcome(scan, "exact")
+            residue = outcome(scan, method="residue", memory_ceiling=ceiling)
+            assert residue == outcome(scan, method="exact")
