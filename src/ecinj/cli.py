@@ -141,14 +141,14 @@ def cmd_enumerate(args) -> int:
 
 def cmd_check_p(args) -> int:
     u, spec = _build_ufunc(args)
-    report = p_injectivity_scan(u, spec, method=args.method, memory_ceiling=_memory_ceiling(args))
+    report = p_injectivity_scan(u, spec, memory_ceiling=_memory_ceiling(args))
     _emit(args, report.to_json())
     return report.exit_code
 
 
 def cmd_check_f(args) -> int:
     u, spec = _build_ufunc(args)
-    report = f_injectivity_scan(u, spec, method=args.method, memory_ceiling=_memory_ceiling(args))
+    report = f_injectivity_scan(u, spec, memory_ceiling=_memory_ceiling(args))
     _emit(args, report.to_json())
     return report.exit_code
 
@@ -283,7 +283,7 @@ def build_parser() -> _Parser:
             p.add_argument(
                 "--memory-ceiling", type=int, default=None, metavar="BYTES",
                 help="bytes the collision index may hold (default 4 GiB, or env ECINJ_MEMORY_CEILING); "
-                "the residue engine splits its keys into as few key ranges as fit, "
+                "check-p and check-f split their keys into as few key ranges as fit, "
                 "and reports are identical for every ceiling that passes",
             )
 
@@ -308,7 +308,6 @@ def build_parser() -> _Parser:
         p.add_argument("--torsion", default="")
         p.add_argument("--params", default=DEFAULT_PARAMS)
         p.add_argument("--M", type=int, default=60)
-        p.add_argument("--method", choices=["auto", "exact", "residue"], default="auto")
         common(p, scan=True)
         p.set_defaults(func=fn)
 

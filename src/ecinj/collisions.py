@@ -1,27 +1,25 @@
 """Exact collision detection over value streams, and the injectivity scans
 built on it.
 
-Two engines:
+The P- and f-scans run one engine.  It fingerprints each value by its
+residues modulo a few deterministic 61-bit primes.  Equal exact values
+always produce equal fingerprints at suitable primes, so no true collision
+can be missed.  Orbit values grow quadratically in digit count and are far
+too large to store exactly (measured: the |m| <= 2000 orbit would need
+hours and gigabytes), while residues are constant-size.  The first prime's
+residues are uint64 numpy keys: they are sorted in place, and only items
+whose key occurs more than once become candidates.  Candidates are grouped
+by their residues at every prime, and each surviving bucket is split by
+exact re-evaluation before it may enter the report.
 
-* `collision_scan` holds exact canonical values in one dict.  Dedup keys
-  are the canonical (num, den) pairs, so equality is exact with no hashing
-  false positives.  The exact P/f scans and `zagier_probe` use it.
+`collision_scan` holds exact canonical values in one dict, so equality is
+exact with no hashing false positives.  `zagier_probe`, whose values are
+small rationals, uses it.
 
-* The residue engine fingerprints each value by its residues modulo a few
-  deterministic 61-bit primes.  Equal exact values always produce equal
-  fingerprints at suitable primes, so no true collision can be missed.
-  Orbit values grow quadratically in digit count and are far too large to
-  store exactly (measured: the |m| <= 2000 orbit would need hours and
-  gigabytes), while residues are constant-size.  The first prime's residues
-  are uint64 numpy keys: they are sorted in place, and only items whose key
-  occurs more than once become candidates.  Candidates are grouped by their
-  residues at every prime, and each surviving bucket is split by exact
-  re-evaluation before it may enter the report.
-
-The memory ceiling is the only resource setting.  The residue engine
+The memory ceiling is the only resource setting.  The fingerprint engine
 splits the key space into as few key-range partitions as fit the ceiling,
 processed one after another, and counts every partition's size exactly
-before it is allocated; the exact engine checks a running estimate of its
+before it is allocated; `collision_scan` checks a running estimate of its
 index.  Reports are deterministic and do not depend on the ceiling: keys
 inside a class are in stream order, and classes are sorted by value before
 emission.
@@ -40,13 +38,13 @@ from .curve import Point, add, scalar_mul
 from .injection import UniquenessFunction, validate_params
 from .modular import CurveModP, UnsuitablePrimeError, fraction_mod, primes_descending
 from .pairing import zagier_eval
-from .points import OrbitSpec, orbit, pair_stream, rationals_by_height
+from .points import OrbitSpec, rationals_by_height
 from .rational import format_rational
 from .reporting import VERSION, canonical_json, config_digest
 
 logger = logging.getLogger(__name__)
 
-PROGRESS_EVERY = 10**6  # exact engine: items between progress records; read at call time
+PROGRESS_EVERY = 10**6  # collision_scan: items between progress records; read at call time
 DEFAULT_MEMORY_CEILING = 4 * 2**30  # bytes
 
 # Bytes the exact index holds, measured with tracemalloc on `zagier_probe`
@@ -58,7 +56,7 @@ DEFAULT_MEMORY_CEILING = 4 * 2**30  # bytes
 INDEX_BYTES_PER_ENTRY = 200
 INDEX_BYTES_PER_BUCKET = 176
 
-# Bytes the residue engine holds per key of a partition: the uint64
+# Bytes the fingerprint engine holds per key of a partition: the uint64
 # first-prime key and one byte of the mask of repeated sorted keys.  The
 # repeated keys themselves come on top; there are none unless first-prime
 # residues collide.
@@ -69,11 +67,11 @@ PARTITION_BYTES_PER_KEY = 9
 BLOCK_BYTES_PER_KEY = 25
 # Keys generated per block, at most.
 BLOCK_KEYS = 2**20
-# Partition counts the residue engine tries, each sized exactly, from the
+# Partition counts the fingerprint engine tries, each sized exactly, from the
 # first one at which an even split of the keys would fit the ceiling.
 PARTITION_TRIES = 16
 
-# bounds below which the exact engine is used by the "auto" method
+# Bounds up to which a scan's config reads "method": "exact"; see _scan_config.
 EXACT_P_SCAN_BOUND = 300
 EXACT_F_SCAN_BOUND = 60
 
@@ -432,13 +430,15 @@ def _split_duplicate_points(labeled_keys, point_of, confirm_point):
     return duplicates, kept
 
 
-def _scan_config(op: str, u: UniquenessFunction, spec: OrbitSpec, method: str) -> dict:
+def _scan_config(op: str, u: UniquenessFunction, spec: OrbitSpec, exact_bound: int) -> dict:
     return {
         "op": op,
         "curve": {"a": format_rational(u.curve.a), "b": format_rational(u.curve.b)},
         "params": u.params.to_json_dict(),
         "spec": spec.config_dict(),
-        "method": method,
+        # hashed into config_digest only; it selects nothing.  It names the
+        # engine the scans once picked by size, so digests stay unchanged.
+        "method": "exact" if spec.bound <= exact_bound else "residue",
     }
 
 
@@ -495,41 +495,18 @@ def p_injectivity_scan(
     u: UniquenessFunction,
     spec: OrbitSpec,
     *,
-    method: str = "auto",
     memory_ceiling: Optional[int] = DEFAULT_MEMORY_CEILING,
 ) -> CollisionReport:
     """Scan eval_P over the orbit for exact value collisions.
 
     Labels whose points coincide (possible only with a wrong torsion list)
     are flagged as duplicate points, not value collisions, and only the
-    first occurrence stays in the value scan.  With the residue method the
-    key-range partitions are as few as fit `memory_ceiling`.
+    first occurrence stays in the value scan.  The key-range partitions are
+    as few as fit `memory_ceiling`.
     """
     _require_valid(u)
     spec.validate()
-    if method == "auto":
-        method = "exact" if spec.bound <= EXACT_P_SCAN_BOUND else "residue"
-    config = _scan_config("p_injectivity_scan", u, spec, method)
-
-    if method == "exact":
-        labeled = list(orbit(spec))
-        points = dict(labeled)
-        duplicates, kept = _split_duplicate_points(
-            [label for label, _ in labeled],
-            point_of=lambda lb: (points[lb].x, points[lb].y),
-            confirm_point=lambda lb: points[lb],
-        )
-        report = collision_scan(
-            ((label, u.eval_P(points[label])) for label in kept),
-            config=config,
-            memory_ceiling=memory_ceiling,
-        )
-        report.duplicate_points = duplicates
-        return report
-
-    if method != "residue":
-        raise ValueError(f"unknown method {method!r}")
-
+    config = _scan_config("p_injectivity_scan", u, spec, EXACT_P_SCAN_BOUND)
     labels, systems = _choose_residue_systems(
         spec, must_invert=[u.params.alpha, u.params.beta]
     )
@@ -548,42 +525,21 @@ def f_injectivity_scan(
     u: UniquenessFunction,
     spec: OrbitSpec,
     *,
-    method: str = "auto",
     memory_ceiling: Optional[int] = DEFAULT_MEMORY_CEILING,
 ) -> CollisionReport:
     """Scan eval_f over all ordered orbit-point pairs; keys are (m1, m2).
 
     Precondition: eval_P must be collision-free on the same orbit, so the
     scanned set plays the role of the injective open set.  It is checked on
-    the scan's own data: the exact P values, or the residue systems' P
-    residues with exact confirmation.  The residue scan holds about
-    PARTITION_BYTES_PER_KEY * k^2 bytes for k orbit points, plus one block,
-    in as many key-range partitions as `memory_ceiling` needs.
+    the scan's own residue systems, with exact confirmation.  The scan holds
+    about PARTITION_BYTES_PER_KEY * k^2 bytes for k orbit points, plus one
+    block, in as many key-range partitions as `memory_ceiling` needs.
     """
     _require_valid(u)
     spec.validate()
-    if method == "auto":
-        method = "exact" if spec.bound <= EXACT_F_SCAN_BOUND else "residue"
-    config = _scan_config("f_injectivity_scan", u, spec, method)
+    config = _scan_config("f_injectivity_scan", u, spec, EXACT_F_SCAN_BOUND)
     config["strategy"] = "direct"  # hashed into config_digest; the only f-strategy
     n, gamma = u.params.n, u.params.gamma
-
-    if method == "exact":
-        pvalues = [(label, u.eval_P(pt)) for label, pt in orbit(spec)]
-        # equal points have equal P, so this also refuses duplicate points
-        if len({v for _, v in pvalues}) < len(pvalues):
-            raise ValueError(P_NOT_INJECTIVE)
-        powers = [(label, v**n) for label, v in pvalues]
-
-        def pair_values():
-            for (l1, a), (l2, b) in pair_stream(powers):
-                yield ((l1, l2), a + gamma * b)
-
-        return collision_scan(pair_values(), config=config, memory_ceiling=memory_ceiling)
-
-    if method != "residue":
-        raise ValueError(f"unknown method {method!r}")
-
     labels, systems = _choose_residue_systems(
         spec, must_invert=[u.params.alpha, u.params.beta, gamma]
     )

@@ -6,10 +6,16 @@ den >= 1, zero stored as 0/1, and equality as equality of (num, den).
 This module adds the few exact operations the rest of the package needs
 on top of it.
 
-Text form: "num/den" with the denominator omitted when it is 1 (this is
-exactly `str(Fraction)`); it is the form used in all CSV/JSON output.
+Text form: "num/den" with the denominator omitted when it is 1; it is the
+form used in all CSV/JSON output.  It is the text of `str(Fraction)`, but
+converted through `decimal.Decimal`, so integers of any size render and
+parse: `str(int)` and `int(str)` refuse more than
+`sys.get_int_max_str_digits()` digits, and the y-coordinate of 162*G on
+the default curve already has more.
 """
 
+import re
+from decimal import Decimal
 from fractions import Fraction
 from math import isqrt
 
@@ -53,9 +59,18 @@ def height(r: Fraction) -> int:
 
 def format_rational(r: Fraction) -> str:
     """Canonical text form "num/den", denominator omitted when 1."""
-    return str(r)
+    num, den = (str(Decimal(part)) for part in (r.numerator, r.denominator))
+    return num if den == "1" else f"{num}/{den}"
+
+
+_INTEGER_RATIO = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Inverse of format_rational; accepts "num" or "num/den"."""
-    return Fraction(text.strip())
+    """Inverse of format_rational; accepts "num" or "num/den" of any size,
+    and any other text `Fraction` accepts (such as "0.5")."""
+    match = _INTEGER_RATIO.fullmatch(text)
+    if match is None:
+        return Fraction(text)
+    num, den = match.groups()
+    return normalize(int(Decimal(num)), int(Decimal(den)) if den else 1)

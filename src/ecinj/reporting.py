@@ -2,7 +2,9 @@
 
 Reports must be byte-identical for identical semantic configuration, so every
 producer funnels through `canonical_json`.  The memory ceiling, the one
-execution setting, is deliberately excluded from digests.
+execution setting, is deliberately excluded from digests.  The scans'
+"method" and "strategy" entries are frozen digest inputs: they name choices
+the scans no longer have, and stay so that digests do not change.
 """
 
 import hashlib

@@ -5,6 +5,7 @@ import logging
 import pytest
 
 from ecinj.cli import main
+from ecinj.rational import parse_rational
 
 
 def run(capsys, *argv):
@@ -46,6 +47,13 @@ GOLDEN_SHA256 = {
     ("check-f", "--M", "10"): "db809208c354bd2da9cfac0fb9ef9ea0b5b098fb38234bd03d5d65dc5163275e",
     ("check-f", "--M", "80"): "0d3fe964d2ce2d4ac705b6d30c205ce4af4b1f7bcdd27a3ff57526b505d2a793",
     ("zagier-probe",): "af142a4642e989ffb53d04eaf253b6007ff861f789ee40d0deacf760b9dd2808",
+    # the config's "method" label switches after M = 300 (check-p) and M = 60 (check-f)
+    ("check-p",): "47f8d19b574b1c8ab4d514c3a75170dba9cf9a93418714b39cb26a68165662f3",
+    ("check-p", "--M", "200"): "91310da92cf38e1ff2848033272f68cde56892483dd8d1486bc4bb3652572136",
+    ("check-p", "--M", "300"): "d4867d2b2d7e8d65dd8ee641db8eb3bebae694354e5ea7cf06611a4e9813d5d7",
+    ("check-p", "--M", "301"): "0a24090f3d5a534b23efe90cdbfe7827120420ced007b726e68423874fc73575",
+    ("check-f",): "e8d2c3bc3aef61c4395475059b613826b1c21c446d2a7efe109093786c5401a8",
+    ("check-f", "--M", "61"): "61eb585c452829ccec9ac4bce4286edad2efae4a1e15cee430a24e48a759dbc3",
 }
 
 
@@ -67,6 +75,12 @@ def test_unknown_flag_exits_one(capsys):
     code, _, err = run(capsys, "check-p", "--bogus")
     assert code == 1
     assert "bogus" in err
+
+
+def test_method_flag_is_gone(capsys):
+    code, _, err = run(capsys, "check-p", "--method", "exact")
+    assert code == 1
+    assert "--method" in err
 
 
 def test_singular_curve_exits_one(capsys):
@@ -105,6 +119,18 @@ def test_enumerate_orbit_csv(capsys):
         "2,2,-3",
         "-2,2,3",
     ]
+
+
+def test_enumerate_coordinates_past_the_digit_limit(capsys):
+    # the y-coordinate of 162*G has over 4300 digits, which str(int) refuses
+    code, out, _ = run(capsys, "enumerate", "--M", "170")
+    assert code == 0
+    rows = out.splitlines()
+    assert len(rows) == 341
+    label, x, y = rows[-1].split(",")
+    assert label == "-170" and len(y) > 4300
+    x, y = parse_rational(x), parse_rational(y)
+    assert y * y == x**3 + x - 1
 
 
 def test_enumerate_search_csv(capsys):

@@ -1,3 +1,4 @@
+import json
 import logging
 import random
 import tracemalloc
@@ -16,6 +17,15 @@ from ecinj.collisions import (
 from ecinj.curve import Curve, INFINITY
 from ecinj.injection import InjectionParams, UniquenessFunction
 from ecinj.points import OrbitSpec, rationals_by_height
+from ecinj.rational import parse_rational
+from exact_oracle import exact_f_scan, exact_p_scan
+
+# (P-scan, f-scan) of the tests' exact oracle and of the package, whose one
+# engine is the residue fingerprint engine
+ENGINES = {
+    "exact": (exact_p_scan, exact_f_scan),
+    "residue": (p_injectivity_scan, f_injectivity_scan),
+}
 
 
 def keyed(values, keys):
@@ -63,6 +73,16 @@ def test_permutation_invariance_up_to_class_order():
     assert [set(c.keys) for c in rep_a.classes] == [set(c.keys) for c in rep_b.classes]
 
 
+def test_class_past_the_digit_limit_is_reported():
+    # str(int) refuses more than 4300 digits; a finding must still render
+    huge = Fraction(3**10_000, 2**9_000 + 1)
+    rep = collision_scan(keyed([huge, 1, huge], "abc"))
+    assert rep.exit_code == 2
+    [cls] = json.loads(rep.to_json())["classes"]
+    assert cls["keys"] == ["a", "c"]
+    assert parse_rational(cls["value"]) == huge
+
+
 def test_memory_ceiling():
     stream = keyed(range(10_000), range(10_000))
     with pytest.raises(MemoryCeilingError):
@@ -85,8 +105,8 @@ def test_p_scan_m1(ufunc248, gen248):
 
 def test_p_scan_exact_and_residue_agree(ufunc248, gen248):
     spec = OrbitSpec(gen248, 40)
-    exact = p_injectivity_scan(ufunc248, spec, method="exact")
-    residue = p_injectivity_scan(ufunc248, spec, method="residue")
+    exact = exact_p_scan(ufunc248, spec)
+    residue = p_injectivity_scan(ufunc248, spec)
     assert exact.total_scanned == residue.total_scanned == 80
     assert exact.classes == residue.classes == []
     assert exact.duplicate_points == residue.duplicate_points == []
@@ -146,10 +166,11 @@ def collision_setup():
     return u, OrbitSpec(c.point(0, 1), 2)
 
 
-@pytest.mark.parametrize("method", ["exact", "residue"])
-def test_planted_collision_and_duplicate(collision_setup, method):
+@pytest.mark.parametrize("engine", list(ENGINES))
+def test_planted_collision_and_duplicate(collision_setup, engine):
     u, spec = collision_setup
-    rep = p_injectivity_scan(u, spec, method=method)
+    p_scan, _ = ENGINES[engine]
+    rep = p_scan(u, spec)
     assert rep.duplicate_points == [[2, -2]]
     assert len(rep.classes) == 1
     cls = rep.classes[0]
@@ -164,8 +185,8 @@ def test_planted_collision_and_duplicate(collision_setup, method):
 
 def test_planted_methods_byte_identical(collision_setup):
     u, spec = collision_setup
-    a = p_injectivity_scan(u, spec, method="exact")
-    b = p_injectivity_scan(u, spec, method="residue")
+    a = exact_p_scan(u, spec)
+    b = p_injectivity_scan(u, spec)
     assert a.to_json_dict()["classes"] == b.to_json_dict()["classes"]
     assert a.to_json_dict()["duplicate_points"] == b.to_json_dict()["duplicate_points"]
 
@@ -194,8 +215,8 @@ def test_f_scan_m60_clean(ufunc248, gen248):
 
 def test_f_scan_exact_residue_agree(ufunc248, gen248):
     spec = OrbitSpec(gen248, 12)
-    a = f_injectivity_scan(ufunc248, spec, method="exact")
-    b = f_injectivity_scan(ufunc248, spec, method="residue")
+    a = exact_f_scan(ufunc248, spec)
+    b = f_injectivity_scan(ufunc248, spec)
     assert a.total_scanned == b.total_scanned == 576
     assert a.classes == b.classes == []
 
@@ -209,28 +230,30 @@ def test_f_scan_gamma_one_rejected(curve248, gen248):
 # On the scaled model y^2 = x^3 + x/16 - 1/64 (isomorphic image of the
 # default curve), P = x + y genuinely collides: -G = (1/4, -1/8) and
 # 2G = (1/2, -3/8) both sum to 1/8.  A nonempty class is a finding to
-# report, not a failure, and both engines must agree on it exactly.
-@pytest.mark.parametrize("method", ["exact", "residue"])
-def test_honest_exceptional_pair_on_scaled_curve(method):
+# report, not a failure, and the scans must agree with the oracle on it exactly.
+@pytest.mark.parametrize("engine", list(ENGINES))
+def test_honest_exceptional_pair_on_scaled_curve(engine):
     c = Curve(Fraction(1, 16), Fraction(-1, 64))
     g = c.point(Fraction(1, 4), Fraction(1, 8))
     u = UniquenessFunction(InjectionParams(1, 1, 2, 9), c)
-    rep = p_injectivity_scan(u, OrbitSpec(g, 30), method=method)
+    p_scan, f_scan = ENGINES[engine]
+    rep = p_scan(u, OrbitSpec(g, 30))
     assert rep.duplicate_points == []
     assert len(rep.classes) == 1
     cls = rep.classes[0]
     assert cls.value == Fraction(1, 8) and cls.keys == [-1, 2]
     assert rep.exit_code == 2
     with pytest.raises(ValueError, match="P not injective"):
-        f_injectivity_scan(u, OrbitSpec(g, 2), method=method)
+        f_scan(u, OrbitSpec(g, 2))
 
 
-@pytest.mark.parametrize("method", ["exact", "residue"])
-def test_torsion_translate_scan(method):
+@pytest.mark.parametrize("engine", list(ENGINES))
+def test_torsion_translate_scan(engine):
     c = Curve(-25, 0)
     spec = OrbitSpec(c.point(-4, 6), 6, (INFINITY, c.point(0, 0)))
     u = UniquenessFunction(InjectionParams(1, 1, 2, 9), c)
-    rep = p_injectivity_scan(u, spec, method=method)
+    p_scan, _ = ENGINES[engine]
+    rep = p_scan(u, spec)
     assert rep.total_scanned == 24
     assert rep.classes == [] and rep.duplicate_points == []
 
@@ -239,8 +262,8 @@ def test_torsion_scan_methods_byte_identical():
     c = Curve(-25, 0)
     spec = OrbitSpec(c.point(-4, 6), 4, (INFINITY, c.point(0, 0)))
     u = UniquenessFunction(InjectionParams(1, 1, 2, 9), c)
-    a = p_injectivity_scan(u, spec, method="exact").to_json_dict()
-    b = p_injectivity_scan(u, spec, method="residue").to_json_dict()
+    a = exact_p_scan(u, spec).to_json_dict()
+    b = p_injectivity_scan(u, spec).to_json_dict()
     assert a["classes"] == b["classes"] and a["total_scanned"] == b["total_scanned"]
 
 

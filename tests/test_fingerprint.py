@@ -3,9 +3,9 @@ its exact memory bound.
 
 At the default 61-bit primes no fingerprint coincidence ever happens, so
 these tests lower `collisions.PRIME_SEARCH_START` (read at call time) and
-check each branch through the per-partition log records, and every report
-against the exact engine.  `config_digest` differs by method, so reports are
-compared without it.
+check each branch through the per-partition log records, and every report's
+findings against the tests' exact oracle (`exact_oracle`), which carries no
+scan config.
 """
 
 import logging
@@ -28,6 +28,7 @@ from ecinj.collisions import (
 from ecinj.curve import INFINITY, Curve
 from ecinj.injection import InjectionParams, UniquenessFunction
 from ecinj.points import OrbitSpec
+from exact_oracle import exact_f_scan, exact_p_scan
 
 PARTITION = re.compile(
     r"(?P<scan>[Pf])-scan partition \d+/\d+: (?P<keys>\d+) keys, (?P<runs>\d+) candidate runs, "
@@ -63,30 +64,30 @@ def small_primes(monkeypatch, caplog):
 def test_first_prime_runs_split_by_second_prime(small_primes, caplog, ufunc248, gen248):
     small_primes(2**8)  # primes 251 and 241
     spec = OrbitSpec(gen248, 6)
-    residue = f_injectivity_scan(ufunc248, spec, method="residue")
+    residue = f_injectivity_scan(ufunc248, spec)
     [part] = partitions(caplog, "f")
     assert part["keys"] == 144 and part["runs"] > 0
     assert part["surviving"] == 0 and part["classes"] == 0
-    assert findings(residue) == findings(f_injectivity_scan(ufunc248, spec, method="exact"))
+    assert findings(residue) == findings(exact_f_scan(ufunc248, spec))
 
 
 def test_buckets_surviving_every_prime_split_exactly(small_primes, caplog, ufunc248, gen248):
     small_primes(2**7)  # primes 127 and 113
     spec = OrbitSpec(gen248, 6)
-    residue = f_injectivity_scan(ufunc248, spec, method="residue")
+    residue = f_injectivity_scan(ufunc248, spec)
     [part] = partitions(caplog, "f")
     assert part["surviving"] > 0 and part["classes"] == 0
-    assert findings(residue) == findings(f_injectivity_scan(ufunc248, spec, method="exact"))
+    assert findings(residue) == findings(exact_f_scan(ufunc248, spec))
 
 
 def test_point_reducing_to_identity_skips_prime(small_primes, caplog, ufunc248, gen248):
     small_primes(444)  # 443 divides the denominator of 7G
     spec = OrbitSpec(gen248, 7)
-    residue = p_injectivity_scan(ufunc248, spec, method="residue")
+    residue = p_injectivity_scan(ufunc248, spec)
     messages = [r.getMessage() for r in caplog.records]
     assert "prime 443 skipped: 7*G reduces to the identity mod 443" in messages
     assert "primes chosen: 439, 433" in messages
-    assert findings(residue) == findings(p_injectivity_scan(ufunc248, spec, method="exact"))
+    assert findings(residue) == findings(exact_p_scan(ufunc248, spec))
 
 
 @pytest.mark.parametrize(
@@ -101,8 +102,8 @@ def test_non_invertible_coefficient_skips_prime(small_primes, caplog, curve248, 
     small_primes(2**8)
     u = UniquenessFunction(InjectionParams(*params), curve248)
     spec = OrbitSpec(gen248, 3)
-    p_residue = p_injectivity_scan(u, spec, method="residue")
-    f_residue = f_injectivity_scan(u, spec, method="residue")
+    p_residue = p_injectivity_scan(u, spec)
+    f_residue = f_injectivity_scan(u, spec)
     chosen = [r.getMessage() for r in caplog.records if r.getMessage().startswith("primes chosen")]
     # one prime choice for the P-scan, then one for the f-scan and its P precondition
     assert chosen == [
@@ -110,8 +111,8 @@ def test_non_invertible_coefficient_skips_prime(small_primes, caplog, curve248, 
         for scan in ("P", "f")
     ]
     assert any("prime 251 skipped: denominator" in r.getMessage() for r in caplog.records)
-    assert findings(p_residue) == findings(p_injectivity_scan(u, spec, method="exact"))
-    assert findings(f_residue) == findings(f_injectivity_scan(u, spec, method="exact"))
+    assert findings(p_residue) == findings(exact_p_scan(u, spec))
+    assert findings(f_residue) == findings(exact_f_scan(u, spec))
 
 
 @pytest.mark.parametrize(
@@ -128,11 +129,11 @@ def test_planted_findings_confirmed_at_small_primes(small_primes, caplog, curve,
     c = Curve(*curve)
     u = UniquenessFunction(InjectionParams(1, 1, 2, 9), c)
     spec = OrbitSpec(c.point(*gen), bound)
-    residue = p_injectivity_scan(u, spec, method="residue")
+    residue = p_injectivity_scan(u, spec)
     [part] = partitions(caplog, "P")
     assert part["surviving"] == part["classes"] == 1
     assert residue.exit_code == 2
-    assert findings(residue) == findings(p_injectivity_scan(u, spec, method="exact"))
+    assert findings(residue) == findings(exact_p_scan(u, spec))
 
 
 def test_misaligned_labels_raise(monkeypatch, ufunc248, gen248):
@@ -147,7 +148,7 @@ def test_misaligned_labels_raise(monkeypatch, ufunc248, gen248):
 
     monkeypatch.setattr(collisions, "_OrbitResidues", Misaligned)
     with pytest.raises(RuntimeError, match="orbit labels mod"):
-        p_injectivity_scan(ufunc248, OrbitSpec(gen248, 5), method="residue")
+        p_injectivity_scan(ufunc248, OrbitSpec(gen248, 5))
 
 
 def test_memory_ceiling_is_exact_per_partition(caplog, ufunc248, gen248):
@@ -156,17 +157,17 @@ def test_memory_ceiling_is_exact_per_partition(caplog, ufunc248, gen248):
     pairs, row = 40 * 40, 40
     # one partition would hold every key, with a block covering every pair:
     # PARTITION_BYTES_PER_KEY + BLOCK_BYTES_PER_KEY = 34 bytes a pair
-    partitioned = f_injectivity_scan(ufunc248, spec, method="residue", memory_ceiling=12 * pairs)
+    partitioned = f_injectivity_scan(ufunc248, spec, memory_ceiling=12 * pairs)
     counted = partitions(caplog, "f")
     assert len(counted) >= 3
     assert sum(part["keys"] for part in counted) == pairs
-    unlimited = f_injectivity_scan(ufunc248, spec, method="residue", memory_ceiling=None)
+    unlimited = f_injectivity_scan(ufunc248, spec, memory_ceiling=None)
     assert partitioned.to_json() == unlimited.to_json()
 
     caplog.clear()
     needed = BLOCK_BYTES_PER_KEY * row + PARTITION_BYTES_PER_KEY  # one row's block and one key
     with pytest.raises(MemoryCeilingError, match=f"needs at least {needed} bytes"):
-        f_injectivity_scan(ufunc248, spec, method="residue", memory_ceiling=needed - 1)
+        f_injectivity_scan(ufunc248, spec, memory_ceiling=needed - 1)
     assert partitions(caplog, "f") == []  # refused before any key was built
 
 
@@ -178,7 +179,7 @@ def test_no_partition_count_fits_crowded_keys(small_primes, caplog, ufunc248, ge
     # holds three keys or more
     ceiling = 2 * PARTITION_BYTES_PER_KEY + BLOCK_BYTES_PER_KEY * 12
     with pytest.raises(MemoryCeilingError, match="no count of 72 to 87 key-range partitions"):
-        f_injectivity_scan(ufunc248, spec, method="residue", memory_ceiling=ceiling)
+        f_injectivity_scan(ufunc248, spec, memory_ceiling=ceiling)
     assert partitions(caplog, "f") == []
 
 
@@ -222,6 +223,5 @@ def test_residue_matches_exact(a, x0, y0, with_torsion, bound, alpha, beta, gamm
             return str(exc)
 
     with mock.patch.object(collisions, "PRIME_SEARCH_START", start):
-        for scan in (p_injectivity_scan, f_injectivity_scan):
-            residue = outcome(scan, method="residue", memory_ceiling=ceiling)
-            assert residue == outcome(scan, method="exact")
+        for scan, oracle in ((p_injectivity_scan, exact_p_scan), (f_injectivity_scan, exact_f_scan)):
+            assert outcome(scan, memory_ceiling=ceiling) == outcome(oracle)
