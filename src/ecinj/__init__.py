@@ -1,39 +1,8 @@
 """ecinj: exact-arithmetic experiments with injective bivariate maps on
 elliptic curves over Q."""
 
-from .curve import Curve, CurveMismatchError, INFINITY, Point, SingularCurveError, add, make_curve, negate, on_curve, scalar_mul
-from .injection import InjectionParams, PoleError, UniquenessFunction, validate_params
-from .points import OrbitSpec, brute_force_points, orbit, pair_stream, rationals_by_height
-from .collisions import (
-    CollisionClass,
-    CollisionReport,
-    MemoryCeilingError,
-    collision_scan,
-    f_injectivity_scan,
-    p_injectivity_scan,
-    zagier_probe,
-)
-from .pairing import cantor_pair, cantor_unpair, swapped_pair, zagier_eval
-from .rational import Rational, exact_sqrt, format_rational, height, normalize, parse_rational
-from .real_locus import (
-    DensityReport,
-    RationalInterval,
-    SlopeBoundError,
-    SlopeCertificate,
-    density_report,
-    real_components,
-    slope_bound,
-)
+from .curve import Curve
+from .injection import InjectionParams, UniquenessFunction
 from .reporting import VERSION
-from .weierstrass import (
-    Lattice,
-    LaurentData,
-    elliptic_log,
-    lambda_match,
-    laurent_fit,
-    periods,
-    strong_uniqueness_probe,
-    wp_eval,
-)
 
 __version__ = VERSION

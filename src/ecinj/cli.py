@@ -11,6 +11,7 @@ import argparse
 import os
 import random
 import sys
+from fractions import Fraction
 
 from .collisions import (
     DEFAULT_MEMORY_CEILING,
@@ -46,18 +47,25 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+def _parse_rational(text: str) -> Fraction:
+    try:
+        return parse_rational(text)
+    except ZeroDivisionError:
+        raise CliError(f"zero denominator in {text!r}") from None
+
+
 def _parse_curve(text: str) -> Curve:
     parts = text.split(",")
     if len(parts) != 2:
         raise CliError(f"expected a,b for --curve, got {text!r}")
-    return Curve(parse_rational(parts[0]), parse_rational(parts[1]))
+    return Curve(_parse_rational(parts[0]), _parse_rational(parts[1]))
 
 
 def _parse_point(text: str, curve: Curve) -> Point:
     parts = text.split(",")
     if len(parts) != 2:
         raise CliError(f"expected x,y for a point, got {text!r}")
-    return curve.point(parse_rational(parts[0]), parse_rational(parts[1]))
+    return curve.point(_parse_rational(parts[0]), _parse_rational(parts[1]))
 
 
 def _parse_params(text: str) -> InjectionParams:
@@ -65,7 +73,7 @@ def _parse_params(text: str) -> InjectionParams:
     if len(parts) != 4:
         raise CliError(f"expected alpha,beta,gamma,n for --params, got {text!r}")
     return InjectionParams(
-        parse_rational(parts[0]), parse_rational(parts[1]), parse_rational(parts[2]), int(parts[3])
+        _parse_rational(parts[0]), _parse_rational(parts[1]), _parse_rational(parts[2]), int(parts[3])
     )
 
 
@@ -283,7 +291,7 @@ def build_parser() -> _Parser:
             p.add_argument(
                 "--memory-ceiling", type=int, default=None, metavar="BYTES",
                 help="bytes the collision index may hold (default 4 GiB, or env ECINJ_MEMORY_CEILING); "
-                "check-p and check-f split their keys into as few key ranges as fit, "
+                "the scan splits its keys into as few key ranges as fit, "
                 "and reports are identical for every ceiling that passes",
             )
 

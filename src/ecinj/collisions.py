@@ -1,7 +1,7 @@
-"""Exact collision detection over value streams, and the injectivity scans
-built on it.
+"""Exact collision detection: the P- and f-injectivity scans and the Zagier
+probe.
 
-The P- and f-scans run one engine.  It fingerprints each value by its
+All three scans run one engine.  It fingerprints each value by its
 residues modulo a few deterministic 61-bit primes.  Equal exact values
 always produce equal fingerprints at suitable primes, so no true collision
 can be missed.  Orbit values grow quadratically in digit count and are far
@@ -12,22 +12,22 @@ whose key occurs more than once become candidates.  Candidates are grouped
 by their residues at every prime, and each surviving bucket is split by
 exact re-evaluation before it may enter the report.
 
-`collision_scan` holds exact canonical values in one dict, so equality is
-exact with no hashing false positives.  `zagier_probe`, whose values are
-small rationals, uses it.
+The f-scan and `zagier_probe`, whose items are the rationals of bounded
+height, share its pair form (`_pair_classes`).  `collision_scan` holds
+exact canonical values in one dict, so equality is exact with no hashing
+false positives; it is the reference index the tests compare the
+fingerprint engine against.
 
 The memory ceiling is the only resource setting.  The fingerprint engine
 splits the key space into as few key-range partitions as fit the ceiling,
 processed one after another, and counts every partition's size exactly
-before it is allocated; `collision_scan` checks a running estimate of its
-index.  Reports are deterministic and do not depend on the ceiling: keys
-inside a class are in stream order, and classes are sorted by value before
-emission.
+before it is allocated.  Reports are deterministic and do not depend on the
+ceiling: keys inside a class are in stream order, and classes are sorted by
+value before emission.
 """
 
 import bisect
 import logging
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -44,17 +44,7 @@ from .reporting import VERSION, canonical_json, config_digest
 
 logger = logging.getLogger(__name__)
 
-PROGRESS_EVERY = 10**6  # collision_scan: items between progress records; read at call time
 DEFAULT_MEMORY_CEILING = 4 * 2**30  # bytes
-
-# Bytes the exact index holds, measured with tracemalloc on `zagier_probe`
-# streams (H = 10 and 15): an entry (a key of two short strings and its
-# list slot) takes about 176 bytes, and a new value's bucket (dict slot,
-# (num, den) tuple and list) 120-145 bytes more, on top of its two ints,
-# which are counted exactly.  The constants leave about 8% headroom over
-# the whole scan's measured peak.
-INDEX_BYTES_PER_ENTRY = 200
-INDEX_BYTES_PER_BUCKET = 176
 
 # Bytes the fingerprint engine holds per key of a partition: the uint64
 # first-prime key and one byte of the mask of repeated sorted keys.  The
@@ -116,36 +106,17 @@ class CollisionReport:
         return canonical_json(self.to_json_dict())
 
 
-def collision_scan(
-    stream: Iterable[tuple],
-    *,
-    config: Optional[dict] = None,
-    memory_ceiling: Optional[int] = DEFAULT_MEMORY_CEILING,
-) -> CollisionReport:
+def collision_scan(stream: Iterable[tuple], *, config: Optional[dict] = None) -> CollisionReport:
     """Group exactly equal values in a stream of (key, value) pairs.
 
     Classes (>= 2 keys sharing one value) are sorted by value; key order
-    inside a class is stream order.  The index's bytes are estimated as it
-    grows and checked against `memory_ceiling`.
+    inside a class is stream order.
     """
     index = {}
-    used = 0
     total = 0
     for key, value in stream:
-        bucket = (value.numerator, value.denominator)
-        slot = index.get(bucket)
-        if slot is None:
-            used += INDEX_BYTES_PER_BUCKET + sys.getsizeof(bucket[0]) + sys.getsizeof(bucket[1])
-            index[bucket] = slot = []
-        slot.append(key)
-        used += INDEX_BYTES_PER_ENTRY
+        index.setdefault((value.numerator, value.denominator), []).append(key)
         total += 1
-        if memory_ceiling is not None and used > memory_ceiling:
-            raise MemoryCeilingError(
-                f"collision index estimate {used} bytes exceeds ceiling {memory_ceiling}"
-            )
-        if total % PROGRESS_EVERY == 0:
-            logger.info("scanned %d items; index estimate %d bytes", total, used)
     classes = [
         CollisionClass(Fraction(num, den), keys)
         for (num, den), keys in index.items()
@@ -338,9 +309,26 @@ def _exact_orbit_point(spec: OrbitSpec, m: int, k: int = 0) -> Point:
     return pt
 
 
+def _choose_primes(build):
+    """What `build(p)` returns at the first NUM_PRIMES primes below
+    PRIME_SEARCH_START at which it raises no UnsuitablePrimeError."""
+    built, primes = [], []
+    for p in primes_descending(PRIME_SEARCH_START):
+        try:
+            built.append(build(p))
+        except UnsuitablePrimeError as exc:
+            logger.info("prime %d skipped: %s", p, exc)
+            continue
+        primes.append(p)
+        if len(primes) == NUM_PRIMES:
+            logger.info("primes chosen: %s", ", ".join(map(str, primes)))
+            return built
+    # only reachable when the search starts at a small prime
+    raise RuntimeError("prime search exhausted")
+
+
 def _choose_residue_systems(spec: OrbitSpec, must_invert):
-    """Deterministically pick the first NUM_PRIMES suitable primes below
-    PRIME_SEARCH_START.
+    """The orbit's residue systems at the primes `_choose_primes` picks.
 
     Returns (labels, systems).  Every system emits the orbit labels in the
     same order, so residues line up by position across primes.
@@ -352,27 +340,18 @@ def _choose_residue_systems(spec: OrbitSpec, must_invert):
             infinity_cache[m] = scalar_mul(m, spec.generator).is_infinity
         return infinity_cache[m]
 
-    systems = []
-    for p in primes_descending(PRIME_SEARCH_START):
-        try:
-            for q in must_invert:
-                fraction_mod(q, p)
-            systems.append(_OrbitResidues(spec, p, is_exact_infinity))
-        except UnsuitablePrimeError as exc:
-            logger.info("prime %d skipped: %s", p, exc)
-            continue
-        if len(systems) == NUM_PRIMES:
-            break
-    else:
-        # only reachable when the search starts at a small prime
-        raise RuntimeError("prime search exhausted")
+    def build(p):
+        for q in must_invert:
+            fraction_mod(q, p)
+        return _OrbitResidues(spec, p, is_exact_infinity)
+
+    systems = _choose_primes(build)
     labels = [label for label, _ in systems[0].labeled]
     for sysm in systems[1:]:
         if [label for label, _ in sysm.labeled] != labels:
             raise RuntimeError(
                 f"orbit labels mod {sysm.p} differ from those mod {systems[0].p}"
             )
-    logger.info("primes chosen: %s", ", ".join(str(sysm.p) for sysm in systems))
     return labels, systems
 
 
@@ -396,8 +375,7 @@ class _ExactLabelEvaluator:
             self._pvals[label] = self.u.eval_P(self.point(label))
         return self._pvals[label]
 
-    def f_value(self, pair) -> Fraction:
-        l1, l2 = pair
+    def f_value(self, l1, l2) -> Fraction:
         n, gamma = self.u.params.n, self.u.params.gamma
         return self.p_value(l1) ** n + gamma * self.p_value(l2) ** n
 
@@ -551,23 +529,35 @@ def f_injectivity_scan(
     for sysm in systems:
         p = sysm.p
         ar, br = fraction_mod(u.params.alpha, p), fraction_mod(u.params.beta, p)
-        gr = fraction_mod(gamma, p)
         pw = [pow((ar * x + br * y) % p, n, p) for _, (x, y) in sysm.labeled]
-        per_prime.append((p, gr, pw))
+        per_prime.append((p, fraction_mod(gamma, p), pw))
 
+    def exact(i, j):
+        return evaluator.f_value(labels[i], labels[j])
+
+    classes = _pair_classes("f-scan", labels, per_prime, exact, memory_ceiling)
+    return CollisionReport(len(labels) ** 2, classes, [], config)
+
+
+def _pair_classes(scan, labels, per_prime, exact, memory_ceiling):
+    """Collision classes of w_i + g*w_j over all ordered pairs (i, j) of
+    the k items `labels`, keys (labels[i], labels[j]) in row-major order.
+
+    `per_prime` holds (p, g mod p, [w_i mod p]) at each fingerprint prime;
+    `exact(i, j)` is the pair's exact value.
+    """
     k = len(labels)
-    position = {label: i for i, label in enumerate(labels)}
 
-    def pair_residues(pair):
-        i, j = position[pair[0]], position[pair[1]]
-        return tuple((pw[i] + gr * pw[j]) % p for p, gr, pw in per_prime)
+    def residues(x):
+        i, j = divmod(x, k)
+        return tuple((w[i] + g * w[j]) % p for p, g, w in per_prime)
 
     # The key of pair (i, j) is (left[i] + right[j]) mod p at the first
     # prime, at flat index i*k + j.  Both terms are below p < 2**61, so
     # their sum cannot overflow uint64.
-    p, gr, pw = per_prime[0]
-    left = np.array(pw, dtype=np.uint64)
-    right = np.array([gr * w % p for w in pw], dtype=np.uint64)
+    p, g, w = per_prime[0]
+    left = np.array(w, dtype=np.uint64)
+    right = np.array([g * v % p for v in w], dtype=np.uint64)
 
     def key_block(lo, hi):
         keys = np.add(left[lo // k:hi // k, None], right).ravel()
@@ -575,13 +565,14 @@ def f_injectivity_scan(
         return keys
 
     def resolve(indices):
-        pairs = [(labels[x // k], labels[x % k]) for x in indices]
-        return _confirm_buckets(pairs, pair_residues, evaluator.f_value)
+        return _confirm_buckets(indices, residues, lambda x: exact(*divmod(x, k)))
 
     classes = _fingerprint_classes(
-        "f-scan", k * k, max(k, 1), p, key_block, resolve, memory_ceiling=memory_ceiling,
+        scan, k * k, max(k, 1), p, key_block, resolve, memory_ceiling=memory_ceiling,
     )
-    return CollisionReport(k * k, classes, [], config)
+    for c in classes:
+        c.keys = [(labels[x // k], labels[x % k]) for x in c.keys]
+    return classes
 
 
 def zagier_probe(
@@ -590,14 +581,17 @@ def zagier_probe(
     memory_ceiling: Optional[int] = DEFAULT_MEMORY_CEILING,
 ) -> CollisionReport:
     """Exact collision scan of r1^7 + 3*r2^7 over all ordered pairs of
-    rationals of height <= h_bound.  A nonempty class would be a finding
-    to surface, never to suppress."""
+    rationals of height <= h_bound, keys (r1, r2) in text form.  A nonempty
+    class would be a finding to surface, never to suppress."""
     rats = list(rationals_by_height(h_bound))
     config = {"op": "zagier_probe", "height_bound": h_bound, "n": 7, "gamma": "3"}
 
-    def entries():
-        for r1 in rats:
-            for r2 in rats:
-                yield ((format_rational(r1), format_rational(r2)), zagier_eval(r1, r2, 7, 3))
+    def build(p):
+        return p, 3 % p, [pow(fraction_mod(r, p), 7, p) for r in rats]
 
-    return collision_scan(entries(), config=config, memory_ceiling=memory_ceiling)
+    def exact(i, j):
+        return zagier_eval(rats[i], rats[j], 7, 3)
+
+    labels = [format_rational(r) for r in rats]
+    classes = _pair_classes("zagier-scan", labels, _choose_primes(build), exact, memory_ceiling)
+    return CollisionReport(len(rats) ** 2, classes, [], config)

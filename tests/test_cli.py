@@ -54,6 +54,8 @@ GOLDEN_SHA256 = {
     ("check-p", "--M", "301"): "0a24090f3d5a534b23efe90cdbfe7827120420ced007b726e68423874fc73575",
     ("check-f",): "e8d2c3bc3aef61c4395475059b613826b1c21c446d2a7efe109093786c5401a8",
     ("check-f", "--M", "61"): "61eb585c452829ccec9ac4bce4286edad2efae4a1e15cee430a24e48a759dbc3",
+    ("zagier-probe", "--H", "15"): "fb4ad419cd54b50e66e987ba547b7dfd8426e18d5f23bff1c7136b4550f1489c",
+    ("zagier-probe", "--H", "25"): "f341a2b47793739ecf7855dbe885b0b623ca9c40dafbd450ac2767d1d7b0faa4",
 }
 
 
@@ -69,6 +71,13 @@ def test_gamma_violation_exits_one(capsys, command):
     code, _, err = run(capsys, command, "--params", "1,1,1,9", "--M", "5")
     assert code == 1
     assert "gamma" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--params", "1/0,1,2,9"), ("--curve", "1/0,1"), ("--gen", "1,1/0")])
+def test_zero_denominator_exits_one(capsys, flag, value):
+    code, _, err = run(capsys, "check-p", flag, value)
+    assert code == 1
+    assert err.startswith("error: zero denominator")
 
 
 def test_unknown_flag_exits_one(capsys):

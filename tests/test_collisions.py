@@ -1,14 +1,10 @@
 import json
-import logging
 import random
-import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from ecinj import collisions
 from ecinj.collisions import (
-    MemoryCeilingError,
     collision_scan,
     f_injectivity_scan,
     p_injectivity_scan,
@@ -83,12 +79,6 @@ def test_class_past_the_digit_limit_is_reported():
     assert parse_rational(cls["value"]) == huge
 
 
-def test_memory_ceiling():
-    stream = keyed(range(10_000), range(10_000))
-    with pytest.raises(MemoryCeilingError):
-        collision_scan(stream, memory_ceiling=2_000)
-
-
 def test_classes_reverify():
     rng = random.Random(12)
     vals = [Fraction(rng.randint(-8, 8)) for _ in range(300)]
@@ -124,36 +114,6 @@ def test_p_scan_rejects_invalid_params():
     bad = UniquenessFunction(InjectionParams(0, 1, 2, 9), c)
     with pytest.raises(ValueError, match="alpha = 0"):
         p_injectivity_scan(bad, OrbitSpec(c.point(0, 1), 5))
-
-
-def test_progress_logging(caplog, monkeypatch):
-    monkeypatch.setattr(collisions, "PROGRESS_EVERY", 4)
-    with caplog.at_level(logging.INFO, logger="ecinj.collisions"):
-        collision_scan(keyed(range(10), range(10)))
-    assert sum("scanned" in r.message for r in caplog.records) == 2
-
-
-@pytest.mark.parametrize(
-    "scan",
-    [
-        lambda ceiling: zagier_probe(10, memory_ceiling=ceiling),  # 16,129 small values
-        lambda ceiling: collision_scan(  # 300 values of about 30,000 bits, 50 distinct
-            ((m, Fraction(3 ** (19_000 + m % 50), 2**m + 1)) for m in range(300)),
-            memory_ceiling=ceiling,
-        ),
-    ],
-    ids=["small-values", "huge-values"],
-)
-def test_index_estimate_bounds_real_use(scan):
-    tracemalloc.start()
-    try:
-        scan(None)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    with pytest.raises(MemoryCeilingError):
-        scan(peak)  # the estimate reaches the real peak
-    scan(2 * peak)  # and stays within twice it
 
 
 # y^2 = x^3 - 2x + 1 with generator (0, 1) of order 4: the orbit at M=2 holds

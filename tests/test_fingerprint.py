@@ -22,16 +22,20 @@ from ecinj.collisions import (
     BLOCK_BYTES_PER_KEY,
     PARTITION_BYTES_PER_KEY,
     MemoryCeilingError,
+    collision_scan,
     f_injectivity_scan,
     p_injectivity_scan,
+    zagier_probe,
 )
 from ecinj.curve import INFINITY, Curve
 from ecinj.injection import InjectionParams, UniquenessFunction
-from ecinj.points import OrbitSpec
+from ecinj.pairing import zagier_eval
+from ecinj.points import OrbitSpec, rationals_by_height
+from ecinj.rational import format_rational
 from exact_oracle import exact_f_scan, exact_p_scan
 
 PARTITION = re.compile(
-    r"(?P<scan>[Pf])-scan partition \d+/\d+: (?P<keys>\d+) keys, (?P<runs>\d+) candidate runs, "
+    r"(?P<scan>P|f|zagier)-scan partition \d+/\d+: (?P<keys>\d+) keys, (?P<runs>\d+) candidate runs, "
     r"(?P<surviving>\d+) buckets survive every prime, (?P<classes>\d+) confirmed classes"
 )
 
@@ -169,6 +173,51 @@ def test_memory_ceiling_is_exact_per_partition(caplog, ufunc248, gen248):
     with pytest.raises(MemoryCeilingError, match=f"needs at least {needed} bytes"):
         f_injectivity_scan(ufunc248, spec, memory_ceiling=needed - 1)
     assert partitions(caplog, "f") == []  # refused before any key was built
+
+
+def test_pair_classes_match_exact_index():
+    # w_i + w_j over w = 0..4: every sum but the extremes is taken by
+    # several ordered pairs, and each class keeps its pairs in stream order
+    labels = list("abcde")
+    per_prime = [(p, 1, list(range(5))) for p in (61, 59)]
+    classes = collisions._pair_classes(
+        "f-scan", labels, per_prime, lambda i, j: Fraction(i + j), memory_ceiling=None
+    )
+    stream = (((a, b), Fraction(i + j)) for i, a in enumerate(labels) for j, b in enumerate(labels))
+    assert classes == collision_scan(stream).classes
+    assert len(classes) == 7
+
+
+def test_zagier_runs_confirmed_against_exact_index(small_primes, caplog):
+    small_primes(2**6)  # primes 61 and 59: 82,369 pair keys on 61 values
+    report = zagier_probe(15)
+    assert "primes chosen: 61, 59" in [r.getMessage() for r in caplog.records]
+    [part] = partitions(caplog, "zagier")
+    assert part["runs"] > 0 and part["surviving"] > 0 and part["classes"] == 0
+    rats = list(rationals_by_height(15))
+    stream = (
+        ((format_rational(r1), format_rational(r2)), zagier_eval(r1, r2, 7, 3))
+        for r1 in rats
+        for r2 in rats
+    )
+    assert report.to_json() == collision_scan(stream, config=report.config).to_json()
+
+
+def test_zagier_memory_ceiling_is_exact_per_partition(caplog):
+    caplog.set_level(logging.INFO, logger="ecinj.collisions")
+    row = len(list(rationals_by_height(10)))  # 127 rationals
+    pairs = row * row
+    partitioned = zagier_probe(10, memory_ceiling=12 * pairs)
+    counted = partitions(caplog, "zagier")
+    assert len(counted) >= 2
+    assert sum(part["keys"] for part in counted) == pairs
+    assert partitioned.to_json() == zagier_probe(10, memory_ceiling=None).to_json()
+
+    caplog.clear()
+    needed = BLOCK_BYTES_PER_KEY * row + PARTITION_BYTES_PER_KEY  # one row's block and one key
+    with pytest.raises(MemoryCeilingError, match=f"needs at least {needed} bytes"):
+        zagier_probe(10, memory_ceiling=needed - 1)
+    assert partitions(caplog, "zagier") == []
 
 
 def test_no_partition_count_fits_crowded_keys(small_primes, caplog, ufunc248, gen248):
