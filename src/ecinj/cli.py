@@ -93,12 +93,13 @@ def _parse_torsion(text: str, curve: Curve):
 
 
 def _memory_ceiling(args) -> int:
-    if args.memory_ceiling is not None:
-        return args.memory_ceiling
-    env = os.environ.get("ECINJ_MEMORY_CEILING")
-    if env:
-        return int(env)
-    return DEFAULT_MEMORY_CEILING
+    ceiling = args.memory_ceiling
+    if ceiling is None:
+        env = os.environ.get("ECINJ_MEMORY_CEILING")
+        ceiling = int(env) if env else DEFAULT_MEMORY_CEILING
+    if ceiling < 0:
+        raise CliError(f"memory ceiling must be >= 0, got {ceiling}")
+    return ceiling
 
 
 def _emit(args, text: str):
@@ -190,6 +191,8 @@ def cmd_density(args) -> int:
 
 def cmd_weierstrass_verify(args) -> int:
     curve = _parse_curve(args.curve)
+    if args.samples < 1:
+        raise CliError("samples must be >= 1")
     lat = periods(curve)
     rng = random.Random(0)
 

@@ -2,15 +2,15 @@
 probe.
 
 All three scans run one engine.  It fingerprints each value by its
-residues modulo a few deterministic 61-bit primes.  Equal exact values
-always produce equal fingerprints at suitable primes, so no true collision
-can be missed.  Orbit values grow quadratically in digit count and are far
-too large to store exactly (measured: the |m| <= 2000 orbit would need
-hours and gigabytes), while residues are constant-size.  The first prime's
-residues are uint64 numpy keys: they are sorted in place, and only items
-whose key occurs more than once become candidates.  Candidates are grouped
-by their residues at every prime, and each surviving bucket is split by
-exact re-evaluation before it may enter the report.
+residue modulo N = p*q, for the first two suitable primes p, q below 2**31,
+so every key fits a uint64 (N < 2**62).  Equal exact values always produce
+equal keys at suitable primes, so no true collision can be missed.  Orbit
+values grow quadratically in digit count and are far too large to store
+exactly (measured: the |m| <= 2000 orbit would need hours and gigabytes),
+while residues are constant-size.  The keys are sorted in place, and only
+items whose key occurs more than once become candidates.  A run of equal
+keys is a full two-prime fingerprint match, and each run is split by exact
+re-evaluation before it may enter the report.
 
 The f-scan and `zagier_probe`, whose items are the rationals of bounded
 height, share its pair form (`_pair_classes`).  `collision_scan` holds
@@ -46,10 +46,9 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_MEMORY_CEILING = 4 * 2**30  # bytes
 
-# Bytes the fingerprint engine holds per key of a partition: the uint64
-# first-prime key and one byte of the mask of repeated sorted keys.  The
-# repeated keys themselves come on top; there are none unless first-prime
-# residues collide.
+# Bytes the fingerprint engine holds per key of a partition: the uint64 key
+# and one byte of the mask of repeated sorted keys.  The repeated keys
+# themselves come on top; there are none unless fingerprints collide.
 PARTITION_BYTES_PER_KEY = 9
 # Bytes per key of one generated block at its largest, in the candidate
 # pass: the keys (8), their searchsorted positions (8), the gathered run
@@ -65,8 +64,8 @@ PARTITION_TRIES = 16
 EXACT_P_SCAN_BOUND = 300
 EXACT_F_SCAN_BOUND = 60
 
-PRIME_SEARCH_START = 2**61
-NUM_PRIMES = 2  # primes of each residue fingerprint
+# Both fingerprint primes lie below this, so N = p*q < 2**62.
+PRIME_SEARCH_START = 2**31
 
 
 class MemoryCeilingError(RuntimeError):
@@ -126,24 +125,24 @@ def collision_scan(stream: Iterable[tuple], *, config: Optional[dict] = None) ->
     return CollisionReport(total, classes, [], config or {})
 
 
-def _fingerprint_classes(scan, n, row, p, key_block, resolve, *, memory_ceiling):
-    """Collision classes among n stream items, found from first-prime keys.
+def _fingerprint_classes(scan, n, row, modulus, key_block, resolve, *, memory_ceiling):
+    """Collision classes among n stream items, found from their keys.
 
-    `key_block(lo, hi)` returns the uint64 residues mod `p` of items
+    `key_block(lo, hi)` returns the uint64 keys mod `modulus` of items
     lo..hi-1 in stream order; lo is a multiple of `row` and hi is one too, or
     n.  Partition s of `count` holds the keys in [s*w, (s+1)*w) with
-    w = ceil(p / count), built block by block and then sorted in place.
-    The items whose key occurs more than once in it are found again, in
-    stream order, by a second block pass and handed to
-    `resolve(indices) -> (surviving_buckets, classes)`.  Equal values have
+    w = ceil(modulus / count), built block by block and then sorted in
+    place.  The items whose key occurs more than once in it are found again
+    by a second block pass, grouped by key into buckets of indices in stream
+    order, and handed to `resolve(buckets) -> classes`.  Equal values have
     equal keys, so a class never spans two partitions.
 
     `count` is the fewest partitions whose largest one fits `memory_ceiling`
     together with one block; sizes are counted exactly before anything is
     allocated.
     """
-    count, sizes = _partition_sizes(scan, n, row, p, key_block, memory_ceiling)
-    width = -(-p // count)
+    count, sizes = _partition_sizes(scan, n, row, modulus, key_block, memory_ceiling)
+    width = -(-modulus // count)
 
     def in_partition(keys, s):
         mask = keys >= s * width
@@ -162,17 +161,18 @@ def _fingerprint_classes(scan, n, row, p, key_block, resolve, *, memory_ceiling)
         part.sort()
         runs = np.unique(part[1:][part[1:] == part[:-1]])
         del part
-        candidates = []
+        buckets = [[] for _ in range(len(runs))]
         if len(runs):
             for lo, keys in _blocks(n, row, count, key_block):
                 at = np.searchsorted(runs, keys)
                 np.minimum(at, len(runs) - 1, out=at)
-                candidates.extend((lo + np.flatnonzero(runs[at] == keys)).tolist())
-        surviving, found = resolve(candidates)
+                hits = np.flatnonzero(runs[at] == keys)
+                for i, run in zip((lo + hits).tolist(), at[hits].tolist()):
+                    buckets[run].append(i)
+        found = resolve(buckets)
         logger.info(
-            "%s partition %d/%d: %d keys, %d candidate runs, "
-            "%d buckets survive every prime, %d confirmed classes",
-            scan, s + 1, count, size, len(runs), surviving, len(found),
+            "%s partition %d/%d: %d keys, %d candidate runs, %d confirmed classes",
+            scan, s + 1, count, size, len(runs), len(found),
         )
         classes.extend(found)
     classes.sort(key=lambda c: c.value)
@@ -191,7 +191,7 @@ def _blocks(n, row, count, key_block):
         yield lo, key_block(lo, min(lo + step, n))
 
 
-def _partition_sizes(scan, n, row, p, key_block, memory_ceiling):
+def _partition_sizes(scan, n, row, modulus, key_block, memory_ceiling):
     """(count, exact size of each partition) for the fewest key-range
     partitions whose largest one fits `memory_ceiling` with one block.
 
@@ -204,7 +204,7 @@ def _partition_sizes(scan, n, row, p, key_block, memory_ceiling):
         block = BLOCK_BYTES_PER_KEY * min(_block_step(n, row, count), n)
         return PARTITION_BYTES_PER_KEY * largest + block
 
-    if memory_ceiling is None or needed(1, n) <= memory_ceiling:
+    if n == 0 or memory_ceiling is None or needed(1, n) <= memory_ceiling:
         return 1, [n]
     least = needed(n, 1)  # one key and one block of one row
     if least > memory_ceiling:
@@ -218,7 +218,7 @@ def _partition_sizes(scan, n, row, p, key_block, memory_ceiling):
     )
     tried = []
     for count in range(first, first + PARTITION_TRIES):
-        width = -(-p // count)
+        width = -(-modulus // count)
         sizes = np.zeros(count, dtype=np.int64)
         for _, keys in _blocks(n, row, count, key_block):
             sizes += np.bincount(keys // width, minlength=count)
@@ -232,27 +232,31 @@ def _partition_sizes(scan, n, row, p, key_block, memory_ceiling):
     )
 
 
-def _confirm_buckets(keys, fingerprint, exact):
-    """Group candidate keys (in stream order) by `fingerprint`, their residues
-    at every prime, and split each bucket of two or more by `exact` value.
-
-    Returns (number of buckets of two or more, classes confirmed exactly).
-    """
-    buckets = {}
-    for key in keys:
-        buckets.setdefault(fingerprint(key), []).append(key)
-    surviving = [bucket for bucket in buckets.values() if len(bucket) >= 2]
+def _confirm_buckets(buckets, exact):
+    """The classes of two keys or more among candidate buckets (keys in
+    stream order), each bucket split by `exact` value."""
     classes = []
-    for bucket in surviving:
+    for bucket in buckets:
         by_value = {}
         for key in bucket:
             by_value.setdefault(exact(key), []).append(key)
         classes.extend(CollisionClass(v, ks) for v, ks in by_value.items() if len(ks) >= 2)
-    return len(surviving), classes
+    return classes
+
+
+def _crt(p, q, rp, rq):
+    """The uint64 keys mod p*q of residues `rp` mod p and `rq` mod q, for two
+    distinct primes below 2**31, as rp + p*t (Garner's form).  Every
+    intermediate value stays below 2**62."""
+    rp = np.asarray(rp, dtype=np.uint64)
+    t = (np.asarray(rq, dtype=np.uint64) + (q - rp % q)) % q
+    t = t * pow(p, -1, q) % q
+    return rp + p * t
 
 
 class _OrbitResidues:
-    """Labeled orbit point residues mod one prime, mirroring orbit() emission.
+    """Orbit labels and P residues alpha*x + beta*y mod one prime, mirroring
+    orbit() emission; `ar` and `br` are alpha and beta mod p.
 
     Raises UnsuitablePrimeError when any emitted point reduces to the
     identity mod p (i.e. p divides its coordinate denominators), when the
@@ -261,9 +265,8 @@ class _OrbitResidues:
     orbit as translate base, emitted as bare T) from an unsuitable prime.
     """
 
-    def __init__(self, spec: OrbitSpec, p: int, is_exact_infinity):
+    def __init__(self, spec: OrbitSpec, p: int, ar: int, br: int, is_exact_infinity):
         cm = CurveModP(spec.generator.curve, p)
-        self.p = p
         g = cm.reduce_point(spec.generator)
         if g is None:
             raise UnsuitablePrimeError(f"generator reduces to the identity mod {p}")
@@ -278,7 +281,7 @@ class _OrbitResidues:
                 translates.append(r)
         if not spec.torsion:
             translates = [None]
-        labeled = []
+        self.labels, self.residues = [], []
         mg = g
         for m in range(1, spec.bound + 1):
             if m > 1:
@@ -295,9 +298,8 @@ class _OrbitResidues:
                         raise UnsuitablePrimeError(
                             f"orbit point at label {(sign, k)} reduces to the identity mod {p}"
                         )
-                    label = sign if not spec.torsion else (sign, k)
-                    labeled.append((label, pt))
-        self.labeled = labeled
+                    self.labels.append(sign if not spec.torsion else (sign, k))
+                    self.residues.append((ar * pt[0] + br * pt[1]) % p)
 
 
 def _exact_orbit_point(spec: OrbitSpec, m: int, k: int = 0) -> Point:
@@ -310,28 +312,26 @@ def _exact_orbit_point(spec: OrbitSpec, m: int, k: int = 0) -> Point:
 
 
 def _choose_primes(build):
-    """What `build(p)` returns at the first NUM_PRIMES primes below
-    PRIME_SEARCH_START at which it raises no UnsuitablePrimeError."""
-    built, primes = [], []
+    """[(p, build(p)), (q, build(q))] at the first two primes below
+    PRIME_SEARCH_START at which `build` raises no UnsuitablePrimeError."""
+    chosen = []
     for p in primes_descending(PRIME_SEARCH_START):
         try:
-            built.append(build(p))
+            chosen.append((p, build(p)))
         except UnsuitablePrimeError as exc:
             logger.info("prime %d skipped: %s", p, exc)
             continue
-        primes.append(p)
-        if len(primes) == NUM_PRIMES:
-            logger.info("primes chosen: %s", ", ".join(map(str, primes)))
-            return built
+        if len(chosen) == 2:
+            logger.info("primes chosen: %d, %d", chosen[0][0], chosen[1][0])
+            return chosen
     # only reachable when the search starts at a small prime
     raise RuntimeError("prime search exhausted")
 
 
-def _choose_residue_systems(spec: OrbitSpec, must_invert):
-    """The orbit's residue systems at the primes `_choose_primes` picks.
-
-    Returns (labels, systems).  Every system emits the orbit labels in the
-    same order, so residues line up by position across primes.
+def _orbit_p_keys(u: UniquenessFunction, spec: OrbitSpec, *also_invert):
+    """(labels, N, keys): the orbit labels in emission order and the uint64
+    keys mod N = p*q of their P values, at the primes `_choose_primes`
+    picks.  The denominators of `also_invert` must not vanish mod p either.
     """
     infinity_cache = {}
 
@@ -341,18 +341,15 @@ def _choose_residue_systems(spec: OrbitSpec, must_invert):
         return infinity_cache[m]
 
     def build(p):
-        for q in must_invert:
-            fraction_mod(q, p)
-        return _OrbitResidues(spec, p, is_exact_infinity)
+        ar, br = fraction_mod(u.params.alpha, p), fraction_mod(u.params.beta, p)
+        for c in also_invert:
+            fraction_mod(c, p)
+        return _OrbitResidues(spec, p, ar, br, is_exact_infinity)
 
-    systems = _choose_primes(build)
-    labels = [label for label, _ in systems[0].labeled]
-    for sysm in systems[1:]:
-        if [label for label, _ in sysm.labeled] != labels:
-            raise RuntimeError(
-                f"orbit labels mod {sysm.p} differ from those mod {systems[0].p}"
-            )
-    return labels, systems
+    (p, first), (q, second) = _choose_primes(build)
+    if second.labels != first.labels:
+        raise RuntimeError(f"orbit labels mod {q} differ from those mod {p}")
+    return first.labels, p * q, _crt(p, q, first.residues, second.residues)
 
 
 class _ExactLabelEvaluator:
@@ -380,32 +377,16 @@ class _ExactLabelEvaluator:
         return self.p_value(l1) ** n + gamma * self.p_value(l2) ** n
 
 
-def _split_duplicate_points(labeled_keys, point_of, confirm_point):
-    """Flag labels carrying an identical point; keep the first occurrence.
-
-    `point_of(label)` gives a fingerprint; groups sharing one are confirmed
-    through `confirm_point(label)` (exact coordinates) before flagging, so
-    fingerprint coincidences cannot produce a false duplicate report.
-    """
-    buckets = {}
-    for label in labeled_keys:
-        buckets.setdefault(point_of(label), []).append(label)
-    duplicates = []
-    dropped = set()
-    for labels in buckets.values():
-        if len(labels) < 2:
-            continue
-        by_exact = {}
-        for label in labels:
-            pt = confirm_point(label)
-            by_exact.setdefault((pt.x, pt.y), []).append(label)
-        for group in by_exact.values():
-            if len(group) >= 2:
-                duplicates.append(group)
-                dropped.update(group[1:])
-    duplicates.sort(key=lambda g: str(g[0]))
-    kept = [label for label in labeled_keys if label not in dropped]
-    return duplicates, kept
+def _split_duplicate_points(labels, point):
+    """(groups of labels carrying one exact point, the labels kept): only
+    the first label of each group is kept.  `point(label)` is exact."""
+    by_point = {}
+    for label in labels:
+        pt = point(label)
+        by_point.setdefault((pt.x, pt.y), []).append(label)
+    groups = [group for group in by_point.values() if len(group) >= 2]
+    dropped = {label for group in groups for label in group[1:]}
+    return groups, [label for label in labels if label not in dropped]
 
 
 def _scan_config(op: str, u: UniquenessFunction, spec: OrbitSpec, exact_bound: int) -> dict:
@@ -426,43 +407,26 @@ def _require_valid(u: UniquenessFunction):
         raise ValueError("invalid injection parameters: " + "; ".join(violations))
 
 
-def _residue_p_findings(u, labels, systems, evaluator, memory_ceiling):
-    """(classes, duplicate point groups) of P over the orbit labels of the
-    residue systems, found from the first prime's P residues.
+def _residue_p_findings(labels, modulus, keys, evaluator, memory_ceiling):
+    """(classes, duplicate point groups) of P over the orbit `labels`, found
+    from their P keys mod `modulus`.
 
-    Equal points have equal P, so the runs of equal first-prime P residues
-    hold every candidate for a duplicate point and for a value collision.
-    Of each duplicate group only the first label stays in the value scan.
+    Equal points have equal P, so the runs of equal P keys hold every
+    candidate for a duplicate point and for a value collision.  Of each
+    duplicate group only the first label stays in the value scan.
     """
-    coefficients = [
-        (sysm, fraction_mod(u.params.alpha, sysm.p), fraction_mod(u.params.beta, sysm.p))
-        for sysm in systems
-    ]
-    position = {label: i for i, label in enumerate(labels)}
-
-    def point_residues(label):
-        return tuple(sysm.labeled[position[label]][1] for sysm in systems)
-
-    def value_residues(label):
-        residues = []
-        for sysm, ar, br in coefficients:
-            x, y = sysm.labeled[position[label]][1]
-            residues.append((ar * x + br * y) % sysm.p)
-        return tuple(residues)
-
-    first, ar, br = coefficients[0]
-    keys = np.array([(ar * x + br * y) % first.p for _, (x, y) in first.labeled], dtype=np.uint64)
     duplicates = []
 
-    def resolve(indices):
-        groups, kept = _split_duplicate_points(
-            [labels[i] for i in indices], point_of=point_residues, confirm_point=evaluator.point
-        )
-        duplicates.extend(groups)
-        return _confirm_buckets(kept, value_residues, evaluator.p_value)
+    def resolve(buckets):
+        kept = []
+        for bucket in buckets:
+            groups, rest = _split_duplicate_points([labels[i] for i in bucket], evaluator.point)
+            duplicates.extend(groups)
+            kept.append(rest)
+        return _confirm_buckets(kept, evaluator.p_value)
 
     classes = _fingerprint_classes(
-        "P-scan", len(keys), 1, first.p, lambda lo, hi: keys[lo:hi], resolve,
+        "P-scan", len(keys), 1, modulus, lambda lo, hi: keys[lo:hi], resolve,
         memory_ceiling=memory_ceiling,
     )
     duplicates.sort(key=lambda g: str(g[0]))
@@ -485,11 +449,9 @@ def p_injectivity_scan(
     _require_valid(u)
     spec.validate()
     config = _scan_config("p_injectivity_scan", u, spec, EXACT_P_SCAN_BOUND)
-    labels, systems = _choose_residue_systems(
-        spec, must_invert=[u.params.alpha, u.params.beta]
-    )
+    labels, modulus, keys = _orbit_p_keys(u, spec)
     classes, duplicates = _residue_p_findings(
-        u, labels, systems, _ExactLabelEvaluator(u, spec), memory_ceiling
+        labels, modulus, keys, _ExactLabelEvaluator(u, spec), memory_ceiling
     )
     # every label of a duplicate group but its first leaves the value scan
     total = len(labels) - sum(len(g) - 1 for g in duplicates)
@@ -518,57 +480,46 @@ def f_injectivity_scan(
     config = _scan_config("f_injectivity_scan", u, spec, EXACT_F_SCAN_BOUND)
     config["strategy"] = "direct"  # hashed into config_digest; the only f-strategy
     n, gamma = u.params.n, u.params.gamma
-    labels, systems = _choose_residue_systems(
-        spec, must_invert=[u.params.alpha, u.params.beta, gamma]
-    )
+    labels, modulus, keys = _orbit_p_keys(u, spec, gamma)
     evaluator = _ExactLabelEvaluator(u, spec)
-    p_classes, duplicates = _residue_p_findings(u, labels, systems, evaluator, memory_ceiling)
+    p_classes, duplicates = _residue_p_findings(labels, modulus, keys, evaluator, memory_ceiling)
     if p_classes or duplicates:
         raise ValueError(P_NOT_INJECTIVE)
-    per_prime = []
-    for sysm in systems:
-        p = sysm.p
-        ar, br = fraction_mod(u.params.alpha, p), fraction_mod(u.params.beta, p)
-        pw = [pow((ar * x + br * y) % p, n, p) for _, (x, y) in sysm.labeled]
-        per_prime.append((p, fraction_mod(gamma, p), pw))
+    w = [pow(v, n, modulus) for v in keys.tolist()]
 
     def exact(i, j):
         return evaluator.f_value(labels[i], labels[j])
 
-    classes = _pair_classes("f-scan", labels, per_prime, exact, memory_ceiling)
+    classes = _pair_classes(
+        "f-scan", labels, modulus, w, fraction_mod(gamma, modulus), exact, memory_ceiling
+    )
     return CollisionReport(len(labels) ** 2, classes, [], config)
 
 
-def _pair_classes(scan, labels, per_prime, exact, memory_ceiling):
+def _pair_classes(scan, labels, modulus, w, g, exact, memory_ceiling):
     """Collision classes of w_i + g*w_j over all ordered pairs (i, j) of
     the k items `labels`, keys (labels[i], labels[j]) in row-major order.
 
-    `per_prime` holds (p, g mod p, [w_i mod p]) at each fingerprint prime;
+    `w` holds the k values and `g` the factor, both mod `modulus`;
     `exact(i, j)` is the pair's exact value.
     """
     k = len(labels)
-
-    def residues(x):
-        i, j = divmod(x, k)
-        return tuple((w[i] + g * w[j]) % p for p, g, w in per_prime)
-
-    # The key of pair (i, j) is (left[i] + right[j]) mod p at the first
-    # prime, at flat index i*k + j.  Both terms are below p < 2**61, so
-    # their sum cannot overflow uint64.
-    p, g, w = per_prime[0]
-    left = np.array(w, dtype=np.uint64)
-    right = np.array([g * v % p for v in w], dtype=np.uint64)
+    # The key of pair (i, j) is (left[i] + right[j]) mod N, at flat index
+    # i*k + j.  Both terms are below N < 2**62, so their sum cannot overflow
+    # uint64.
+    left = np.asarray(w, dtype=np.uint64)
+    right = np.array([g * v % modulus for v in left.tolist()], dtype=np.uint64)
 
     def key_block(lo, hi):
         keys = np.add(left[lo // k:hi // k, None], right).ravel()
-        np.subtract(keys, p, out=keys, where=keys >= p)
+        np.subtract(keys, modulus, out=keys, where=keys >= modulus)
         return keys
 
-    def resolve(indices):
-        return _confirm_buckets(indices, residues, lambda x: exact(*divmod(x, k)))
+    def resolve(buckets):
+        return _confirm_buckets(buckets, lambda x: exact(*divmod(x, k)))
 
     classes = _fingerprint_classes(
-        scan, k * k, max(k, 1), p, key_block, resolve, memory_ceiling=memory_ceiling,
+        scan, k * k, max(k, 1), modulus, key_block, resolve, memory_ceiling=memory_ceiling,
     )
     for c in classes:
         c.keys = [(labels[x // k], labels[x % k]) for x in c.keys]
@@ -586,12 +537,13 @@ def zagier_probe(
     rats = list(rationals_by_height(h_bound))
     config = {"op": "zagier_probe", "height_bound": h_bound, "n": 7, "gamma": "3"}
 
-    def build(p):
-        return p, 3 % p, [pow(fraction_mod(r, p), 7, p) for r in rats]
+    (p, wp), (q, wq) = _choose_primes(lambda p: [pow(fraction_mod(r, p), 7, p) for r in rats])
 
     def exact(i, j):
         return zagier_eval(rats[i], rats[j], 7, 3)
 
     labels = [format_rational(r) for r in rats]
-    classes = _pair_classes("zagier-scan", labels, _choose_primes(build), exact, memory_ceiling)
+    classes = _pair_classes(
+        "zagier-scan", labels, p * q, _crt(p, q, wp, wq), 3, exact, memory_ceiling
+    )
     return CollisionReport(len(rats) ** 2, classes, [], config)

@@ -223,3 +223,20 @@ def test_memory_ceiling_env(capsys, monkeypatch):
     code, _, err = run(capsys, "zagier-probe", "--H", "3")
     assert code == 1
     assert "ceiling" in err
+
+
+EMPTY_SCANS = [("check-p", "--M", "0"), ("check-f", "--M", "0"), ("zagier-probe", "--H", "0")]
+
+
+@pytest.mark.parametrize("argv", EMPTY_SCANS, ids=" ".join)
+def test_negative_memory_ceiling_exits_one(capsys, monkeypatch, argv):
+    code, out, err = run(capsys, *argv, "--memory-ceiling", "-1")
+    assert (code, out, err) == (1, "", "error: memory ceiling must be >= 0, got -1\n")
+    monkeypatch.setenv("ECINJ_MEMORY_CEILING", "-5")
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", "error: memory ceiling must be >= 0, got -5\n")
+
+
+def test_weierstrass_verify_needs_a_sample(capsys):
+    code, out, err = run(capsys, "weierstrass-verify", "--samples", "0")
+    assert (code, out, err) == (1, "", "error: samples must be >= 1\n")

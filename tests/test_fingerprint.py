@@ -1,14 +1,15 @@
 """The residue engine at small primes, where its branches really fire, and
 its exact memory bound.
 
-At the default 61-bit primes no fingerprint coincidence ever happens, so
-these tests lower `collisions.PRIME_SEARCH_START` (read at call time) and
-check each branch through the per-partition log records, and every report's
-findings against the tests' exact oracle (`exact_oracle`), which carries no
-scan config.
+At the default primes below 2**31 (keys mod N = p*q near 2**62) no
+fingerprint coincidence ever happens, so these tests lower
+`collisions.PRIME_SEARCH_START` (read at call time) and check each branch
+through the per-partition log records, and every report's findings against
+the tests' exact oracle (`exact_oracle`), which carries no scan config.
 """
 
 import logging
+import random
 import re
 from fractions import Fraction
 from unittest import mock
@@ -36,7 +37,7 @@ from exact_oracle import exact_f_scan, exact_p_scan
 
 PARTITION = re.compile(
     r"(?P<scan>P|f|zagier)-scan partition \d+/\d+: (?P<keys>\d+) keys, (?P<runs>\d+) candidate runs, "
-    r"(?P<surviving>\d+) buckets survive every prime, (?P<classes>\d+) confirmed classes"
+    r"(?P<classes>\d+) confirmed classes"
 )
 
 
@@ -65,14 +66,19 @@ def small_primes(monkeypatch, caplog):
     return use
 
 
-def test_first_prime_runs_split_by_second_prime(small_primes, caplog, ufunc248, gen248):
-    small_primes(2**8)  # primes 251 and 241
+def test_key_is_the_full_fingerprint(small_primes, caplog, ufunc248, gen248):
+    # a run of equal keys mod N = p*q is a match at both primes: at 251 and
+    # 241 the 144 f keys share 29 residue runs mod 251, none of them mod 241
+    # as well; at 127 and 113, 21 buckets match at both primes
     spec = OrbitSpec(gen248, 6)
-    residue = f_injectivity_scan(ufunc248, spec)
-    [part] = partitions(caplog, "f")
-    assert part["keys"] == 144 and part["runs"] > 0
-    assert part["surviving"] == 0 and part["classes"] == 0
-    assert findings(residue) == findings(exact_f_scan(ufunc248, spec))
+    oracle = findings(exact_f_scan(ufunc248, spec))
+    for start, runs in ((2**8, 0), (2**7, 21)):
+        caplog.clear()
+        small_primes(start)
+        residue = f_injectivity_scan(ufunc248, spec)
+        [part] = partitions(caplog, "f")
+        assert part == {"keys": 144, "runs": runs, "classes": 0}
+        assert findings(residue) == oracle
 
 
 def test_buckets_surviving_every_prime_split_exactly(small_primes, caplog, ufunc248, gen248):
@@ -80,8 +86,18 @@ def test_buckets_surviving_every_prime_split_exactly(small_primes, caplog, ufunc
     spec = OrbitSpec(gen248, 6)
     residue = f_injectivity_scan(ufunc248, spec)
     [part] = partitions(caplog, "f")
-    assert part["surviving"] > 0 and part["classes"] == 0
+    assert part["runs"] > 0 and part["classes"] == 0
     assert findings(residue) == findings(exact_f_scan(ufunc248, spec))
+
+
+@pytest.mark.parametrize("p, q", [(61, 59), (2**31 - 1, 2**31 - 19)])
+def test_crt_keys_come_back(p, q):
+    n = p * q
+    rng = random.Random(7)
+    values = [0, 1, p - 1, q - 1, n - 1] + [rng.randrange(n) for _ in range(200)]
+    keys = collisions._crt(p, q, [v % p for v in values], [v % q for v in values])
+    assert keys.dtype == "uint64"
+    assert keys.tolist() == values
 
 
 def test_point_reducing_to_identity_skips_prime(small_primes, caplog, ufunc248, gen248):
@@ -135,7 +151,7 @@ def test_planted_findings_confirmed_at_small_primes(small_primes, caplog, curve,
     spec = OrbitSpec(c.point(*gen), bound)
     residue = p_injectivity_scan(u, spec)
     [part] = partitions(caplog, "P")
-    assert part["surviving"] == part["classes"] == 1
+    assert part["runs"] == part["classes"] == 1
     assert residue.exit_code == 2
     assert findings(residue) == findings(exact_p_scan(u, spec))
 
@@ -148,7 +164,7 @@ def test_misaligned_labels_raise(monkeypatch, ufunc248, gen248):
             super().__init__(*args)
             made.append(self)
             if len(made) == 2:
-                self.labeled.reverse()
+                self.labels.reverse()
 
     monkeypatch.setattr(collisions, "_OrbitResidues", Misaligned)
     with pytest.raises(RuntimeError, match="orbit labels mod"):
@@ -179,9 +195,8 @@ def test_pair_classes_match_exact_index():
     # w_i + w_j over w = 0..4: every sum but the extremes is taken by
     # several ordered pairs, and each class keeps its pairs in stream order
     labels = list("abcde")
-    per_prime = [(p, 1, list(range(5))) for p in (61, 59)]
     classes = collisions._pair_classes(
-        "f-scan", labels, per_prime, lambda i, j: Fraction(i + j), memory_ceiling=None
+        "f-scan", labels, 61 * 59, list(range(5)), 1, lambda i, j: Fraction(i + j), memory_ceiling=None
     )
     stream = (((a, b), Fraction(i + j)) for i, a in enumerate(labels) for j, b in enumerate(labels))
     assert classes == collision_scan(stream).classes
@@ -193,7 +208,7 @@ def test_zagier_runs_confirmed_against_exact_index(small_primes, caplog):
     report = zagier_probe(15)
     assert "primes chosen: 61, 59" in [r.getMessage() for r in caplog.records]
     [part] = partitions(caplog, "zagier")
-    assert part["runs"] > 0 and part["surviving"] > 0 and part["classes"] == 0
+    assert part["runs"] > 0 and part["classes"] == 0
     rats = list(rationals_by_height(15))
     stream = (
         ((format_rational(r1), format_rational(r2)), zagier_eval(r1, r2, 7, 3))
@@ -218,6 +233,18 @@ def test_zagier_memory_ceiling_is_exact_per_partition(caplog):
     with pytest.raises(MemoryCeilingError, match=f"needs at least {needed} bytes"):
         zagier_probe(10, memory_ceiling=needed - 1)
     assert partitions(caplog, "zagier") == []
+
+
+@pytest.mark.parametrize("scan", ["P", "f", "zagier"])
+def test_empty_scan_is_one_empty_partition(caplog, ufunc248, gen248, scan):
+    caplog.set_level(logging.INFO, logger="ecinj.collisions")
+    if scan == "zagier":
+        report = zagier_probe(0, memory_ceiling=-1)
+    else:
+        run = p_injectivity_scan if scan == "P" else f_injectivity_scan
+        report = run(ufunc248, OrbitSpec(gen248, 0), memory_ceiling=-1)
+    assert findings(report) == (0, [], [])
+    assert partitions(caplog, scan) == [{"keys": 0, "runs": 0, "classes": 0}]
 
 
 def test_no_partition_count_fits_crowded_keys(small_primes, caplog, ufunc248, gen248):
