@@ -1,7 +1,8 @@
-"""Command-line interface: every subcommand emits a deterministic JSON (or
+"""Command-line interface: every subcommand returns a deterministic JSON (or
 CSV) report embedding the artifact version and a digest of its semantic
-configuration.  Exit codes: 0 clean, 2 findings (collision classes or
-duplicate points), 1 errors.
+configuration, and `main` alone renders it and writes it to stdout or
+`--out`.  Exit codes: 0 clean, 2 findings (collision classes or duplicate
+points), 1 errors.
 
 Defaults reproduce the headline configuration: curve (1, -1), generator
 (1, 1), parameters (1, 1, 2, 9).
@@ -19,7 +20,7 @@ from .collisions import (
     p_injectivity_scan,
     zagier_probe,
 )
-from .curve import Curve, Point
+from .curve import INFINITY, Curve, Point
 from .injection import InjectionParams, UniquenessFunction
 from .pairing import cantor_pair, cantor_unpair
 from .points import OrbitSpec, brute_force_points, orbit
@@ -30,7 +31,7 @@ from .real_locus import (
     real_components,
     slope_bound,
 )
-from .reporting import VERSION, canonical_json, config_digest
+from .reporting import canonical_json, envelope
 from .weierstrass import lambda_match, laurent_fit, ode_residual, periods, strong_uniqueness_probe
 
 DEFAULT_CURVE = "1,-1"
@@ -84,8 +85,6 @@ def _parse_torsion(text: str, curve: Curve):
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if chunk == "O":
-            from .curve import INFINITY
-
             pts.append(INFINITY)
         else:
             pts.append(_parse_point(chunk, curve))
@@ -102,94 +101,55 @@ def _memory_ceiling(args) -> int:
     return ceiling
 
 
-def _emit(args, text: str):
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+def _orbit_spec(args, curve: Curve) -> OrbitSpec:
+    return OrbitSpec(_parse_point(args.gen, curve), args.M, _parse_torsion(args.torsion, curve))
 
 
-def _build_ufunc(args) -> tuple:
+def cmd_curve_info(args) -> tuple:
     curve = _parse_curve(args.curve)
-    gen = _parse_point(args.gen, curve)
-    params = _parse_params(args.params)
-    torsion = _parse_torsion(getattr(args, "torsion", ""), curve)
-    spec = OrbitSpec(gen, args.M, torsion)
-    return UniquenessFunction(params, curve), spec
-
-
-def cmd_curve_info(args) -> int:
-    curve = _parse_curve(args.curve)
-    cfg = {"op": "curve-info", "a": format_rational(curve.a), "b": format_rational(curve.b)}
-    report = {
-        "version": VERSION,
-        "config_digest": config_digest(cfg),
-        "curve": {"a": format_rational(curve.a), "b": format_rational(curve.b)},
+    report = envelope({"op": "curve-info", **curve.to_json_dict()}, {
+        "curve": curve.to_json_dict(),
         "discriminant_term": format_rational(curve.disc_term),
         "real_components": real_components(curve),
-    }
-    _emit(args, canonical_json(report))
-    return 0
+    })
+    return report, 0
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args) -> tuple:
     curve = _parse_curve(args.curve)
     if args.search_height is not None:
         stream = brute_force_points(curve, args.search_height)
     else:
-        gen = _parse_point(args.gen, curve)
-        spec = OrbitSpec(gen, args.M, _parse_torsion(args.torsion, curve))
-        stream = orbit(spec)
+        stream = orbit(_orbit_spec(args, curve))
     lines = ["label,x,y"]
     for label, pt in stream:
         lines.append(f"{label},{format_rational(pt.x)},{format_rational(pt.y)}")
-    _emit(args, "\n".join(lines))
-    return 0
+    return "\n".join(lines), 0
 
 
-def cmd_check_p(args) -> int:
-    u, spec = _build_ufunc(args)
-    report = p_injectivity_scan(u, spec, memory_ceiling=_memory_ceiling(args))
-    _emit(args, report.to_json())
-    return report.exit_code
+def cmd_scan(args) -> tuple:
+    """check-p and check-f: `args.scan` is the injectivity scan to run."""
+    curve = _parse_curve(args.curve)
+    spec = _orbit_spec(args, curve)
+    u = UniquenessFunction(_parse_params(args.params), curve)
+    report = args.scan(u, spec, memory_ceiling=_memory_ceiling(args))
+    return report.to_json_dict(), report.exit_code
 
 
-def cmd_check_f(args) -> int:
-    u, spec = _build_ufunc(args)
-    report = f_injectivity_scan(u, spec, memory_ceiling=_memory_ceiling(args))
-    _emit(args, report.to_json())
-    return report.exit_code
-
-
-def cmd_slope_bound(args) -> int:
+def cmd_slope_bound(args) -> tuple:
     curve = _parse_curve(args.curve)
     reference = REFERENCE_MIN_SLOPE_248C1 if (curve.a, curve.b) == (1, -1) else None
-    cert = slope_bound(curve, depth=args.depth, reference=reference)
-    _emit(args, canonical_json(cert.to_json_dict()))
-    return 0
+    return slope_bound(curve, depth=args.depth, reference=reference).to_json_dict(), 0
 
 
-def cmd_density(args) -> int:
+def cmd_density(args) -> tuple:
     curve = _parse_curve(args.curve)
-    gen = _parse_point(args.gen, curve)
-    spec = OrbitSpec(gen, args.M, _parse_torsion(args.torsion, curve))
-    rep = density_report(spec, args.bins)
-    body = rep.to_json_dict()
-    cfg = {
-        "op": "density",
-        "a": format_rational(curve.a),
-        "b": format_rational(curve.b),
-        "gen": args.gen,
-        "M": args.M,
-        "bins": args.bins,
-    }
-    body["config_digest"] = config_digest(cfg)
-    _emit(args, canonical_json(body))
-    return 0
+    rep = density_report(_orbit_spec(args, curve), args.bins)
+    cfg = {"op": "density", **curve.to_json_dict(), "gen": args.gen, "M": args.M, "bins": args.bins}
+    return envelope(cfg, rep.to_json_dict()), 0
 
 
-def cmd_weierstrass_verify(args) -> int:
+def cmd_weierstrass_verify(args) -> tuple:
     curve = _parse_curve(args.curve)
     if args.samples < 1:
         raise CliError("samples must be >= 1")
@@ -223,11 +183,8 @@ def cmd_weierstrass_verify(args) -> int:
             rejected += 1
     probe_same = strong_uniqueness_probe(lat, 1, 1, 1, 1, 1)
     probe_scaled = strong_uniqueness_probe(lat, 1, 1, 1, 1, 2)
-    cfg = {"op": "weierstrass-verify", "a": format_rational(curve.a), "b": format_rational(curve.b)}
-    report = {
-        "version": VERSION,
-        "config_digest": config_digest(cfg),
-        "curve": {"a": format_rational(curve.a), "b": format_rational(curve.b)},
+    report = envelope({"op": "weierstrass-verify", **curve.to_json_dict()}, {
+        "curve": curve.to_json_dict(),
         "omega1": lat.omega1,
         "omega2": [complex(lat.omega2).real, complex(lat.omega2).imag],
         "ode_residual_max": ode,
@@ -238,8 +195,7 @@ def cmd_weierstrass_verify(args) -> int:
         "probe_residual_identity": probe_same,
         "probe_residual_scaled_c": probe_scaled,
         "certified": False,
-    }
-    _emit(args, canonical_json(report))
+    })
     ok = (
         ode < 1e-9
         and periodicity < 1e-9
@@ -249,10 +205,10 @@ def cmd_weierstrass_verify(args) -> int:
         and probe_same < 1e-9
         and probe_scaled > 0.1
     )
-    return 0 if ok else 2
+    return report, 0 if ok else 2
 
 
-def cmd_cantor(args) -> int:
+def cmd_cantor(args) -> tuple:
     if args.pair:
         x, y = args.pair
         out = {"op": "pair", "x": x, "y": y, "value": cantor_pair(x, y)}
@@ -261,6 +217,8 @@ def cmd_cantor(args) -> int:
         out = {"op": "unpair", "z": args.unpair, "x": x, "y": y}
     else:
         k = args.check
+        if k < 0:
+            raise CliError(f"triangle must be >= 0, got {k}")
         ok = True
         seen = set()
         for x in range(k + 1):
@@ -272,16 +230,12 @@ def cmd_cantor(args) -> int:
         expected = (k + 1) * (k + 2) // 2
         ok = ok and seen == set(range(expected))
         out = {"op": "check", "triangle": k, "values": expected, "bijection": ok}
-    out["version"] = VERSION
-    out["config_digest"] = config_digest({k: v for k, v in out.items() if k != "version"})
-    _emit(args, canonical_json(out))
-    return 0 if out.get("bijection", True) else 1
+    return envelope(out, out), 0 if out.get("bijection", True) else 1
 
 
-def cmd_zagier_probe(args) -> int:
+def cmd_zagier_probe(args) -> tuple:
     report = zagier_probe(args.H, memory_ceiling=_memory_ceiling(args))
-    _emit(args, report.to_json())
-    return report.exit_code
+    return report.to_json_dict(), report.exit_code
 
 
 def build_parser() -> _Parser:
@@ -298,6 +252,11 @@ def build_parser() -> _Parser:
                 "and reports are identical for every ceiling that passes",
             )
 
+    def orbit_args(p, bound):
+        p.add_argument("--gen", default=DEFAULT_GEN)
+        p.add_argument("--torsion", default="")
+        p.add_argument("--M", type=int, default=bound)
+
     p = sub.add_parser("curve-info", help="curve summary")
     p.add_argument("--curve", default=DEFAULT_CURVE)
     common(p)
@@ -305,22 +264,20 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("enumerate", help="CSV point stream (orbit or brute-force search)")
     p.add_argument("--curve", default=DEFAULT_CURVE)
-    p.add_argument("--gen", default=DEFAULT_GEN)
-    p.add_argument("--torsion", default="")
-    p.add_argument("--M", type=int, default=10)
+    orbit_args(p, 10)
     p.add_argument("--search-height", type=int, default=None, help="brute-force all points of x-height <= H instead of the orbit")
     common(p)
     p.set_defaults(func=cmd_enumerate)
 
-    for name, fn in (("check-p", cmd_check_p), ("check-f", cmd_check_f)):
+    # the scans are looked up here, not at import, so wrappers installed on
+    # this module before the parser is built see every call
+    for name, scan in (("check-p", p_injectivity_scan), ("check-f", f_injectivity_scan)):
         p = sub.add_parser(name, help=f"{name.replace('-', ' ')} injectivity scan")
         p.add_argument("--curve", default=DEFAULT_CURVE)
-        p.add_argument("--gen", default=DEFAULT_GEN)
-        p.add_argument("--torsion", default="")
+        orbit_args(p, 60)
         p.add_argument("--params", default=DEFAULT_PARAMS)
-        p.add_argument("--M", type=int, default=60)
         common(p, scan=True)
-        p.set_defaults(func=fn)
+        p.set_defaults(func=cmd_scan, scan=scan)
 
     p = sub.add_parser("slope-bound", help="certified tangent-slope certificate")
     p.add_argument("--curve", default=DEFAULT_CURVE)
@@ -330,9 +287,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("density", help="elliptic-log angle diagnostics")
     p.add_argument("--curve", default=DEFAULT_CURVE)
-    p.add_argument("--gen", default=DEFAULT_GEN)
-    p.add_argument("--torsion", default="")
-    p.add_argument("--M", type=int, default=200)
+    orbit_args(p, 200)
     p.add_argument("--bins", type=int, default=20)
     common(p)
     p.set_defaults(func=cmd_density)
@@ -362,11 +317,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, RuntimeError, OSError) as exc:
+        report, code = args.func(args)
+        text = report if isinstance(report, str) else canonical_json(report)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        else:
+            print(text)
+        return code
+    except (CliError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -40,7 +40,7 @@ from .modular import CurveModP, UnsuitablePrimeError, fraction_mod, primes_desce
 from .pairing import zagier_eval
 from .points import OrbitSpec, rationals_by_height
 from .rational import format_rational
-from .reporting import VERSION, canonical_json, config_digest
+from .reporting import canonical_json, envelope
 
 logger = logging.getLogger(__name__)
 
@@ -90,16 +90,14 @@ class CollisionReport:
         return 2 if (self.classes or self.duplicate_points) else 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "version": VERSION,
-            "config_digest": config_digest(self.config),
+        return envelope(self.config, {
             "total_scanned": self.total_scanned,
             "classes": [
                 {"value": format_rational(c.value), "keys": list(c.keys)}
                 for c in self.classes
             ],
             "duplicate_points": [list(g) for g in self.duplicate_points],
-        }
+        })
 
     def to_json(self) -> str:
         return canonical_json(self.to_json_dict())
@@ -392,7 +390,7 @@ def _split_duplicate_points(labels, point):
 def _scan_config(op: str, u: UniquenessFunction, spec: OrbitSpec, exact_bound: int) -> dict:
     return {
         "op": op,
-        "curve": {"a": format_rational(u.curve.a), "b": format_rational(u.curve.b)},
+        "curve": u.curve.to_json_dict(),
         "params": u.params.to_json_dict(),
         "spec": spec.config_dict(),
         # hashed into config_digest only; it selects nothing.  It names the

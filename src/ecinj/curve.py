@@ -52,6 +52,9 @@ class Curve:
             raise ValueError(f"({x}, {y}) does not satisfy y^2 = x^3 + {self.a}x + {self.b}")
         return p
 
+    def to_json_dict(self) -> dict:
+        return {"a": format_rational(self.a), "b": format_rational(self.b)}
+
     def __str__(self):
         return f"y^2 = x^3 + ({self.a})x + ({self.b})"
 

@@ -113,6 +113,8 @@ def brute_force_points(c: Curve, h_bound: int, prune=None) -> Iterator[tuple]:
 def x_candidates(h_bound: int, squares_only: bool = False) -> Iterator[Fraction]:
     """Canonical rationals of height <= h_bound in a fixed deterministic order:
     increasing height, then |numerator|, positive before negative, then denominator."""
+    if h_bound < 0:
+        raise ValueError(f"height bound must be >= 0, got {h_bound}")
     for h in range(1, h_bound + 1):
         level = []
         for q in range(1, h + 1):

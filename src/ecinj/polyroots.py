@@ -30,16 +30,7 @@ def poly_deriv(coeffs):
 
 
 def _poly_rem(num, den):
-    num = list(num)
-    while len(num) >= len(den):
-        factor = num[-1] / den[-1]
-        shift = len(num) - len(den)
-        for i, c in enumerate(den):
-            num[shift + i] -= factor * c
-        num.pop()
-        while num and num[-1] == 0:
-            num.pop()
-    return num
+    return _poly_divmod(num, den)[1]
 
 
 def poly_gcd(f, g):

@@ -30,7 +30,7 @@ from .curve import Curve
 from .points import OrbitSpec
 from .polyroots import isolate_real_roots, refine_root
 from .rational import format_rational
-from .reporting import VERSION, config_digest
+from .reporting import envelope
 
 # previously reported lower bound for the default curve's tangent slopes,
 # displayed alongside the computed enclosure for comparison
@@ -137,11 +137,9 @@ class SlopeCertificate:
     reference_bound: Optional[Fraction] = None
 
     def to_json_dict(self) -> dict:
-        cfg = {"op": "slope_bound", "a": format_rational(self.curve.a), "b": format_rational(self.curve.b)}
-        return {
-            "version": VERSION,
-            "config_digest": config_digest(cfg),
-            "curve": {"a": format_rational(self.curve.a), "b": format_rational(self.curve.b)},
+        curve = self.curve.to_json_dict()
+        return envelope({"op": "slope_bound", **curve}, {
+            "curve": curve,
             "critical_quartic": list(self.critical_quartic),
             "branch_root": self.branch_root.to_json_dict(),
             "root_enclosures": [iv.to_json_dict() for iv in self.root_enclosures],
@@ -150,7 +148,7 @@ class SlopeCertificate:
             "reference_bound": None if self.reference_bound is None else format_rational(self.reference_bound),
             "reference_bound_decimal": None if self.reference_bound is None else float(self.reference_bound),
             "note": "rational endpoints are authoritative; decimal renderings are not",
-        }
+        })
 
 
 def _sqrt_lower(q: Fraction, bits: int = 96) -> Fraction:
@@ -175,6 +173,8 @@ def slope_bound(c: Curve, depth: int = 60, reference: Optional[Fraction] = None)
     quartic root right of the branch point, because |s| diverges both at
     the branch point (vertical tangent) and as x grows.
     """
+    if depth < 0:
+        raise SlopeBoundError(f"depth must be >= 0, got {depth}")
     if real_components(c) != 1:
         raise SlopeBoundError("not implemented for two real components")
     if _has_horizontal_tangent(c):
@@ -245,7 +245,6 @@ class DensityReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "version": VERSION,
             "bins": list(self.bins),
             "max_gap": self.max_gap,
             "points": len(self.angles),

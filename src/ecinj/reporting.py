@@ -1,10 +1,13 @@
-"""Canonical JSON rendering and config digests shared by all report producers.
+"""Canonical JSON rendering and the report envelope shared by all report
+producers.
 
-Reports must be byte-identical for identical semantic configuration, so every
-producer funnels through `canonical_json`.  The memory ceiling, the one
-execution setting, is deliberately excluded from digests.  The scans'
-"method" and "strategy" entries are frozen digest inputs: they name choices
-the scans no longer have, and stay so that digests do not change.
+Reports must be byte-identical for identical semantic configuration, so the
+CLI renders every JSON report with `canonical_json`, and every report carries
+the same envelope: the artifact version and the digest of its configuration.
+The memory ceiling, the one execution setting, is deliberately excluded from
+digests.  The scans' "method" and "strategy" entries are frozen digest
+inputs: they name choices the scans no longer have, and stay so that digests
+do not change.
 """
 
 import hashlib
@@ -22,3 +25,8 @@ def config_digest(config: dict) -> str:
     """Short hex digest of the semantic scan configuration."""
     blob = json.dumps(config, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+
+
+def envelope(config: dict, body: dict) -> dict:
+    """`body` with the artifact version and the digest of `config` added."""
+    return {"version": VERSION, "config_digest": config_digest(config), **body}

@@ -40,30 +40,40 @@ def test_check_p_determinism_across_shards(capsys, caplog):
     assert out1 == out2
 
 
-# sha256 of stdout: reports are byte-identical however the scan is run
+# (exit code, sha256 of stdout): reports are byte-identical however the scan is run
 GOLDEN_SHA256 = {
-    ("check-p", "--M", "50"): "8ee4c61110345bb9b3599eeeb23318a234434e1db9c71c8452f01d87de963a2d",
-    ("check-p", "--M", "400"): "e28bbdf6173d83f4b449a675e33071506a3e046a04640045a191be725279d6c4",
-    ("check-f", "--M", "10"): "db809208c354bd2da9cfac0fb9ef9ea0b5b098fb38234bd03d5d65dc5163275e",
-    ("check-f", "--M", "80"): "0d3fe964d2ce2d4ac705b6d30c205ce4af4b1f7bcdd27a3ff57526b505d2a793",
-    ("zagier-probe",): "af142a4642e989ffb53d04eaf253b6007ff861f789ee40d0deacf760b9dd2808",
+    ("check-p", "--M", "50"): (0, "8ee4c61110345bb9b3599eeeb23318a234434e1db9c71c8452f01d87de963a2d"),
+    ("check-p", "--M", "400"): (0, "e28bbdf6173d83f4b449a675e33071506a3e046a04640045a191be725279d6c4"),
+    ("check-f", "--M", "10"): (0, "db809208c354bd2da9cfac0fb9ef9ea0b5b098fb38234bd03d5d65dc5163275e"),
+    ("check-f", "--M", "80"): (0, "0d3fe964d2ce2d4ac705b6d30c205ce4af4b1f7bcdd27a3ff57526b505d2a793"),
+    ("zagier-probe",): (0, "af142a4642e989ffb53d04eaf253b6007ff861f789ee40d0deacf760b9dd2808"),
     # the config's "method" label switches after M = 300 (check-p) and M = 60 (check-f)
-    ("check-p",): "47f8d19b574b1c8ab4d514c3a75170dba9cf9a93418714b39cb26a68165662f3",
-    ("check-p", "--M", "200"): "91310da92cf38e1ff2848033272f68cde56892483dd8d1486bc4bb3652572136",
-    ("check-p", "--M", "300"): "d4867d2b2d7e8d65dd8ee641db8eb3bebae694354e5ea7cf06611a4e9813d5d7",
-    ("check-p", "--M", "301"): "0a24090f3d5a534b23efe90cdbfe7827120420ced007b726e68423874fc73575",
-    ("check-f",): "e8d2c3bc3aef61c4395475059b613826b1c21c446d2a7efe109093786c5401a8",
-    ("check-f", "--M", "61"): "61eb585c452829ccec9ac4bce4286edad2efae4a1e15cee430a24e48a759dbc3",
-    ("zagier-probe", "--H", "15"): "fb4ad419cd54b50e66e987ba547b7dfd8426e18d5f23bff1c7136b4550f1489c",
-    ("zagier-probe", "--H", "25"): "f341a2b47793739ecf7855dbe885b0b623ca9c40dafbd450ac2767d1d7b0faa4",
+    ("check-p",): (0, "47f8d19b574b1c8ab4d514c3a75170dba9cf9a93418714b39cb26a68165662f3"),
+    ("check-p", "--M", "200"): (0, "91310da92cf38e1ff2848033272f68cde56892483dd8d1486bc4bb3652572136"),
+    ("check-p", "--M", "300"): (0, "d4867d2b2d7e8d65dd8ee641db8eb3bebae694354e5ea7cf06611a4e9813d5d7"),
+    ("check-p", "--M", "301"): (0, "0a24090f3d5a534b23efe90cdbfe7827120420ced007b726e68423874fc73575"),
+    ("check-f",): (0, "e8d2c3bc3aef61c4395475059b613826b1c21c446d2a7efe109093786c5401a8"),
+    ("check-f", "--M", "61"): (0, "61eb585c452829ccec9ac4bce4286edad2efae4a1e15cee430a24e48a759dbc3"),
+    ("zagier-probe", "--H", "15"): (0, "fb4ad419cd54b50e66e987ba547b7dfd8426e18d5f23bff1c7136b4550f1489c"),
+    ("zagier-probe", "--H", "25"): (0, "f341a2b47793739ecf7855dbe885b0b623ca9c40dafbd450ac2767d1d7b0faa4"),
+    # every other subcommand at its defaults
+    ("curve-info",): (0, "3ce6983a676db0248680be766beb938a9420fc5f83cf9b616a8bbf32ca8131a1"),
+    ("enumerate",): (0, "8259bc502ed95ba271fe1d567baa69f6288168e3a5b37bab7e785d9274030abf"),
+    ("slope-bound",): (0, "929c32bd00bcf343d0f8fd4b1393d3d5663d8a75e0905042efdc4b1b1f17e06a"),
+    ("density",): (0, "75ed5bfd5b46a7c2ea9c0819d15a00ee0f721ab8c3ee73608272f72915ee4212"),
+    ("weierstrass-verify",): (0, "d59f8b05b36cd856acfc16f0761014352b1432a928c755b2dbf9363ccf67368b"),
+    ("cantor",): (0, "210c4a12530865d56a987216e4e94c0d8f07e64e844e2a453e6af5ddb3adc24e"),
+    # a planted P-collision and duplicate point: findings exit 2
+    ("check-p", "--curve=-2,1", "--gen", "0,1", "--M", "2"): (
+        2, "520a61233add9385eab2b15a6cccbe79dcfae5748546d50cc7a80d62a25a9341"
+    ),
 }
 
 
 @pytest.mark.parametrize("argv", list(GOLDEN_SHA256), ids=" ".join)
 def test_report_bytes_pinned(capsys, argv):
     code, out, _ = run(capsys, *argv)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[argv]
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN_SHA256[argv]
 
 
 @pytest.mark.parametrize("command", ["check-p", "check-f"])
@@ -216,6 +226,42 @@ def test_out_file(tmp_path, capsys):
     code, out, _ = run(capsys, "check-p", "--M", "5", "--out", str(path))
     assert code == 0 and out == ""
     assert json.loads(path.read_text())["total_scanned"] == 10
+
+
+# a small run of every subcommand, and one with findings
+EVERY_COMMAND = [
+    ("curve-info",),
+    ("enumerate", "--M", "3"),
+    ("check-p", "--M", "5"),
+    ("check-f", "--M", "5"),
+    ("slope-bound", "--depth", "8"),
+    ("density", "--M", "10"),
+    ("weierstrass-verify", "--samples", "5"),
+    ("cantor", "--check", "10"),
+    ("zagier-probe", "--H", "2"),
+    ("check-p", "--curve=-2,1", "--gen", "0,1", "--M", "2"),
+]
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=" ".join)
+def test_out_file_holds_stdout(tmp_path, capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    path = tmp_path / "report"
+    assert run(capsys, *argv, "--out", str(path)) == (code, "", "")
+    assert path.read_bytes() == out.encode()
+
+
+NEGATIVE_SIZES = {
+    ("zagier-probe", "--H", "-2"): "height bound must be >= 0, got -2",
+    ("enumerate", "--search-height", "-1"): "height bound must be >= 0, got -1",
+    ("cantor", "--check", "-1"): "triangle must be >= 0, got -1",
+    ("slope-bound", "--depth", "-1"): "depth must be >= 0, got -1",
+}
+
+
+@pytest.mark.parametrize("argv", list(NEGATIVE_SIZES), ids=" ".join)
+def test_negative_size_exits_one(capsys, argv):
+    assert run(capsys, *argv) == (1, "", f"error: {NEGATIVE_SIZES[argv]}\n")
 
 
 def test_memory_ceiling_env(capsys, monkeypatch):
