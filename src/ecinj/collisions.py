@@ -12,6 +12,14 @@ items whose key occurs more than once become candidates.  A run of equal
 keys is a full two-prime fingerprint match, and each run is split by exact
 re-evaluation before it may enter the report.
 
+The orbit scans reduce the orbit mod each prime in numpy lanes (`_walk`):
+each step adds G to every lane in one vectorised chord addition, and only
+an entry that doubles or meets the identity goes through the scalar group
+law.  An orbit point that reduces to the identity either is the identity
+exactly, which G's torsion order decides without building m*G, or makes
+the prime unsuitable.  Labels follow from the walk's positions
+(`_OrbitLabels`).
+
 The f-scan and `zagier_probe`, whose items are the rationals of bounded
 height, share its pair form (`_pair_classes`).  `collision_scan` holds
 exact canonical values in one dict, so equality is exact with no hashing
@@ -28,19 +36,22 @@ value before emission.
 
 import bisect
 import logging
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, cached_property
+from math import isqrt
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .curve import Point, add, scalar_mul
+from .curve import INFINITY, Point, add, scalar_mul
 from .injection import UniquenessFunction, validate_params
 from .modular import CurveModP, UnsuitablePrimeError, fraction_mod, primes_descending
 from .pairing import zagier_eval
-from .points import OrbitSpec, rationals_by_height
+from .points import OrbitSpec, rationals_by_height, torsion_order
 from .rational import format_rational
-from .reporting import canonical_json, envelope
+from .reporting import envelope
 
 logger = logging.getLogger(__name__)
 
@@ -98,9 +109,6 @@ class CollisionReport:
             ],
             "duplicate_points": [list(g) for g in self.duplicate_points],
         })
-
-    def to_json(self) -> str:
-        return canonical_json(self.to_json_dict())
 
 
 def collision_scan(stream: Iterable[tuple], *, config: Optional[dict] = None) -> CollisionReport:
@@ -244,60 +252,189 @@ def _confirm_buckets(buckets, exact):
 
 def _crt(p, q, rp, rq):
     """The uint64 keys mod p*q of residues `rp` mod p and `rq` mod q, for two
-    distinct primes below 2**31, as rp + p*t (Garner's form).  Every
-    intermediate value stays below 2**62."""
+    distinct primes below 2**31, as rp + p*t (Garner's form), computed in
+    place in the key array.  Every intermediate value stays below 2**62."""
     rp = np.asarray(rp, dtype=np.uint64)
-    t = (np.asarray(rq, dtype=np.uint64) + (q - rp % q)) % q
-    t = t * pow(p, -1, q) % q
-    return rp + p * t
+    keys = rp % q
+    np.subtract(q, keys, out=keys)
+    keys += np.asarray(rq, dtype=np.uint64)
+    keys %= q
+    keys *= pow(p, -1, q)
+    keys %= q
+    keys *= p
+    keys += rp
+    return keys
+
+
+def _inverse(a, p):
+    """a**(p-2) mod p for each entry of the uint64 array `a` (Fermat): the
+    inverse of every nonzero entry.  A zero entry maps to 0, so callers must
+    route those entries through the scalar group law."""
+    result = np.ones_like(a)
+    base = a.copy()
+    e = p - 2
+    while e:
+        if e & 1:
+            result = result * base % p
+        e >>= 1
+        if e:
+            base = base * base % p
+    return result
+
+
+def _add_point(p, x, y, t):
+    """(x3, y3, odd): the chord sums (x, y) + t mod p over uint64 arrays of
+    affine points and one affine point t.  `odd` indexes the entries whose
+    x equals t's (a doubling, or a sum that cancels); their x3 and y3 are
+    meaningless and must come from `CurveModP.add`.  Every product of two
+    residues below 2**31 fits a uint64, and no difference goes negative."""
+    tx, ty = t
+    den = (tx + p - x) % p
+    lam = (ty + p - y) * _inverse(den, p) % p
+    x3 = (lam * lam + (2 * p - tx) - x) % p
+    y3 = (lam * (x + p - x3) + (p - y)) % p
+    return x3, y3, np.flatnonzero(den == 0)
+
+
+def _walk(cm: CurveModP, g: tuple, bound: int):
+    """(x, y, identities): m*G mod p for m = 1..bound as uint64 arrays, and
+    the sorted m at which m*G reduces to the identity (x and y are
+    meaningless there).
+
+    Lanes of `step` multiples walk side by side: lane j starts at
+    (j*step + 1)*G, built by scalar additions, and each step adds G to every
+    lane at once.  A lane at the identity, at G or at -G takes that step
+    through `CurveModP.add`.  A step costs some fifty numpy calls, about a
+    hundred scalar additions' worth, so there are about 4*sqrt(bound) lanes
+    rather than sqrt(bound).
+    """
+    step = max(1, isqrt(bound) // 4)
+    lanes = -(-bound // step)
+    stride = g
+    for _ in range(step - 1):
+        stride = cm.add(stride, g)
+    starts = [g] if lanes else []
+    while len(starts) < lanes:
+        starts.append(cm.add(starts[-1], stride))
+    # a lane at the identity holds G's coordinates, which makes it odd
+    at_identity = {j for j, pt in enumerate(starts) if pt is None}
+    x = np.array([(pt or g)[0] for pt in starts], dtype=np.uint64)
+    y = np.array([(pt or g)[1] for pt in starts], dtype=np.uint64)
+    xs = np.empty((lanes, step), dtype=np.uint64)
+    ys = np.empty((lanes, step), dtype=np.uint64)
+    identities = []
+    for i in range(step):
+        xs[:, i] = x
+        ys[:, i] = y
+        identities.extend(j * step + i + 1 for j in at_identity)
+        if i + 1 == step:
+            break
+        x_next, y_next, odd = _add_point(cm.p, x, y, g)
+        reached = set()
+        for j in odd.tolist():
+            pt = cm.add(None if j in at_identity else (int(x[j]), int(y[j])), g)
+            if pt is None:
+                reached.add(j)
+                pt = g
+            x_next[j], y_next[j] = pt
+        x, y, at_identity = x_next, y_next, reached
+    identities = sorted(m for m in identities if m <= bound)
+    return xs.reshape(-1)[:bound], ys.reshape(-1)[:bound], identities
+
+
+@dataclass(frozen=True)
+class _OrbitLabels(Sequence):
+    """The orbit() labels of the walk's kept positions, by index arithmetic.
+
+    Position ((m - 1)*2 + s)*width + k, with width = max(torsion, 1), holds
+    m*G + T_k for s = 0 and -m*G + T_k for s = 1.  Its label is m or -m,
+    paired with k when the spec has `torsion` points.  `skipped` lists the
+    positions of exact identities in increasing order; they carry no label.
+    """
+
+    bound: int
+    torsion: int
+    skipped: tuple = ()
+
+    def __len__(self):
+        return 2 * self.bound * max(self.torsion, 1) - len(self.skipped)
+
+    def __getitem__(self, i):
+        if not 0 <= i < len(self):
+            raise IndexError(i)
+        pos = i + bisect.bisect_right(self._kept_below, i)
+        m, k = divmod(pos, max(self.torsion, 1))
+        m, s = divmod(m, 2)
+        label = -(m + 1) if s else m + 1
+        return (label, k) if self.torsion else label
+
+    @cached_property
+    def _kept_below(self):
+        # kept positions below each skipped one, a non-decreasing list
+        return [pos - j for j, pos in enumerate(self.skipped)]
 
 
 class _OrbitResidues:
-    """Orbit labels and P residues alpha*x + beta*y mod one prime, mirroring
-    orbit() emission; `ar` and `br` are alpha and beta mod p.
+    """Orbit labels (an `_OrbitLabels`) and the P residues
+    alpha*x + beta*y mod one prime (a uint64 array), mirroring orbit()
+    emission; `ar` and `br` are alpha and beta mod p.
 
     Raises UnsuitablePrimeError when any emitted point reduces to the
     identity mod p (i.e. p divides its coordinate denominators), when the
-    curve has bad reduction, or when an inverted denominator vanishes.
-    `is_exact_infinity(m)` distinguishes a true identity m*G (skipped by
-    orbit as translate base, emitted as bare T) from an unsuitable prime.
+    curve has bad reduction, or when an inverted denominator vanishes; the
+    first such point in emission order names the error.  `is_identity(m, t)`
+    tells an exact identity m*G + t (skipped, as orbit skips it) from an
+    unsuitable prime.
     """
 
-    def __init__(self, spec: OrbitSpec, p: int, ar: int, br: int, is_exact_infinity):
+    def __init__(self, spec: OrbitSpec, p: int, ar: int, br: int, is_identity):
         cm = CurveModP(spec.generator.curve, p)
         g = cm.reduce_point(spec.generator)
         if g is None:
             raise UnsuitablePrimeError(f"generator reduces to the identity mod {p}")
-        translates = []
-        for t in spec.torsion:
-            if t.is_infinity:
-                translates.append(None)
-            else:
-                r = cm.reduce_point(t)
+        translates = spec.torsion or (INFINITY,)
+        reduced = [cm.reduce_point(t) for t in translates]
+        if any(r is None and not t.is_infinity for r, t in zip(reduced, translates)):
+            raise UnsuitablePrimeError(f"torsion point reduces to the identity mod {p}")
+        width = len(translates)
+        x, y, identities = _walk(cm, g, spec.bound)
+        residues = np.empty((spec.bound, 2, width), dtype=np.uint64)
+        # (2 * position, position, exact m, exact translate, error) of every
+        # point that reduces to the identity; m*G itself sorts first
+        zeros = [
+            (4 * (m - 1) * width, None, m, INFINITY, f"{m}*G reduces to the identity mod {p}")
+            for m in identities
+        ]
+        base_is_identity = {m - 1 for m in identities}
+        base_at_identity = np.array(sorted(base_is_identity), dtype=np.int64)
+        for s, sign, ys in ((0, 1, y), (1, -1, (p - y) % p)):
+            for k, (t, r) in enumerate(zip(translates, reduced)):
                 if r is None:
-                    raise UnsuitablePrimeError(f"torsion point reduces to the identity mod {p}")
-                translates.append(r)
-        if not spec.torsion:
-            translates = [None]
-        self.labels, self.residues = [], []
-        mg = g
-        for m in range(1, spec.bound + 1):
-            if m > 1:
-                mg = cm.add(mg, g)
-            if mg is None and not is_exact_infinity(m):
-                raise UnsuitablePrimeError(f"{m}*G reduces to the identity mod {p}")
-            for sign, base in ((m, mg), (-m, cm.negate(mg))):
-                for k, t in enumerate(translates):
-                    pt = cm.add(base, t)
+                    px, py, odd = x, ys, base_at_identity
+                else:
+                    px, py, odd = _add_point(p, x, ys, r)
+                    odd = np.union1d(odd, base_at_identity)
+                for i in odd.tolist():
+                    pos = (i * 2 + s) * width + k
+                    base = None if i in base_is_identity else (int(x[i]), int(ys[i]))
+                    pt = cm.add(base, r)
                     if pt is None:
-                        # exact point is the identity (orbit skips it) or p is unsuitable
-                        if _exact_orbit_point(spec, sign, k).is_infinity:
-                            continue
-                        raise UnsuitablePrimeError(
-                            f"orbit point at label {(sign, k)} reduces to the identity mod {p}"
-                        )
-                    self.labels.append(sign if not spec.torsion else (sign, k))
-                    self.residues.append((ar * pt[0] + br * pt[1]) % p)
+                        label = (sign * (i + 1), k)
+                        zeros.append((
+                            2 * pos + 1, pos, label[0], t,
+                            f"orbit point at label {label} reduces to the identity mod {p}",
+                        ))
+                    else:
+                        px[i], py[i] = pt
+                residues[:, s, k] = (ar * px + br * py) % p
+        skipped = []
+        for _, pos, m, t, error in sorted(zeros, key=lambda z: z[0]):
+            if not is_identity(m, t):
+                raise UnsuitablePrimeError(error)
+            if pos is not None:
+                skipped.append(pos)
+        self.labels = _OrbitLabels(spec.bound, len(spec.torsion), tuple(skipped))
+        self.residues = np.delete(residues.reshape(-1), skipped)
 
 
 def _exact_orbit_point(spec: OrbitSpec, m: int, k: int = 0) -> Point:
@@ -331,18 +468,21 @@ def _orbit_p_keys(u: UniquenessFunction, spec: OrbitSpec, *also_invert):
     keys mod N = p*q of their P values, at the primes `_choose_primes`
     picks.  The denominators of `also_invert` must not vanish mod p either.
     """
-    infinity_cache = {}
+    @cache
+    def order():
+        return torsion_order(spec.generator)
 
-    def is_exact_infinity(m):
-        if m not in infinity_cache:
-            infinity_cache[m] = scalar_mul(m, spec.generator).is_infinity
-        return infinity_cache[m]
+    def is_identity(m, t):
+        # only a torsion G of order d sums to the identity, and m*G = (m mod d)*G;
+        # the order is found the first time a point reduces to the identity
+        d = order()
+        return d is not None and add(scalar_mul(m % d, spec.generator), t).is_infinity
 
     def build(p):
         ar, br = fraction_mod(u.params.alpha, p), fraction_mod(u.params.beta, p)
         for c in also_invert:
             fraction_mod(c, p)
-        return _OrbitResidues(spec, p, ar, br, is_exact_infinity)
+        return _OrbitResidues(spec, p, ar, br, is_identity)
 
     (p, first), (q, second) = _choose_primes(build)
     if second.labels != first.labels:

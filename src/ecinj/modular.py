@@ -1,12 +1,12 @@
-"""Reduction of curves, points, and rational values modulo large primes.
+"""Reduction of curves, points, and rational values modulo a prime.
 
-This is the fingerprinting layer for the big collision scans: equal exact
-rationals always reduce to equal residues at every suitable prime, so a
-scan over residue vectors can never miss a true collision; candidate
-buckets are then confirmed exactly.  A prime is unsuitable for a given
-scan when some denominator it must invert vanishes mod p, when the curve
-reduces to a singular model, or when an orbit point reduces to the
-identity; unsuitable primes are skipped deterministically.
+This is the fingerprinting layer for the collision scans, which reduce at
+primes below 2**31: equal exact rationals always reduce to equal residues
+at every suitable prime, so a scan over residue keys can never miss a true
+collision; candidate buckets are then confirmed exactly.  A prime is
+unsuitable for a given scan when some denominator it must invert vanishes
+mod p, when the curve reduces to a singular model, or when an orbit point
+reduces to the identity; unsuitable primes are skipped deterministically.
 """
 
 from fractions import Fraction
@@ -45,7 +45,7 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-def primes_descending(start: int = 2**61) -> Iterator[int]:
+def primes_descending(start: int) -> Iterator[int]:
     """Primes below `start` in decreasing order (deterministic)."""
     n = start - 1 if start % 2 == 0 else start - 2
     while n > 2:

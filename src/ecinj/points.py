@@ -10,12 +10,12 @@ Streams are deterministic: the same spec always yields the same sequence.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 from .curve import Curve, INFINITY, Point, add, negate, on_curve, scalar_mul
 from .rational import exact_sqrt, height
 
-# Checkable cap on caller-supplied torsion orders (not derived here).
+# The largest order of a rational torsion point (Mazur's bound).
 MAX_TORSION_ORDER = 12
 
 
@@ -44,7 +44,7 @@ class OrbitSpec:
                     continue
                 if not on_curve(g.curve, t):
                     raise ValueError(f"torsion point {t} is not on the curve")
-                if _order_exceeds(t, MAX_TORSION_ORDER):
+                if torsion_order(t) is None:
                     raise ValueError(
                         f"claimed torsion point {t} has order > {MAX_TORSION_ORDER}"
                     )
@@ -57,13 +57,18 @@ class OrbitSpec:
         }
 
 
-def _order_exceeds(p: Point, cap: int) -> bool:
+def torsion_order(p: Point) -> Optional[int]:
+    """The order of p if p is a torsion point, else None (infinite order).
+
+    A rational torsion point has order at most MAX_TORSION_ORDER (Mazur),
+    so that many exact additions decide it.
+    """
     q = p
-    for _ in range(cap):
+    for d in range(1, MAX_TORSION_ORDER + 1):
         if q.is_infinity:
-            return False
+            return d
         q = add(q, p)
-    return not q.is_infinity
+    return None
 
 
 def orbit(spec: OrbitSpec) -> Iterator[tuple]:

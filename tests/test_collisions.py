@@ -14,6 +14,7 @@ from ecinj.curve import Curve, INFINITY
 from ecinj.injection import InjectionParams, UniquenessFunction
 from ecinj.points import OrbitSpec, rationals_by_height
 from ecinj.rational import parse_rational
+from ecinj.reporting import canonical_json
 from exact_oracle import exact_f_scan, exact_p_scan
 
 # (P-scan, f-scan) of the tests' exact oracle and of the package, whose one
@@ -74,7 +75,7 @@ def test_class_past_the_digit_limit_is_reported():
     huge = Fraction(3**10_000, 2**9_000 + 1)
     rep = collision_scan(keyed([huge, 1, huge], "abc"))
     assert rep.exit_code == 2
-    [cls] = json.loads(rep.to_json())["classes"]
+    [cls] = json.loads(canonical_json(rep.to_json_dict()))["classes"]
     assert cls["keys"] == ["a", "c"]
     assert parse_rational(cls["value"]) == huge
 

@@ -8,6 +8,7 @@ through the per-partition log records, and every report's findings against
 the tests' exact oracle (`exact_oracle`), which carries no scan config.
 """
 
+import dataclasses
 import logging
 import random
 import re
@@ -31,8 +32,10 @@ from ecinj.collisions import (
 from ecinj.curve import INFINITY, Curve
 from ecinj.injection import InjectionParams, UniquenessFunction
 from ecinj.pairing import zagier_eval
-from ecinj.points import OrbitSpec, rationals_by_height
+from ecinj.modular import fraction_mod
+from ecinj.points import MAX_TORSION_ORDER, OrbitSpec, orbit, rationals_by_height
 from ecinj.rational import format_rational
+from ecinj.reporting import canonical_json
 from exact_oracle import exact_f_scan, exact_p_scan
 
 PARTITION = re.compile(
@@ -156,6 +159,96 @@ def test_planted_findings_confirmed_at_small_primes(small_primes, caplog, curve,
     assert findings(residue) == findings(exact_p_scan(u, spec))
 
 
+def chosen_primes(caplog):
+    [chosen] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("primes chosen")]
+    return tuple(map(int, chosen.removeprefix("primes chosen: ").split(", ")))
+
+
+# (curve a, b), generator, torsion points besides the identity, bounds, and
+# whether some entry of a vectorised addition must take the scalar branch at
+# the chosen primes.
+# Lanes hold one point up to bound 63, then 2 to 4 points, the last lane
+# partial at bounds 65, 151 and 301.
+LANE_WALKS = {
+    "default curve": ((1, -1), (1, 1), (), (0, 1, 2, 3, 15, 16, 17, 64, 65, 151), False),
+    "2-torsion translate": ((-6, 40), (2, 6), ((-4, 0),), (3, 17, 65), False),
+    # every lane doubles G and runs into 4G = O
+    "order-4 generator": ((-2, 1), (0, 1), (), (3, 17, 300, 301), True),
+    # translating by the order-3 point 2G doubles at m = 2 mod 6 and
+    # cancels at m = 4 mod 6
+    "order-3 translate": ((0, 1), (2, 3), ((0, 1),), (17, 65), True),
+}
+
+
+@pytest.mark.parametrize("start", [2**10, 2**31])
+@pytest.mark.parametrize("walk", list(LANE_WALKS))
+def test_lane_walk_matches_exact_orbit(small_primes, caplog, monkeypatch, params_default, walk, start):
+    curve, gen, torsion, bounds, odd_expected = LANE_WALKS[walk]
+    small_primes(start)
+    c = Curve(*curve)
+    u = UniquenessFunction(params_default, c)
+    odd = []
+    add_point = collisions._add_point
+
+    def counted(*args):
+        result = add_point(*args)
+        odd.append(len(result[2]))
+        return result
+
+    monkeypatch.setattr(collisions, "_add_point", counted)
+    for bound in bounds:
+        caplog.clear()
+        spec = OrbitSpec(c.point(*gen), bound, (INFINITY, *(c.point(*t) for t in torsion)) if torsion else ())
+        labels, _, keys = collisions._orbit_p_keys(u, spec)
+        p, q = chosen_primes(caplog)
+        exact = list(orbit(spec))
+        assert list(labels) == [label for label, _ in exact]
+        assert len(keys) == len(exact)
+        for key, (_, pt) in zip(keys.tolist(), exact):
+            value = u.eval_P(pt)
+            assert (key % p, key % q) == (fraction_mod(value, p), fraction_mod(value, q))
+    if odd_expected:
+        assert sum(odd) > 0
+
+
+def test_identity_skip_builds_no_large_multiple(small_primes, caplog, monkeypatch, ufunc248, gen248):
+    # 543*G reduces to the identity mod 1033303.  G has infinite order, so
+    # the prime is unsuitable, and its torsion order says so without 543*G.
+    small_primes(1033304)
+    scalar_mul = collisions.scalar_mul
+
+    def small_only(m, pt):
+        if abs(m) > MAX_TORSION_ORDER:
+            raise AssertionError(f"exact {m}*G built to choose primes")
+        return scalar_mul(m, pt)
+
+    monkeypatch.setattr(collisions, "scalar_mul", small_only)
+    labels, _, keys = collisions._orbit_p_keys(ufunc248, OrbitSpec(gen248, 550))
+    messages = [r.getMessage() for r in caplog.records]
+    assert "prime 1033303 skipped: 543*G reduces to the identity mod 1033303" in messages
+    assert chosen_primes(caplog) < (1033303, 1033303)
+    assert len(labels) == len(keys) == 1100
+
+
+def test_torsion_identities_come_from_small_multiples(small_primes, caplog, monkeypatch, params_default):
+    # the order-4 generator is the identity exactly at every fourth multiple
+    small_primes(2**10)
+    c = Curve(-2, 1)
+    spec = OrbitSpec(c.point(0, 1), 500)
+    multiples = []
+    scalar_mul = collisions.scalar_mul
+
+    def recorded(m, pt):
+        multiples.append(m)
+        return scalar_mul(m, pt)
+
+    monkeypatch.setattr(collisions, "scalar_mul", recorded)
+    labels, _, keys = collisions._orbit_p_keys(UniquenessFunction(params_default, c), spec)
+    assert multiples and max(map(abs, multiples)) < 4
+    assert len(labels) == len(keys) == 2 * 375
+    assert [label for label in labels if label % 4 == 0] == []
+
+
 def test_misaligned_labels_raise(monkeypatch, ufunc248, gen248):
     made = []
 
@@ -164,7 +257,8 @@ def test_misaligned_labels_raise(monkeypatch, ufunc248, gen248):
             super().__init__(*args)
             made.append(self)
             if len(made) == 2:
-                self.labels.reverse()
+                # the second prime drops the first label as if it were an identity
+                self.labels = dataclasses.replace(self.labels, skipped=(0,))
 
     monkeypatch.setattr(collisions, "_OrbitResidues", Misaligned)
     with pytest.raises(RuntimeError, match="orbit labels mod"):
@@ -182,7 +276,7 @@ def test_memory_ceiling_is_exact_per_partition(caplog, ufunc248, gen248):
     assert len(counted) >= 3
     assert sum(part["keys"] for part in counted) == pairs
     unlimited = f_injectivity_scan(ufunc248, spec, memory_ceiling=None)
-    assert partitioned.to_json() == unlimited.to_json()
+    assert canonical_json(partitioned.to_json_dict()) == canonical_json(unlimited.to_json_dict())
 
     caplog.clear()
     needed = BLOCK_BYTES_PER_KEY * row + PARTITION_BYTES_PER_KEY  # one row's block and one key
@@ -215,7 +309,8 @@ def test_zagier_runs_confirmed_against_exact_index(small_primes, caplog):
         for r1 in rats
         for r2 in rats
     )
-    assert report.to_json() == collision_scan(stream, config=report.config).to_json()
+    exact = collision_scan(stream, config=report.config)
+    assert canonical_json(report.to_json_dict()) == canonical_json(exact.to_json_dict())
 
 
 def test_zagier_memory_ceiling_is_exact_per_partition(caplog):
@@ -226,7 +321,8 @@ def test_zagier_memory_ceiling_is_exact_per_partition(caplog):
     counted = partitions(caplog, "zagier")
     assert len(counted) >= 2
     assert sum(part["keys"] for part in counted) == pairs
-    assert partitioned.to_json() == zagier_probe(10, memory_ceiling=None).to_json()
+    unlimited = zagier_probe(10, memory_ceiling=None)
+    assert canonical_json(partitioned.to_json_dict()) == canonical_json(unlimited.to_json_dict())
 
     caplog.clear()
     needed = BLOCK_BYTES_PER_KEY * row + PARTITION_BYTES_PER_KEY  # one row's block and one key
