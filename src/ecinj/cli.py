@@ -95,7 +95,10 @@ def _memory_ceiling(args) -> int:
     ceiling = args.memory_ceiling
     if ceiling is None:
         env = os.environ.get("ECINJ_MEMORY_CEILING")
-        ceiling = int(env) if env else DEFAULT_MEMORY_CEILING
+        try:
+            ceiling = int(env) if env else DEFAULT_MEMORY_CEILING
+        except ValueError:
+            raise CliError(f"ECINJ_MEMORY_CEILING must be a whole number of bytes, got {env!r}") from None
     if ceiling < 0:
         raise CliError(f"memory ceiling must be >= 0, got {ceiling}")
     return ceiling

@@ -27,11 +27,13 @@ false positives; it is the reference index the tests compare the
 fingerprint engine against.
 
 The memory ceiling is the only resource setting.  The fingerprint engine
-splits the key space into as few key-range partitions as fit the ceiling,
-processed one after another, and counts every partition's size exactly
-before it is allocated.  Reports are deterministic and do not depend on the
-ceiling: keys inside a class are in stream order, and classes are sorted by
-value before emission.
+generates keys in blocks of at most a quarter of the ceiling and keeps the
+rest for one key-range partition at a time.  When the keys do not all fit
+one partition, a single counting pass over 2**12 equal ranges of the key
+space plans the partitions, so every partition's size is exact before it is
+allocated; a range that alone overflows the room is refused.  Reports are
+deterministic and do not depend on the ceiling: keys inside a class are in
+stream order, and classes are sorted by value before emission.
 """
 
 import bisect
@@ -67,9 +69,9 @@ PARTITION_BYTES_PER_KEY = 9
 BLOCK_BYTES_PER_KEY = 25
 # Keys generated per block, at most.
 BLOCK_KEYS = 2**20
-# Partition counts the fingerprint engine tries, each sized exactly, from the
-# first one at which an even split of the keys would fit the ceiling.
-PARTITION_TRIES = 16
+# The partition plan counts the keys in 2**KEY_RANGE_BITS equal ranges of
+# the key space: 32 KB of int64 counters.
+KEY_RANGE_BITS = 12
 
 # Bounds up to which a scan's config reads "method": "exact"; see _scan_config.
 EXACT_P_SCAN_BOUND = 300
@@ -136,31 +138,21 @@ def _fingerprint_classes(scan, n, row, modulus, key_block, resolve, *, memory_ce
 
     `key_block(lo, hi)` returns the uint64 keys mod `modulus` of items
     lo..hi-1 in stream order; lo is a multiple of `row` and hi is one too, or
-    n.  Partition s of `count` holds the keys in [s*w, (s+1)*w) with
-    w = ceil(modulus / count), built block by block and then sorted in
-    place.  The items whose key occurs more than once in it are found again
-    by a second block pass, grouped by key into buckets of indices in stream
-    order, and handed to `resolve(buckets) -> classes`.  Equal values have
-    equal keys, so a class never spans two partitions.
-
-    `count` is the fewest partitions whose largest one fits `memory_ceiling`
-    together with one block; sizes are counted exactly before anything is
-    allocated.
+    n.  Partition s holds the keys in [edges[s], edges[s + 1]) of
+    `_partition_plan`, built block by block and then sorted in place.  The
+    items whose key occurs more than once in it are found again by a second
+    block pass, grouped by key into buckets of indices in stream order, and
+    handed to `resolve(buckets) -> classes`.  Equal values have equal keys,
+    so a class never spans two partitions.
     """
-    count, sizes = _partition_sizes(scan, n, row, modulus, key_block, memory_ceiling)
-    width = -(-modulus // count)
-
-    def in_partition(keys, s):
-        mask = keys >= s * width
-        mask &= keys < (s + 1) * width
-        return mask
-
+    step, edges, sizes = _partition_plan(scan, n, row, modulus, key_block, memory_ceiling)
     classes = []
     for s, size in enumerate(sizes):
         part = np.empty(size, dtype=np.uint64)
         filled = 0
-        for _, keys in _blocks(n, row, count, key_block):
-            mask = in_partition(keys, s)
+        for _, keys in _blocks(n, step, key_block):
+            mask = keys >= edges[s]
+            mask &= keys < edges[s + 1]
             taken = int(np.count_nonzero(mask))
             np.compress(mask, keys, out=part[filled:filled + taken])
             filled += taken
@@ -169,7 +161,7 @@ def _fingerprint_classes(scan, n, row, modulus, key_block, resolve, *, memory_ce
         del part
         buckets = [[] for _ in range(len(runs))]
         if len(runs):
-            for lo, keys in _blocks(n, row, count, key_block):
+            for lo, keys in _blocks(n, step, key_block):
                 at = np.searchsorted(runs, keys)
                 np.minimum(at, len(runs) - 1, out=at)
                 hits = np.flatnonzero(runs[at] == keys)
@@ -178,64 +170,62 @@ def _fingerprint_classes(scan, n, row, modulus, key_block, resolve, *, memory_ce
         found = resolve(buckets)
         logger.info(
             "%s partition %d/%d: %d keys, %d candidate runs, %d confirmed classes",
-            scan, s + 1, count, size, len(runs), len(found),
+            scan, s + 1, len(sizes), size, len(runs), len(found),
         )
         classes.extend(found)
     classes.sort(key=lambda c: c.value)
     return classes
 
 
-def _block_step(n, row, count):
-    """Keys per block when n keys are split into `count` partitions: whole
-    rows, at most BLOCK_KEYS or an even partition share, at least one row."""
-    return row * max(1, min(BLOCK_KEYS, -(-n // count)) // row)
-
-
-def _blocks(n, row, count, key_block):
-    step = _block_step(n, row, count)
+def _blocks(n, step, key_block):
     for lo in range(0, n, step):
         yield lo, key_block(lo, min(lo + step, n))
 
 
-def _partition_sizes(scan, n, row, modulus, key_block, memory_ceiling):
-    """(count, exact size of each partition) for the fewest key-range
-    partitions whose largest one fits `memory_ceiling` with one block.
+def _partition_plan(scan, n, row, modulus, key_block, memory_ceiling):
+    """(step, edges, sizes): blocks of `step` keys, and partition s holding
+    the sizes[s] keys in [edges[s], edges[s + 1]), each of which fits
+    `memory_ceiling` together with one block.
 
-    One partition is taken without a pass when all n keys fit.  Otherwise
-    the counts from the first whose even share would fit are tried in turn,
-    PARTITION_TRIES at most, each counted exactly by one pass over the blocks.
+    The block comes first: whole rows, at most BLOCK_KEYS and a quarter of
+    the ceiling, at least one row.  The rest of the ceiling is the room for
+    one partition.  When all n keys fit it, there is one partition and no
+    pass.  Otherwise one pass counts the keys in 2**KEY_RANGE_BITS equal
+    ranges of [0, modulus), and each partition is the longest run of
+    consecutive ranges that fits the room.
     """
-
-    def needed(count, largest):
-        block = BLOCK_BYTES_PER_KEY * min(_block_step(n, row, count), n)
-        return PARTITION_BYTES_PER_KEY * largest + block
-
-    if n == 0 or memory_ceiling is None or needed(1, n) <= memory_ceiling:
-        return 1, [n]
-    least = needed(n, 1)  # one key and one block of one row
-    if least > memory_ceiling:
+    most = BLOCK_KEYS
+    if memory_ceiling is not None:
+        most = min(most, memory_ceiling // (4 * BLOCK_BYTES_PER_KEY))
+    step = row * max(1, min(most, n) // row)
+    if n == 0 or memory_ceiling is None:
+        return step, [0, modulus], [n]
+    room = (memory_ceiling - BLOCK_BYTES_PER_KEY * step) // PARTITION_BYTES_PER_KEY
+    if room < 1:
         raise MemoryCeilingError(
-            f"{scan}: needs at least {least} bytes for one block of {min(row, n)} keys, "
-            f"over the memory ceiling of {memory_ceiling}"
+            f"{scan}: needs at least {BLOCK_BYTES_PER_KEY * step + PARTITION_BYTES_PER_KEY} "
+            f"bytes for one block of {step} keys, over the memory ceiling of {memory_ceiling}"
         )
-    # the largest partition holds at least an even share of the keys
-    first = 1 + bisect.bisect_left(
-        range(1, n + 1), True, key=lambda c: needed(c, -(-n // c)) <= memory_ceiling
-    )
-    tried = []
-    for count in range(first, first + PARTITION_TRIES):
-        width = -(-modulus // count)
-        sizes = np.zeros(count, dtype=np.int64)
-        for _, keys in _blocks(n, row, count, key_block):
-            sizes += np.bincount(keys // width, minlength=count)
-        tried.append((needed(count, int(sizes.max())), count))
-        if tried[-1][0] <= memory_ceiling:
-            return count, sizes.tolist()
-    least, count = min(tried)
-    raise MemoryCeilingError(
-        f"{scan}: no count of {first} to {first + PARTITION_TRIES - 1} key-range partitions "
-        f"fits the memory ceiling of {memory_ceiling}; {count} partitions need {least} bytes"
-    )
+    if n <= room:
+        return step, [0, modulus], [n]
+    shift = max(0, (modulus - 1).bit_length() - KEY_RANGE_BITS)
+    counts = np.zeros(((modulus - 1) >> shift) + 1, dtype=np.int64)
+    for _, keys in _blocks(n, step, key_block):
+        counts += np.bincount(keys >> shift, minlength=len(counts))
+    crowded = int(np.argmax(counts))
+    if counts[crowded] > room:
+        lo, hi = crowded << shift, min((crowded + 1) << shift, modulus)
+        raise MemoryCeilingError(
+            f"{scan}: the key range [{lo}, {hi}) holds {counts[crowded]} keys, over the "
+            f"{room} of one partition under the memory ceiling of {memory_ceiling}"
+        )
+    edges, sizes = [0], [0]
+    for r, count in enumerate(counts.tolist()):
+        if sizes[-1] + count > room:
+            edges.append(r << shift)
+            sizes.append(0)
+        sizes[-1] += count
+    return step, edges + [modulus], sizes
 
 
 def _confirm_buckets(buckets, exact):

@@ -71,15 +71,6 @@ class Point:
     def is_infinity(self) -> bool:
         return self.curve is None
 
-    def __add__(self, other: "Point") -> "Point":
-        return add(self, other)
-
-    def __neg__(self) -> "Point":
-        return negate(self)
-
-    def __rmul__(self, m: int) -> "Point":
-        return scalar_mul(m, self)
-
     def __str__(self):
         if self.is_infinity:
             return "O"
@@ -87,10 +78,6 @@ class Point:
 
 
 INFINITY = Point(None, None, None)
-
-
-def make_curve(a, b) -> Curve:
-    return Curve(Fraction(a), Fraction(b))
 
 
 def on_curve(c: Curve, p: Point) -> bool:

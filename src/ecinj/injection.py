@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .curve import Curve, Point, on_curve
-from .rational import format_rational, parse_rational
+from .rational import format_rational
 
 
 class PoleError(ValueError):
@@ -37,15 +37,6 @@ class InjectionParams:
             "gamma": format_rational(self.gamma),
             "n": self.n,
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "InjectionParams":
-        return cls(
-            parse_rational(d["alpha"]),
-            parse_rational(d["beta"]),
-            parse_rational(d["gamma"]),
-            int(d["n"]),
-        )
 
 
 def validate_params(p: InjectionParams) -> list[str]:

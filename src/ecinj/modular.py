@@ -103,8 +103,3 @@ class CurveModP:
         x3 = (lam * lam - x1 - x2) % p
         y3 = (lam * (x1 - x3) - y1) % p
         return (x3, y3)
-
-    def negate(self, P: Optional[tuple]) -> Optional[tuple]:
-        if P is None:
-            return None
-        return (P[0], (-P[1]) % self.p)

@@ -30,11 +30,6 @@ def cantor_unpair(z: int) -> tuple:
     return (w - y, y)
 
 
-def swapped_pair(x: int, y: int) -> int:
-    """The mirrored bijection: cantor_pair with arguments swapped."""
-    return cantor_pair(y, x)
-
-
 def zagier_eval(r1: Fraction, r2: Fraction, n: int, gamma: Fraction) -> Fraction:
     """Exact r1^n + gamma * r2^n for odd n >= 1."""
     if n < 1 or n % 2 == 0:

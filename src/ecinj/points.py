@@ -10,7 +10,7 @@ Streams are deterministic: the same spec always yields the same sequence.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .curve import Curve, INFINITY, Point, add, negate, on_curve, scalar_mul
 from .rational import exact_sqrt, height
@@ -136,15 +136,3 @@ def x_candidates(h_bound: int, squares_only: bool = False) -> Iterator[Fraction]
 def rationals_by_height(h_bound: int) -> Iterator[Fraction]:
     """All canonical rationals of height <= h_bound (same order as x_candidates)."""
     return x_candidates(h_bound, squares_only=False)
-
-
-def pair_stream(stream: Iterable[tuple]) -> Iterator[tuple]:
-    """All ordered pairs from a point stream, row-major in stream order.
-
-    The stream is materialized once (it is the row *and* column index) but
-    the |s|^2 pairs themselves are generated lazily and never stored.
-    """
-    items = list(stream)
-    for left in items:
-        for right in items:
-            yield (left, right)

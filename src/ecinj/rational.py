@@ -19,19 +19,6 @@ from decimal import Decimal
 from fractions import Fraction
 from math import isqrt
 
-Rational = Fraction
-
-
-def normalize(num: int, den: int) -> Fraction:
-    """Canonical fraction num/den; sign carried by the numerator.
-
-    Raises ZeroDivisionError for den == 0.
-    """
-    if den == 0:
-        raise ZeroDivisionError("division by zero")
-    return Fraction(num, den)
-
-
 def exact_sqrt(r: Fraction):
     """Exact square root of r, or None when r is not a rational square.
 
@@ -68,9 +55,10 @@ _INTEGER_RATIO = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*")
 
 def parse_rational(text: str) -> Fraction:
     """Inverse of format_rational; accepts "num" or "num/den" of any size,
-    and any other text `Fraction` accepts (such as "0.5")."""
+    and any other text `Fraction` accepts (such as "0.5").  Raises
+    ZeroDivisionError for a zero denominator."""
     match = _INTEGER_RATIO.fullmatch(text)
     if match is None:
         return Fraction(text)
     num, den = match.groups()
-    return normalize(int(Decimal(num)), int(Decimal(den)) if den else 1)
+    return Fraction(int(Decimal(num)), int(Decimal(den)) if den else 1)

@@ -12,9 +12,9 @@ around 0 (Gauss-reduced basis, nearest-representative search), halved into
 (geometric convergence, stated truncation error < 1e-10 at 64 terms), and
 doubled back through the addition theorem.  A naive truncated lattice sum
 cannot reach that accuracy (its tail only decays like 1/R by the integral
-test), so the direct sum is kept only as a coarse cross-check
-(`wp_direct_sum`).  Period construction is method-free per its contract and
-self-validates through the differential equation residual.
+test), so the tests keep the direct sum only as a coarse cross-check.
+Period construction is method-free per its contract and self-validates
+through the differential equation residual.
 """
 
 import cmath
@@ -185,26 +185,9 @@ def _self_validate(lat: Lattice, tol: float = 1e-9):
         raise RuntimeError("lattice failed self-validation at the real half-period")
 
 
-def wp_eval(lat: Lattice, z: complex):
-    return lat.wp(z)
-
-
 def ode_residual(lat: Lattice, z: complex) -> float:
     p, pp = lat.wp(z)
     return abs((pp / 2) ** 2 - (p**3 + float(lat.A) * p + float(lat.B)))
-
-
-def wp_direct_sum(lat: Lattice, z: complex, box: int = 60):
-    """wp by symmetric truncated lattice summation (coarse cross-check only;
-    the tail decays like 1/box^2 even with +-omega pairing)."""
-    z = complex(lat.reduce(z))
-    ms, ns = np.meshgrid(np.arange(-box, box + 1), np.arange(-box, box + 1))
-    w = ms.ravel() * lat._u1 + ns.ravel() * lat._u2
-    w = w[np.abs(w) > 1e-12]
-    terms = 1.0 / (z - w) ** 2 - 1.0 / w**2
-    p = 1.0 / z**2 + terms.sum()
-    pp = -2.0 * ((1.0 / (z - w) ** 3).sum() + 1.0 / z**3)
-    return complex(p), complex(pp)
 
 
 def _theta_wp(lat: Lattice, z: complex, derivative: bool = False) -> complex:
@@ -330,15 +313,3 @@ def elliptic_log(lat: Lattice, pt: Point) -> float:
         integrand = lambda t: 1 / mp.sqrt(t**3 + A * t + B)
         z0 = float(mp.quad(integrand, [x, x + 1, x + 10, mp.inf]) / 2)
     return z0 if pt.y <= 0 else lat.omega1 - z0
-
-
-def reduce_tau(tau: complex) -> complex:
-    """SL2(Z)-reduce tau into the standard fundamental domain (diagnostics)."""
-    tau = complex(tau)
-    for _ in range(200):
-        tau = complex(tau.real - round(tau.real), tau.imag)
-        if abs(tau) < 1 - 1e-15:
-            tau = -1 / tau
-        else:
-            return tau
-    return tau

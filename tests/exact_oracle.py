@@ -7,7 +7,16 @@ are slow: only small orbits belong here.
 """
 
 from ecinj.collisions import P_NOT_INJECTIVE, collision_scan
-from ecinj.points import orbit, pair_stream
+from ecinj.points import orbit
+
+
+def pair_stream(stream):
+    """All ordered pairs from a stream, row-major in stream order; the
+    stream is materialized once, the pairs are generated lazily."""
+    items = list(stream)
+    for left in items:
+        for right in items:
+            yield (left, right)
 
 
 def exact_p_scan(u, spec):

@@ -22,7 +22,6 @@ from ecinj.weierstrass import (
     ode_residual,
     periods,
     strong_uniqueness_probe,
-    wp_eval,
 )
 
 
@@ -107,8 +106,9 @@ def test_criterion_4_f_injectivity_desk_scan(ufunc248, gen248, caplog):
         spec = OrbitSpec(gen248, 200)
         report = f_injectivity_scan(ufunc248, spec)
         caplog.clear()
-        # 1.5 MB fits a quarter of the 160000 keys with its block, not a third
-        partitioned = f_injectivity_scan(ufunc248, spec, memory_ceiling=1_500_000)
+        # 400 kB takes blocks of ten rows (4,000 keys, 100 kB) and leaves room
+        # for 33,333 keys, under a quarter of the 160000
+        partitioned = f_injectivity_scan(ufunc248, spec, memory_ceiling=400_000)
         assert sum(r.getMessage().startswith("f-scan partition") for r in caplog.records) >= 4
         assert canonical_json(report.to_json_dict()) == canonical_json(partitioned.to_json_dict())
         assert report.total_scanned == 160_000
@@ -145,10 +145,10 @@ def test_criterion_6_analytic_suite(curve248):
                 0.05 + 0.4 * rng.random()
             ) * complex(lat.omega2)
             assert ode_residual(lat, z) < 1e-9
-            p, pp = wp_eval(lat, z)
-            p1, pp1 = wp_eval(lat, z + lat.omega1)
+            p, pp = lat.wp(z)
+            p1, pp1 = lat.wp(z + lat.omega1)
             assert abs(p1 - p) < 1e-9 and abs(pp1 - pp) < 1e-9
-            pm, ppm = wp_eval(lat, -z)
+            pm, ppm = lat.wp(-z)
             assert abs(pm - p) < 1e-9 and abs(ppm + pp) < 1e-9
         fit = laurent_fit(lat, 2)
         exact = laurent_coefficients(curve248.a, curve248.b, 2)

@@ -33,8 +33,9 @@ def test_check_p_determinism_across_shards(capsys, caplog):
 
     code1, out1, _ = run(capsys, "check-p", "--M", "400")
     assert partitions() == 1
-    # one partition of 800 keys would need 27,200 bytes
-    code2, out2, _ = run(capsys, "check-p", "--M", "400", "--memory-ceiling", "20000")
+    # 8,000 bytes take blocks of 80 keys (2,000 bytes) and leave room for
+    # 666 of the 800 keys
+    code2, out2, _ = run(capsys, "check-p", "--M", "400", "--memory-ceiling", "8000")
     assert partitions() >= 2
     assert code1 == code2 == 0
     assert out1 == out2
@@ -45,6 +46,10 @@ GOLDEN_SHA256 = {
     ("check-p", "--M", "50"): (0, "8ee4c61110345bb9b3599eeeb23318a234434e1db9c71c8452f01d87de963a2d"),
     ("check-p", "--M", "400"): (0, "e28bbdf6173d83f4b449a675e33071506a3e046a04640045a191be725279d6c4"),
     ("check-f", "--M", "10"): (0, "db809208c354bd2da9cfac0fb9ef9ea0b5b098fb38234bd03d5d65dc5163275e"),
+    # blocks of one row (20 keys, 500 bytes) leave room for 22 of the 400 keys
+    ("check-f", "--M", "10", "--memory-ceiling", "700"): (
+        0, "db809208c354bd2da9cfac0fb9ef9ea0b5b098fb38234bd03d5d65dc5163275e"
+    ),
     ("check-f", "--M", "80"): (0, "0d3fe964d2ce2d4ac705b6d30c205ce4af4b1f7bcdd27a3ff57526b505d2a793"),
     ("zagier-probe",): (0, "af142a4642e989ffb53d04eaf253b6007ff861f789ee40d0deacf760b9dd2808"),
     # the config's "method" label switches after M = 300 (check-p) and M = 60 (check-f)
@@ -269,6 +274,10 @@ def test_memory_ceiling_env(capsys, monkeypatch):
     code, _, err = run(capsys, "zagier-probe", "--H", "3")
     assert code == 1
     assert "ceiling" in err
+    monkeypatch.setenv("ECINJ_MEMORY_CEILING", "4GB")
+    assert run(capsys, "zagier-probe", "--H", "3") == (
+        1, "", "error: ECINJ_MEMORY_CEILING must be a whole number of bytes, got '4GB'\n"
+    )
 
 
 EMPTY_SCANS = [("check-p", "--M", "0"), ("check-f", "--M", "0"), ("zagier-probe", "--H", "0")]

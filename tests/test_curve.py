@@ -11,7 +11,6 @@ from ecinj.curve import (
     Point,
     SingularCurveError,
     add,
-    make_curve,
     negate,
     on_curve,
     scalar_mul,
@@ -19,14 +18,14 @@ from ecinj.curve import (
 
 
 def test_make_curve_248c1():
-    c = make_curve(1, -1)
+    c = Curve(1, -1)
     assert c.disc_term == 31
 
 
 @pytest.mark.parametrize("a,b", [(0, 0), (-3, 2)])
 def test_make_curve_singular(a, b):
     with pytest.raises(SingularCurveError):
-        make_curve(a, b)
+        Curve(a, b)
 
 
 def test_on_curve(curve248, gen248):
@@ -58,13 +57,13 @@ def test_scalar_mul_examples(curve248, gen248):
 
 
 def test_curve_mismatch(gen248):
-    other = make_curve(0, 1)
+    other = Curve(0, 1)
     with pytest.raises(CurveMismatchError):
         add(gen248, other.point(0, 1))
 
 
 def test_two_torsion_doubling():
-    c = make_curve(-1, 0)  # y^2 = x^3 - x
+    c = Curve(-1, 0)  # y^2 = x^3 - x
     t = c.point(0, 0)
     assert add(t, t) == INFINITY
 

@@ -15,6 +15,7 @@ import re
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from ecinj import collisions
 from ecinj.collisions import (
     BLOCK_BYTES_PER_KEY,
+    DEFAULT_MEMORY_CEILING,
     PARTITION_BYTES_PER_KEY,
     MemoryCeilingError,
     collision_scan,
@@ -269,9 +271,9 @@ def test_memory_ceiling_is_exact_per_partition(caplog, ufunc248, gen248):
     caplog.set_level(logging.INFO, logger="ecinj.collisions")
     spec = OrbitSpec(gen248, 20)
     pairs, row = 40 * 40, 40
-    # one partition would hold every key, with a block covering every pair:
-    # PARTITION_BYTES_PER_KEY + BLOCK_BYTES_PER_KEY = 34 bytes a pair
-    partitioned = f_injectivity_scan(ufunc248, spec, memory_ceiling=12 * pairs)
+    # 6,000 bytes take blocks of one row (1,000 bytes) and leave room for 555
+    # keys, about a third of the pairs
+    partitioned = f_injectivity_scan(ufunc248, spec, memory_ceiling=6000)
     counted = partitions(caplog, "f")
     assert len(counted) >= 3
     assert sum(part["keys"] for part in counted) == pairs
@@ -317,7 +319,9 @@ def test_zagier_memory_ceiling_is_exact_per_partition(caplog):
     caplog.set_level(logging.INFO, logger="ecinj.collisions")
     row = len(list(rationals_by_height(10)))  # 127 rationals
     pairs = row * row
-    partitioned = zagier_probe(10, memory_ceiling=12 * pairs)
+    # 100,000 bytes take blocks of seven rows (889 keys, 22,225 bytes) and
+    # leave room for 8,641 keys, about half the pairs
+    partitioned = zagier_probe(10, memory_ceiling=100_000)
     counted = partitions(caplog, "zagier")
     assert len(counted) >= 2
     assert sum(part["keys"] for part in counted) == pairs
@@ -343,16 +347,52 @@ def test_empty_scan_is_one_empty_partition(caplog, ufunc248, gen248, scan):
     assert partitions(caplog, scan) == [{"keys": 0, "runs": 0, "classes": 0}]
 
 
-def test_no_partition_count_fits_crowded_keys(small_primes, caplog, ufunc248, gen248):
-    small_primes(2**7)  # 144 f keys take at most 127 values
+def test_crowded_key_range_is_refused(small_primes, caplog, ufunc248, gen248):
+    small_primes(2**7)  # 144 f keys mod 127 * 113 = 14,351, counted in ranges of 4
     spec = OrbitSpec(gen248, 6)
-    # an even share of two keys fits from 72 partitions on, but a partition
-    # spans two key values at every count tried, and some pair of values
-    # holds three keys or more
+    # blocks of one row (12 keys) leave room for two keys, and one range of
+    # four key values holds more
     ceiling = 2 * PARTITION_BYTES_PER_KEY + BLOCK_BYTES_PER_KEY * 12
-    with pytest.raises(MemoryCeilingError, match="no count of 72 to 87 key-range partitions"):
+    message = (
+        "f-scan: the key range [4292, 4296) holds 4 keys, over the 2 of one partition "
+        "under the memory ceiling of 318"
+    )
+    with pytest.raises(MemoryCeilingError, match=re.escape(message)):
         f_injectivity_scan(ufunc248, spec, memory_ceiling=ceiling)
     assert partitions(caplog, "f") == []
+
+
+def test_partition_plan_is_exact_and_greedy():
+    modulus, n, row = 2**20 + 7, 5000, 50
+    rng = np.random.default_rng(1)
+    keys = rng.integers(0, modulus, n, dtype=np.uint64)
+    keys[:300] = rng.integers(0, 2**8, 300)  # small values crowd the first range
+    calls = []
+
+    def key_block(lo, hi):
+        calls.append((lo, hi))
+        return keys[lo:hi]
+
+    ceiling = 20_000
+    step, edges, sizes = collisions._partition_plan("f-scan", n, row, modulus, key_block, ceiling)
+    assert calls == [(lo, min(lo + step, n)) for lo in range(0, n, step)]  # one counting pass
+    assert step % row == 0 and BLOCK_BYTES_PER_KEY * step <= ceiling // 4
+    room = (ceiling - BLOCK_BYTES_PER_KEY * step) // PARTITION_BYTES_PER_KEY
+    assert len(sizes) >= 3 and sum(sizes) == n and max(sizes) <= room
+    assert edges[0] == 0 and edges[-1] == modulus and edges == sorted(set(edges))
+
+    def held(lo, hi):
+        return int(np.count_nonzero((keys >= lo) & (keys < hi)))
+
+    assert sizes == [held(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    width = 2 ** ((modulus - 1).bit_length() - collisions.KEY_RANGE_BITS)
+    for size, edge in zip(sizes, edges[1:-1]):
+        # no partition but the last could take the next range too
+        assert size + held(edge, edge + width) > room
+
+    calls.clear()
+    plan = collisions._partition_plan("f-scan", n, row, modulus, key_block, DEFAULT_MEMORY_CEILING)
+    assert plan == (n, [0, modulus], [n]) and calls == []
 
 
 small_int = st.integers(-4, 4)

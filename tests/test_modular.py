@@ -71,7 +71,7 @@ def test_group_law_cases_mod_p(curve248, gen248):
     p = 10**9 + 7
     cm = CurveModP(curve248, p)
     g = cm.reduce_point(gen248)
-    assert cm.add(g, cm.negate(g)) is None
+    assert cm.add(g, (g[0], -g[1] % cm.p)) is None
     assert cm.add(None, g) == g
     doubled = cm.add(g, g)
     assert doubled == cm.reduce_point(scalar_mul(2, gen248))

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from ecinj.pairing import cantor_pair, cantor_unpair, swapped_pair, zagier_eval
+from ecinj.pairing import cantor_pair, cantor_unpair, zagier_eval
 
 
 def test_pair_examples():
@@ -15,16 +15,6 @@ def test_unpair_examples():
     assert cantor_unpair(0) == (0, 0)
     assert cantor_unpair(8) == (1, 2)
     assert cantor_pair(*cantor_unpair(5150)) == 5150
-
-
-def test_swapped_pair():
-    assert swapped_pair(1, 2) == 7
-    assert swapped_pair(0, 0) == 0
-    assert swapped_pair(3, 0) == cantor_pair(0, 3) == 9
-
-
-def test_the_two_bijections_differ():
-    assert cantor_pair(1, 2) != swapped_pair(1, 2)
 
 
 def test_round_trip_exhaustive_triangle():

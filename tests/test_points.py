@@ -2,15 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from ecinj.curve import Curve, INFINITY, on_curve, scalar_mul
+from ecinj.curve import Curve, INFINITY, add, on_curve, scalar_mul
 from ecinj.points import (
     OrbitSpec,
     brute_force_points,
     orbit,
-    pair_stream,
     rationals_by_height,
 )
 from ecinj.rational import height
+from exact_oracle import pair_stream
 
 
 def test_orbit_m2(curve248, gen248):
@@ -63,7 +63,7 @@ def test_orbit_with_torsion_translates():
     labels = [label for label, _ in pts]
     assert labels[:4] == [(1, 0), (1, 1), (-1, 0), (-1, 1)]
     lookup = dict(pts)
-    assert lookup[(1, 1)] == g + t
+    assert lookup[(1, 1)] == add(g, t)
     assert len({(p.x, p.y) for _, p in pts}) == 8
 
 

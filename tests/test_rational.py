@@ -4,36 +4,38 @@ from fractions import Fraction
 
 import pytest
 
-from ecinj.rational import exact_sqrt, format_rational, height, normalize, parse_rational
+from ecinj.rational import exact_sqrt, format_rational, height, parse_rational
+
+# parse_rational normalizes: the sign goes to the numerator and gcd(num, den) = 1
 
 
 def test_normalize_sign_and_gcd():
-    assert normalize(2, -4) == Fraction(-1, 2)
-    assert normalize(2, -4).denominator == 2
+    assert parse_rational("-2/4") == Fraction(-1, 2)
+    assert parse_rational("-2/4").denominator == 2
 
 
 def test_normalize_zero_canonical():
-    r = normalize(0, 7)
+    r = parse_rational("0/7")
     assert (r.numerator, r.denominator) == (0, 1)
 
 
 def test_normalize_already_coprime():
     # gcd check by Euclid's algorithm, independent of Fraction internals
     assert math.gcd(1369, 46656) == 1
-    r = normalize(1369, 46656)
+    r = parse_rational("1369/46656")
     assert (r.numerator, r.denominator) == (1369, 46656)
 
 
 def test_normalize_zero_denominator():
     with pytest.raises(ZeroDivisionError):
-        normalize(1, 0)
+        parse_rational("1/0")
 
 
 def test_normalize_idempotent_on_random_canonical():
     rng = random.Random(7)
     for _ in range(500):
         r = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
-        assert normalize(r.numerator, r.denominator) == r
+        assert parse_rational(f"{r.numerator}/{r.denominator}") == r
 
 
 def test_exact_sqrt_examples():
