@@ -1,8 +1,8 @@
-"""Command-line interface: every subcommand returns a deterministic JSON (or
-CSV) report embedding the artifact version and a digest of its semantic
-configuration, and `main` alone renders it and writes it to stdout or
-`--out`.  Exit codes: 0 clean, 2 findings (collision classes or duplicate
-points), 1 errors.
+"""Command-line interface: every subcommand returns a deterministic report,
+JSON embedding the artifact version and a digest of its semantic
+configuration, or the rows of a CSV, and `main` alone renders it and writes
+it to stdout or `--out`.  Exit codes: 0 clean, 2 findings (collision
+classes or duplicate points), 1 errors.
 
 Defaults reproduce the headline configuration: curve (1, -1), generator
 (1, 1), parameters (1, 1, 2, 9).
@@ -125,9 +125,31 @@ def cmd_enumerate(args) -> tuple:
     else:
         stream = orbit(_orbit_spec(args, curve))
     lines = ["label,x,y"]
+    last = None  # (point, x text, y text) of the previous row
     for label, pt in stream:
-        lines.append(f"{label},{format_rational(pt.x)},{format_rational(pt.y)}")
-    return "\n".join(lines), 0
+        # a point and its negation come in adjacent rows: render x once, and
+        # y once up to its sign
+        if last is not None and pt.x == last[0].x and pt.y == -last[0].y:
+            x_text, y_text = last[1], _negated(last[2])
+        else:
+            x_text, y_text = format_rational(pt.x), format_rational(pt.y)
+        last = (pt, x_text, y_text)
+        lines.append(f"{_csv_field(str(label))},{x_text},{y_text}")
+    return lines, 0
+
+
+def _negated(text: str) -> str:
+    if text == "0":
+        return text
+    return text[1:] if text.startswith("-") else "-" + text
+
+
+def _csv_field(text: str) -> str:
+    """`text` as one CSV field: quoted (RFC 4180) when it holds a comma or a
+    quote, as a torsion label (m, k) does."""
+    if "," in text or '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def cmd_scan(args) -> tuple:
@@ -316,17 +338,25 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _write_rows(fh, rows):
+    for row in rows:
+        fh.write(row)
+        fh.write("\n")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         report, code = args.func(args)
-        text = report if isinstance(report, str) else canonical_json(report)
+        # a CSV report is its list of rows, written one by one so that the
+        # whole text is never held beside them
+        rows = report if isinstance(report, list) else [canonical_json(report)]
         if args.out:
             with open(args.out, "w") as fh:
-                fh.write(text + "\n")
+                _write_rows(fh, rows)
         else:
-            print(text)
+            _write_rows(sys.stdout, rows)
         return code
     except (CliError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

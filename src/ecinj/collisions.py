@@ -148,14 +148,7 @@ def _fingerprint_classes(scan, n, row, modulus, key_block, resolve, *, memory_ce
     step, edges, sizes = _partition_plan(scan, n, row, modulus, key_block, memory_ceiling)
     classes = []
     for s, size in enumerate(sizes):
-        part = np.empty(size, dtype=np.uint64)
-        filled = 0
-        for _, keys in _blocks(n, step, key_block):
-            mask = keys >= edges[s]
-            mask &= keys < edges[s + 1]
-            taken = int(np.count_nonzero(mask))
-            np.compress(mask, keys, out=part[filled:filled + taken])
-            filled += taken
+        part = _partition_keys(n, step, key_block, edges[s], edges[s + 1], size, modulus)
         part.sort()
         runs = np.unique(part[1:][part[1:] == part[:-1]])
         del part
@@ -175,6 +168,26 @@ def _fingerprint_classes(scan, n, row, modulus, key_block, resolve, *, memory_ce
         classes.extend(found)
     classes.sort(key=lambda c: c.value)
     return classes
+
+
+def _partition_keys(n, step, key_block, low, high, size, modulus):
+    """The `size` keys of the n items that lie in [low, high), in stream
+    order.  Every key lies in [0, modulus), so the one partition of an
+    unsplit scan copies each block whole, with no range mask."""
+    part = np.empty(size, dtype=np.uint64)
+    filled = 0
+    whole = low == 0 and high == modulus
+    for _, keys in _blocks(n, step, key_block):
+        if whole:
+            taken = len(keys)
+            part[filled:filled + taken] = keys
+        else:
+            mask = keys >= low
+            mask &= keys < high
+            taken = int(np.count_nonzero(mask))
+            np.compress(mask, keys, out=part[filled:filled + taken])
+        filled += taken
+    return part
 
 
 def _blocks(n, step, key_block):

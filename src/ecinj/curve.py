@@ -4,9 +4,13 @@ Points are affine (x, y) with exact rational coordinates, plus a single
 point at infinity `INFINITY` acting as the group identity.  All values are
 immutable; operations are pure and safe to share between workers.
 
-Representation choice: affine + infinity rather than projective.  Exact
-rational arithmetic makes the inversions cheap, and canonical affine
-coordinates are what the collision scans hash.
+Representation choice: affine + infinity rather than projective, because
+canonical affine coordinates are what reports print and scans compare.
+The inversions are not cheap: every `Fraction` operation reduces by a gcd,
+which dominates `add` once coordinates have thousands of digits.  So the
+orbit m*G is not built here one addition at a time but from the elliptic
+divisibility sequence (`eds`); `add` serves small multiples, torsion
+translates and single labels.
 """
 
 from dataclasses import dataclass

@@ -12,7 +12,8 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterator, Optional
 
-from .curve import Curve, INFINITY, Point, add, negate, on_curve, scalar_mul
+from .curve import Curve, INFINITY, Point, add, negate, on_curve
+from .eds import multiples
 from .rational import exact_sqrt, height
 
 # The largest order of a rational torsion point (Mazur's bound).
@@ -63,10 +64,18 @@ def torsion_order(p: Point) -> Optional[int]:
     A rational torsion point has order at most MAX_TORSION_ORDER (Mazur),
     so that many exact additions decide it.
     """
+    cycle = _torsion_cycle(p)
+    return None if cycle is None else len(cycle)
+
+
+def _torsion_cycle(p: Point) -> Optional[list]:
+    """[O, p, 2p, ..., (d-1)p] when p has order d, else None."""
+    cycle = [INFINITY]
     q = p
-    for d in range(1, MAX_TORSION_ORDER + 1):
+    while len(cycle) <= MAX_TORSION_ORDER:
         if q.is_infinity:
-            return d
+            return cycle
+        cycle.append(q)
         q = add(q, p)
     return None
 
@@ -74,17 +83,12 @@ def torsion_order(p: Point) -> Optional[int]:
 def orbit(spec: OrbitSpec) -> Iterator[tuple]:
     """Yield (label, m*G + T) for 0 < |m| <= bound in order m = 1, -1, 2, -2, ...
 
-    Multiples are built incrementally (each (m+1)*G is one addition), which
-    matches scalar_mul by construction and is far cheaper than recomputing.
-    The identity is never emitted.
+    -m*G is the negation of m*G, and each torsion translate is one
+    addition.  The identity is never emitted.
     """
     spec.validate()
-    g = spec.generator
     translates = spec.torsion if spec.torsion else (INFINITY,)
-    mg = g
-    for m in range(1, spec.bound + 1):
-        if m > 1:
-            mg = add(mg, g)
+    for m, mg in enumerate(_multiples(spec.generator, spec.bound), 1):
         neg_mg = negate(mg)
         for sign, base in ((m, mg), (-m, neg_mg)):
             for k, t in enumerate(translates):
@@ -93,6 +97,17 @@ def orbit(spec: OrbitSpec) -> Iterator[tuple]:
                     continue
                 label = sign if not spec.torsion else (sign, k)
                 yield (label, pt)
+
+
+def _multiples(g: Point, bound: int) -> Iterator[Point]:
+    """m*G for m = 1..bound: (m mod d)*G when G has order d, else from the
+    elliptic divisibility sequence."""
+    cycle = _torsion_cycle(g)
+    if cycle is None:
+        yield from multiples(g, bound)
+    else:
+        for m in range(1, bound + 1):
+            yield cycle[m % len(cycle)]
 
 
 def brute_force_points(c: Curve, h_bound: int, prune=None) -> Iterator[tuple]:

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import logging
 
@@ -64,6 +66,19 @@ GOLDEN_SHA256 = {
     # every other subcommand at its defaults
     ("curve-info",): (0, "3ce6983a676db0248680be766beb938a9420fc5f83cf9b616a8bbf32ca8131a1"),
     ("enumerate",): (0, "8259bc502ed95ba271fe1d567baa69f6288168e3a5b37bab7e785d9274030abf"),
+    # the orbit at its largest desk size, a model that needs scaling to an
+    # integral one, and a generator of order 4
+    ("enumerate", "--M", "250"): (0, "3a1747a069e89a2bca92a0a888a7a527e0fa1b95ce5fb98eebcd3d113d2cb487"),
+    ("enumerate", "--curve", "1/16,-1/64", "--gen", "1/4,1/8", "--M", "60"): (
+        0, "f614bbbe64915f46e90ecd26b6d063c1abbcbdccfe4c718c967704c3605b9c28"
+    ),
+    ("enumerate", "--curve=-2,1", "--gen", "0,1", "--M", "9"): (
+        0, "c1107d0e8cdff19410e3d50fd5743137a20caa160daecf7a38892e74bba110a3"
+    ),
+    # torsion labels (m, k) are quoted CSV fields
+    ("enumerate", "--curve=-25,0", "--gen=-4,6", "--torsion", "O;0,0", "--M", "2"): (
+        0, "d084ea652d35046d3f686d033281d5687b573265eb0111b9d4d619b0c82bd6fc"
+    ),
     ("slope-bound",): (0, "929c32bd00bcf343d0f8fd4b1393d3d5663d8a75e0905042efdc4b1b1f17e06a"),
     ("density",): (0, "75ed5bfd5b46a7c2ea9c0819d15a00ee0f721ab8c3ee73608272f72915ee4212"),
     ("weierstrass-verify",): (0, "d59f8b05b36cd856acfc16f0761014352b1432a928c755b2dbf9363ccf67368b"),
@@ -155,6 +170,19 @@ def test_enumerate_coordinates_past_the_digit_limit(capsys):
     assert label == "-170" and len(y) > 4300
     x, y = parse_rational(x), parse_rational(y)
     assert y * y == x**3 + x - 1
+
+
+def test_enumerate_torsion_labels_are_one_csv_field(capsys):
+    code, out, _ = run(
+        capsys, "enumerate", "--curve=-25,0", "--gen=-4,6", "--torsion", "O;0,0", "--M", "2"
+    )
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [len(row) for row in rows] == [3] * 9
+    assert [row[0] for row in rows] == [
+        "label", "(1, 0)", "(1, 1)", "(-1, 0)", "(-1, 1)", "(2, 0)", "(2, 1)", "(-2, 0)", "(-2, 1)"
+    ]
+    assert rows[2] == ["(1, 1)", "25/4", "75/8"]
 
 
 def test_enumerate_search_csv(capsys):

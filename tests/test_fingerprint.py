@@ -395,6 +395,22 @@ def test_partition_plan_is_exact_and_greedy():
     assert plan == (n, [0, modulus], [n]) and calls == []
 
 
+def test_one_partition_fill_equals_the_split_fills():
+    modulus, n, row = 2**20 + 7, 5000, 50
+    keys = np.random.default_rng(2).integers(0, modulus, n, dtype=np.uint64)
+    key_block = lambda lo, hi: keys[lo:hi]
+    step, edges, sizes = collisions._partition_plan("f-scan", n, row, modulus, key_block, 20_000)
+    assert len(sizes) >= 3
+    split = [
+        collisions._partition_keys(n, step, key_block, lo, hi, size, modulus)
+        for lo, hi, size in zip(edges, edges[1:], sizes)
+    ]
+    whole = collisions._partition_keys(n, step, key_block, 0, modulus, n, modulus)
+    assert np.array_equal(whole, keys)
+    whole.sort()
+    assert np.array_equal(np.sort(np.concatenate(split)), whole)
+
+
 small_int = st.integers(-4, 4)
 nonzero = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 2)])
 

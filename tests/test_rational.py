@@ -1,10 +1,11 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from ecinj.rational import exact_sqrt, format_rational, height, parse_rational
+from ecinj.rational import coprime_fraction, exact_sqrt, format_rational, height, parse_rational
 
 # parse_rational normalizes: the sign goes to the numerator and gcd(num, den) = 1
 
@@ -88,3 +89,37 @@ def test_text_round_trip():
     assert format_rational(Fraction(7)) == "7"
     for text in ("-1/2", "7", "25/36", "0"):
         assert format_rational(parse_rational(text)) == text
+
+
+def test_coprime_fraction_is_the_canonical_fraction():
+    for num, den in ((-7, 12), (0, 1), (5, 1), (2**300 + 1, 3**200)):
+        r = coprime_fraction(num, den)
+        assert type(r) is Fraction
+        assert (r.numerator, r.denominator) == (num, den)
+        assert r == Fraction(num, den) and hash(r) == hash(Fraction(num, den))
+        assert r + 1 == Fraction(num + den, den)
+
+
+def _digits_value(text):
+    """The integer a digit string spells, by halves: independent of the
+    conversion under test, and with no int(str) past 4,000 digits."""
+    if len(text) <= 4000:
+        return int(text)
+    half = len(text) // 2
+    return _digits_value(text[:half]) * 10 ** (len(text) - half) + _digits_value(text[half:])
+
+
+def test_format_rational_matches_decimal_at_every_size():
+    rng = random.Random(12)
+    sizes = [1, 2, 9, 10, 1233, 1234, 1300, 2500, 4300, 4301, 10_000, 26_000, 100_000]
+    for i, digits in enumerate(sizes):
+        n = (-1) ** i * rng.randrange(10 ** (digits - 1), 10**digits)
+        assert format_rational(Fraction(n)) == str(Decimal(n))
+    n, d = -(3**40_000), 2**50_001
+    assert format_rational(Fraction(n, d)) == f"{Decimal(n)}/{Decimal(d)}"
+    # Decimal(n) would take about 20 s at a million digits, so the
+    # digits are read back instead
+    n = -rng.randrange(10**999_999, 10**1_000_000)
+    text = format_rational(Fraction(n))
+    assert text[0] == "-" and text[1] != "0" and len(text) == 1_000_001
+    assert -_digits_value(text[1:]) == n
