@@ -9,6 +9,7 @@ Defaults reproduce the headline configuration: curve (1, -1), generator
 """
 
 import argparse
+import logging
 import os
 import random
 import sys
@@ -269,6 +270,10 @@ def build_parser() -> _Parser:
 
     def common(p, scan=False):
         p.add_argument("--out", default=None, help="write the report to this path instead of stdout")
+        p.add_argument(
+            "-v", dest="verbose", action="store_true",
+            help="log progress (primes chosen and skipped, partitions) to stderr; the report is unchanged",
+        )
         if scan:
             p.add_argument(
                 "--memory-ceiling", type=int, default=None, metavar="BYTES",
@@ -346,8 +351,16 @@ def _write_rows(fh, rows):
 
 def main(argv=None) -> int:
     parser = build_parser()
+    log = logging.getLogger("ecinj")
+    handler, level = None, log.level
     try:
         args = parser.parse_args(argv)
+        if args.verbose:
+            # progress records go to stderr, never into the report
+            handler = logging.StreamHandler(sys.stderr)
+            handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+            log.addHandler(handler)
+            log.setLevel(logging.INFO)
         report, code = args.func(args)
         # a CSV report is its list of rows, written one by one so that the
         # whole text is never held beside them
@@ -361,6 +374,10 @@ def main(argv=None) -> int:
     except (CliError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if handler is not None:
+            log.removeHandler(handler)
+            log.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -34,6 +34,10 @@ space plans the partitions, so every partition's size is exact before it is
 allocated; a range that alone overflows the room is refused.  Reports are
 deterministic and do not depend on the ceiling: keys inside a class are in
 stream order, and classes are sorted by value before emission.
+
+numpy loads on first use: each function that needs it imports it, so
+importing this module (and with it the CLI) costs no numpy start-up in the
+commands that run no scan.
 """
 
 import bisect
@@ -44,8 +48,6 @@ from fractions import Fraction
 from functools import cache, cached_property
 from math import isqrt
 from typing import Iterable, Optional
-
-import numpy as np
 
 from .curve import INFINITY, Point, add, scalar_mul
 from .injection import UniquenessFunction, validate_params
@@ -145,6 +147,8 @@ def _fingerprint_classes(scan, n, row, modulus, key_block, resolve, *, memory_ce
     handed to `resolve(buckets) -> classes`.  Equal values have equal keys,
     so a class never spans two partitions.
     """
+    import numpy as np
+
     step, edges, sizes = _partition_plan(scan, n, row, modulus, key_block, memory_ceiling)
     classes = []
     for s, size in enumerate(sizes):
@@ -174,6 +178,8 @@ def _partition_keys(n, step, key_block, low, high, size, modulus):
     """The `size` keys of the n items that lie in [low, high), in stream
     order.  Every key lies in [0, modulus), so the one partition of an
     unsplit scan copies each block whole, with no range mask."""
+    import numpy as np
+
     part = np.empty(size, dtype=np.uint64)
     filled = 0
     whole = low == 0 and high == modulus
@@ -207,6 +213,8 @@ def _partition_plan(scan, n, row, modulus, key_block, memory_ceiling):
     ranges of [0, modulus), and each partition is the longest run of
     consecutive ranges that fits the room.
     """
+    import numpy as np
+
     most = BLOCK_KEYS
     if memory_ceiling is not None:
         most = min(most, memory_ceiling // (4 * BLOCK_BYTES_PER_KEY))
@@ -257,6 +265,8 @@ def _crt(p, q, rp, rq):
     """The uint64 keys mod p*q of residues `rp` mod p and `rq` mod q, for two
     distinct primes below 2**31, as rp + p*t (Garner's form), computed in
     place in the key array.  Every intermediate value stays below 2**62."""
+    import numpy as np
+
     rp = np.asarray(rp, dtype=np.uint64)
     keys = rp % q
     np.subtract(q, keys, out=keys)
@@ -273,6 +283,8 @@ def _inverse(a, p):
     """a**(p-2) mod p for each entry of the uint64 array `a` (Fermat): the
     inverse of every nonzero entry.  A zero entry maps to 0, so callers must
     route those entries through the scalar group law."""
+    import numpy as np
+
     result = np.ones_like(a)
     base = a.copy()
     e = p - 2
@@ -291,6 +303,8 @@ def _add_point(p, x, y, t):
     x equals t's (a doubling, or a sum that cancels); their x3 and y3 are
     meaningless and must come from `CurveModP.add`.  Every product of two
     residues below 2**31 fits a uint64, and no difference goes negative."""
+    import numpy as np
+
     tx, ty = t
     den = (tx + p - x) % p
     lam = (ty + p - y) * _inverse(den, p) % p
@@ -311,6 +325,8 @@ def _walk(cm: CurveModP, g: tuple, bound: int):
     hundred scalar additions' worth, so there are about 4*sqrt(bound) lanes
     rather than sqrt(bound).
     """
+    import numpy as np
+
     step = max(1, isqrt(bound) // 4)
     lanes = -(-bound // step)
     stride = g
@@ -391,6 +407,8 @@ class _OrbitResidues:
     """
 
     def __init__(self, spec: OrbitSpec, p: int, ar: int, br: int, is_identity):
+        import numpy as np
+
         cm = CurveModP(spec.generator.curve, p)
         g = cm.reduce_point(spec.generator)
         if g is None:
@@ -644,6 +662,8 @@ def _pair_classes(scan, labels, modulus, w, g, exact, memory_ceiling):
     `w` holds the k values and `g` the factor, both mod `modulus`;
     `exact(i, j)` is the pair's exact value.
     """
+    import numpy as np
+
     k = len(labels)
     # The key of pair (i, j) is (left[i] + right[j]) mod N, at flat index
     # i*k + j.  Both terms are below N < 2**62, so their sum cannot overflow

@@ -53,7 +53,7 @@ class Curve:
         """Validated affine point constructor."""
         p = Point(self, Fraction(x), Fraction(y))
         if not on_curve(self, p):
-            raise ValueError(f"({x}, {y}) does not satisfy y^2 = x^3 + {self.a}x + {self.b}")
+            raise ValueError(f"{p} does not satisfy {self}")
         return p
 
     def to_json_dict(self) -> dict:

@@ -15,6 +15,10 @@ cannot reach that accuracy (its tail only decays like 1/R by the integral
 test), so the tests keep the direct sum only as a coarse cross-check.
 Period construction is method-free per its contract and self-validates
 through the differential equation residual.
+
+mpmath (periods, theta functions, elliptic logarithms) and numpy (the
+Laurent fit) load on first use, inside the functions that need them, so
+importing this module costs neither.
 """
 
 import cmath
@@ -22,9 +26,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
-
-import mpmath as mp
-import numpy as np
 
 from .curve import Curve, Point
 
@@ -147,6 +148,8 @@ def periods(curve: Curve, validate: bool = True) -> Lattice:
     the unbounded real branch).  The contract is self-validating: the
     returned lattice must satisfy the wp differential equation to 1e-9.
     """
+    import mpmath as mp
+
     with mp.workdps(_MP_DPS):
         A, B = curve.a, curve.b
         roots = mp.polyroots(
@@ -193,6 +196,8 @@ def ode_residual(lat: Lattice, z: complex) -> float:
 def _theta_wp(lat: Lattice, z: complex, derivative: bool = False) -> complex:
     """wp (or wp') from Jacobi theta functions; independent of the Laurent
     recurrence, used as the sampling oracle for laurent_fit."""
+    import mpmath as mp
+
     with mp.workdps(_MP_DPS):
         q = mp.expjpi(mp.mpc(lat.tau))
         scale = mp.pi / lat.omega1
@@ -218,6 +223,8 @@ def laurent_fit(lat: Lattice, J: int, rho: Optional[float] = None, samples: Opti
     Sampling uses the theta-function evaluator, so the fit is independent of
     the recurrence it is cross-checked against.
     """
+    import numpy as np
+
     if J > 8:
         raise ValueError("J must be <= 8")
     if J < 1:
@@ -305,6 +312,8 @@ def elliptic_log(lat: Lattice, pt: Point) -> float:
     locus when it is connected).  Computed by quadrature of dx/(2y) from x
     to infinity; diagnostics-grade, not certified.
     """
+    import mpmath as mp
+
     if pt.is_infinity:
         return 0.0
     x = float(pt.x)

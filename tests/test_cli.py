@@ -323,3 +323,15 @@ def test_negative_memory_ceiling_exits_one(capsys, monkeypatch, argv):
 def test_weierstrass_verify_needs_a_sample(capsys):
     code, out, err = run(capsys, "weierstrass-verify", "--samples", "0")
     assert (code, out, err) == (1, "", "error: samples must be >= 1\n")
+
+
+def test_verbose_logs_the_primes_and_leaves_stdout_alone(capsys):
+    log = logging.getLogger("ecinj")
+    handlers, level = list(log.handlers), log.level
+    code, out, err = run(capsys, "check-p", "-v")
+    assert (code, out) == run(capsys, "check-p")[:2]
+    assert "ecinj.collisions: primes chosen: 2147483647, 2147483629\n" in err
+    assert "P-scan partition 1/1: 120 keys" in err
+    # the stderr handler is gone again, so in-process runs do not stack them
+    assert (log.handlers, log.level) == (handlers, level)
+    assert run(capsys, "check-p")[2] == ""

@@ -28,6 +28,13 @@ def test_make_curve_singular(a, b):
         Curve(a, b)
 
 
+def test_off_curve_point_error_prints_the_curve():
+    c = Curve(Fraction(-1, 2), 3)
+    with pytest.raises(ValueError) as info:
+        c.point(Fraction(1, 3), -2)
+    assert str(info.value) == "(1/3, -2) does not satisfy y^2 = x^3 + (-1/2)x + (3)"
+
+
 def test_on_curve(curve248, gen248):
     assert on_curve(curve248, gen248)
     assert on_curve(curve248, INFINITY)

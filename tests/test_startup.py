@@ -1,0 +1,71 @@
+"""Start-up contract: numpy and mpmath load only in the commands that use
+them, while `import ecinj.cli` still loads every ecinj module.
+
+Each probe runs in a fresh interpreter, because this one already holds
+numpy.
+"""
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+PROBE = """
+import json, os, sys
+import ecinj.cli
+
+ecinj.cli.build_parser()
+state = {"ecinj": sorted(n for n in sys.modules if n.startswith("ecinj.")), "codes": []}
+for argv in json.loads(sys.argv[1]):
+    state["codes"].append(ecinj.cli.main(argv + ["--out", os.devnull]))
+state["loaded"] = sorted(n for n in ("numpy", "mpmath") if n in sys.modules)
+print(json.dumps(state))
+"""
+
+LIGHT_COMMANDS = [["curve-info"], ["enumerate"], ["slope-bound"], ["cantor"]]
+
+
+def probe(*commands):
+    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", PROBE, json.dumps(list(commands))],
+        env={**os.environ, "PYTHONPATH": pythonpath}, capture_output=True, text=True, check=True,
+    )
+    return json.loads(done.stdout)
+
+
+def tracer_targets():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return {f"ecinj.{mod}" for mod, _ in tracer.TARGETS}
+
+
+def test_importing_the_cli_loads_neither_library():
+    state = probe()
+    assert state["loaded"] == []
+    # the layer tracer looks every one of these up right after `import ecinj.cli`
+    assert tracer_targets() <= set(state["ecinj"])
+
+
+def test_light_commands_load_neither_library():
+    state = probe(*LIGHT_COMMANDS)
+    assert state["codes"] == [0] * len(LIGHT_COMMANDS)
+    assert state["loaded"] == []
+
+
+def test_density_loads_mpmath_only():
+    # its elliptic logarithms and periods come from mpmath
+    state = probe(["density"])
+    assert state["codes"] == [0]
+    assert state["loaded"] == ["mpmath"]
+
+
+def test_check_p_loads_numpy_only():
+    state = probe(["check-p"])
+    assert state["codes"] == [0]
+    assert state["loaded"] == ["numpy"]
