@@ -12,13 +12,14 @@ items whose key occurs more than once become candidates.  A run of equal
 keys is a full two-prime fingerprint match, and each run is split by exact
 re-evaluation before it may enter the report.
 
-The orbit scans reduce the orbit mod each prime in numpy lanes (`_walk`):
-each step adds G to every lane in one vectorised chord addition, and only
-an entry that doubles or meets the identity goes through the scalar group
-law.  An orbit point that reduces to the identity either is the identity
-exactly, which G's torsion order decides without building m*G, or makes
-the prime unsuitable.  Labels follow from the walk's positions
-(`_OrbitLabels`).
+The orbit scans reduce the orbit mod each prime by block doubling
+(`_walk`): each block of multiples of G is the block before it plus a
+stride, in one vectorised chord addition with one batched inverse
+(`_inverse`), and only an entry that doubles or meets the identity goes
+through the scalar group law.  An orbit point that reduces to the
+identity either is the identity exactly, which G's torsion order decides
+without building m*G, or makes the prime unsuitable.  Labels follow from
+the walk's positions (`_OrbitLabels`).
 
 The f-scan and `zagier_probe`, whose items are the rationals of bounded
 height, share its pair form (`_pair_classes`).  `collision_scan` holds
@@ -46,7 +47,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from math import isqrt
 from typing import Iterable, Optional
 
 from .curve import INFINITY, Point, add, scalar_mul
@@ -81,6 +81,8 @@ EXACT_F_SCAN_BOUND = 60
 
 # Both fingerprint primes lie below this, so N = p*q < 2**62.
 PRIME_SEARCH_START = 2**31
+# The orbit walk's blocks double up to this many points (see _walk).
+WALK_BLOCK = 2**14
 
 
 class MemoryCeilingError(RuntimeError):
@@ -280,21 +282,25 @@ def _crt(p, q, rp, rq):
 
 
 def _inverse(a, p):
-    """a**(p-2) mod p for each entry of the uint64 array `a` (Fermat): the
-    inverse of every nonzero entry.  A zero entry maps to 0, so callers must
-    route those entries through the scalar group law."""
+    """The inverse mod p of each entry of the uint64 array `a`, and 0 for a
+    zero entry, so callers must route those entries through the scalar group
+    law.  Montgomery's trick on a product tree: pairs multiply up to one root
+    (each odd level padded with 1), the root is inverted once, and the walk
+    back down costs two products per node, about three products per entry."""
     import numpy as np
 
-    result = np.ones_like(a)
-    base = a.copy()
-    e = p - 2
-    while e:
-        if e & 1:
-            result = result * base % p
-        e >>= 1
-        if e:
-            base = base * base % p
-    return result
+    zero = a == 0
+    level, levels = np.where(zero, 1, a), []
+    while len(level) > 1:
+        if len(level) % 2:
+            level = np.append(level, np.uint64(1))
+        levels.append(level)
+        level = level[0::2] * level[1::2] % p
+    inv = np.array([pow(int(r), -1, p) for r in level], dtype=np.uint64)
+    for v in reversed(levels):
+        # each child's inverse is its parent's times its sibling
+        inv = (inv[: len(v) // 2, None] * v.reshape(-1, 2)[:, ::-1] % p).reshape(-1)
+    return np.where(zero, 0, inv[: len(a)])
 
 
 def _add_point(p, x, y, t):
@@ -315,50 +321,43 @@ def _add_point(p, x, y, t):
 
 def _walk(cm: CurveModP, g: tuple, bound: int):
     """(x, y, identities): m*G mod p for m = 1..bound as uint64 arrays, and
-    the sorted m at which m*G reduces to the identity (x and y are
-    meaningless there).
+    the sorted m at which m*G reduces to the identity (x and y read 0 there).
 
-    Lanes of `step` multiples walk side by side: lane j starts at
-    (j*step + 1)*G, built by scalar additions, and each step adds G to every
-    lane at once.  A lane at the identity, at G or at -G takes that step
-    through `CurveModP.add`.  A step costs some fifty numpy calls, about a
-    hundred scalar additions' worth, so there are about 4*sqrt(bound) lanes
-    rather than sqrt(bound).
+    Block doubling: position i holds (i + 1)*G, and the block
+    [lo, lo + size) is the block [lo - size, lo) plus the stride size*G, in
+    one vectorised chord addition.  `size` doubles from 1 up to WALK_BLOCK,
+    one scalar `cm.add(t, t)` per doubling, and then stays fixed, so each
+    block needs only the block before it.  An entry `_add_point` flags, or
+    whose source is at the identity, goes through `CurveModP.add`; when the
+    stride itself is the identity, the block is a copy of its source.
     """
     import numpy as np
 
-    step = max(1, isqrt(bound) // 4)
-    lanes = -(-bound // step)
-    stride = g
-    for _ in range(step - 1):
-        stride = cm.add(stride, g)
-    starts = [g] if lanes else []
-    while len(starts) < lanes:
-        starts.append(cm.add(starts[-1], stride))
-    # a lane at the identity holds G's coordinates, which makes it odd
-    at_identity = {j for j, pt in enumerate(starts) if pt is None}
-    x = np.array([(pt or g)[0] for pt in starts], dtype=np.uint64)
-    y = np.array([(pt or g)[1] for pt in starts], dtype=np.uint64)
-    xs = np.empty((lanes, step), dtype=np.uint64)
-    ys = np.empty((lanes, step), dtype=np.uint64)
-    identities = []
-    for i in range(step):
-        xs[:, i] = x
-        ys[:, i] = y
-        identities.extend(j * step + i + 1 for j in at_identity)
-        if i + 1 == step:
-            break
-        x_next, y_next, odd = _add_point(cm.p, x, y, g)
-        reached = set()
-        for j in odd.tolist():
-            pt = cm.add(None if j in at_identity else (int(x[j]), int(y[j])), g)
-            if pt is None:
-                reached.add(j)
-                pt = g
-            x_next[j], y_next[j] = pt
-        x, y, at_identity = x_next, y_next, reached
-    identities = sorted(m for m in identities if m <= bound)
-    return xs.reshape(-1)[:bound], ys.reshape(-1)[:bound], identities
+    x = np.zeros(bound, dtype=np.uint64)
+    y = np.zeros(bound, dtype=np.uint64)
+    if bound:
+        x[0], y[0] = g
+    identities = []  # the positions at the identity, in increasing order
+    lo, size, t = 1, 1, g
+    while lo < bound:
+        n = min(size, bound - lo)
+        src = lo - size
+        ids = identities[bisect.bisect_left(identities, src):bisect.bisect_left(identities, src + n)]
+        if t is None:
+            x[lo:lo + n], y[lo:lo + n] = x[src:src + n], y[src:src + n]
+            identities.extend(i + size for i in ids)
+        else:
+            x[lo:lo + n], y[lo:lo + n], odd = _add_point(cm.p, x[src:src + n], y[src:src + n], t)
+            at_identity = {i - src for i in ids}
+            for j in sorted(at_identity.union(odd.tolist())):
+                pt = cm.add(None if j in at_identity else (int(x[src + j]), int(y[src + j])), t)
+                if pt is None:
+                    identities.append(lo + j)
+                x[lo + j], y[lo + j] = pt or (0, 0)
+        lo += n
+        if size < WALK_BLOCK and lo < bound:
+            size, t = 2 * size, cm.add(t, t)
+    return x, y, [i + 1 for i in identities]
 
 
 @dataclass(frozen=True)

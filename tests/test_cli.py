@@ -87,6 +87,12 @@ GOLDEN_SHA256 = {
     ("check-p", "--curve=-2,1", "--gen", "0,1", "--M", "2"): (
         2, "520a61233add9385eab2b15a6cccbe79dcfae5748546d50cc7a80d62a25a9341"
     ),
+    # walks past the doubling blocks into the fixed stride; the 2-torsion
+    # translate adds it to 20,000 points at once
+    ("check-p", "--M", "40000"): (0, "737d0c146cf38179fd8c73e5c38606773e2bcd367393fd4d47483049f76ee584"),
+    ("check-p", "--curve=-25,0", "--gen=-4,6", "--torsion", "O;0,0", "--M", "20000"): (
+        0, "b3d1cb82083458fe57d888090946be5723afb4c038fc92e9a8cb2d6fa001f91b"
+    ),
 }
 
 

@@ -34,7 +34,7 @@ from ecinj.collisions import (
 from ecinj.curve import INFINITY, Curve
 from ecinj.injection import InjectionParams, UniquenessFunction
 from ecinj.pairing import zagier_eval
-from ecinj.modular import fraction_mod
+from ecinj.modular import CurveModP, fraction_mod
 from ecinj.points import MAX_TORSION_ORDER, OrbitSpec, orbit, rationals_by_height
 from ecinj.rational import format_rational
 from ecinj.reporting import canonical_json
@@ -105,6 +105,19 @@ def test_crt_keys_come_back(p, q):
     assert keys.tolist() == values
 
 
+@pytest.mark.parametrize("p", [13, 2**31 - 1])
+@pytest.mark.parametrize("n", [*range(10), 1267])
+def test_inverse_matches_pow(p, n):
+    # odd lengths pad a level of the product tree; zeros stay 0
+    rng = random.Random(n)
+    a = [rng.randrange(1, p) for _ in range(n)]
+    for i in {0, n - 1, *rng.sample(range(n), n // 5)} if n else ():
+        a[i] = 0
+    inv = collisions._inverse(np.array(a, dtype=np.uint64), p)
+    assert inv.dtype == "uint64"
+    assert inv.tolist() == [pow(v, -1, p) if v else 0 for v in a]
+
+
 def test_point_reducing_to_identity_skips_prime(small_primes, caplog, ufunc248, gen248):
     small_primes(444)  # 443 divides the denominator of 7G
     spec = OrbitSpec(gen248, 7)
@@ -166,26 +179,29 @@ def chosen_primes(caplog):
     return tuple(map(int, chosen.removeprefix("primes chosen: ").split(", ")))
 
 
-# (curve a, b), generator, torsion points besides the identity, bounds, and
-# whether some entry of a vectorised addition must take the scalar branch at
-# the chosen primes.
-# Lanes hold one point up to bound 63, then 2 to 4 points, the last lane
-# partial at bounds 65, 151 and 301.
-LANE_WALKS = {
-    "default curve": ((1, -1), (1, 1), (), (0, 1, 2, 3, 15, 16, 17, 64, 65, 151), False),
-    "2-torsion translate": ((-6, 40), (2, 6), ((-4, 0),), (3, 17, 65), False),
-    # every lane doubles G and runs into 4G = O
-    "order-4 generator": ((-2, 1), (0, 1), (), (3, 17, 300, 301), True),
+# (curve a, b), generator, torsion points besides the identity, and bounds.
+# Every bound stays in the walk's doubling phase, whose blocks end at
+# 1, 2, 4, 8, ...: 0 walks nothing, 1 is G alone, 2 ends the first block
+# and 3 cuts the second, 15 cuts [8, 16), 16 and 64 end a block, 17 and 65
+# take one point of the next, and 151, 300 and 301 cut the blocks
+# [128, 256) and [256, 512).  Each doubling block adds its stride to
+# itself at its last source, so every walk past G takes the scalar branch.
+ORBIT_WALKS = {
+    "default curve": ((1, -1), (1, 1), (), (0, 1, 2, 3, 15, 16, 17, 64, 65, 151)),
+    "2-torsion translate": ((-6, 40), (2, 6), ((-4, 0),), (3, 17, 65)),
+    # 2G + 2G cancels, and from 4G = O on each stride is the identity, so
+    # each block is a copy of the one before
+    "order-4 generator": ((-2, 1), (0, 1), (), (3, 17, 300, 301)),
     # translating by the order-3 point 2G doubles at m = 2 mod 6 and
     # cancels at m = 4 mod 6
-    "order-3 translate": ((0, 1), (2, 3), ((0, 1),), (17, 65), True),
+    "order-3 translate": ((0, 1), (2, 3), ((0, 1),), (17, 65)),
 }
 
 
 @pytest.mark.parametrize("start", [2**10, 2**31])
-@pytest.mark.parametrize("walk", list(LANE_WALKS))
+@pytest.mark.parametrize("walk", list(ORBIT_WALKS))
 def test_lane_walk_matches_exact_orbit(small_primes, caplog, monkeypatch, params_default, walk, start):
-    curve, gen, torsion, bounds, odd_expected = LANE_WALKS[walk]
+    curve, gen, torsion, bounds = ORBIT_WALKS[walk]
     small_primes(start)
     c = Curve(*curve)
     u = UniquenessFunction(params_default, c)
@@ -209,8 +225,39 @@ def test_lane_walk_matches_exact_orbit(small_primes, caplog, monkeypatch, params
         for key, (_, pt) in zip(keys.tolist(), exact):
             value = u.eval_P(pt)
             assert (key % p, key % q) == (fraction_mod(value, p), fraction_mod(value, q))
-    if odd_expected:
-        assert sum(odd) > 0
+    assert sum(odd) > 0
+
+
+# (curve a, b), generator and prime, with blocks of at most 4 points: the
+# blocks [1, 2), [2, 4) and [4, 8) double the stride, and from 8 on each
+# block adds the stride 4G to the one before.
+BLOCK_WALKS = {
+    # G has order 18 mod 13: 14G + 4G cancels at m = 18, and the block
+    # after it adds 4G to a source at the identity
+    "orbit wraps": ((1, -1), (1, 1), 13),
+    # 4G = O: every stride from the third block on is the identity
+    "stride at the identity": ((-2, 1), (0, 1), 101),
+    # G has order 5 mod 11: the sources 9G, 14G and 19G of the blocks from
+    # 12 on equal the stride 4G and double
+    "doubling inside a block": ((1, -1), (1, 1), 11),
+}
+
+
+@pytest.mark.parametrize("walk", list(BLOCK_WALKS))
+def test_block_walk_matches_scalar_walk(monkeypatch, walk):
+    curve, gen, p = BLOCK_WALKS[walk]
+    monkeypatch.setattr(collisions, "WALK_BLOCK", 4)
+    c = Curve(*curve)
+    cm = CurveModP(c, p)
+    g = cm.reduce_point(c.point(*gen))
+    multiples = [g]
+    while len(multiples) < 5 * 4 + 3:
+        multiples.append(cm.add(multiples[-1], g))
+    for bound in (0, 1, 2, 3, 4, 5, 5 * 4 + 3):
+        x, y, identities = collisions._walk(cm, g, bound)
+        expected = multiples[:bound]
+        assert identities == [m for m, pt in enumerate(expected, 1) if pt is None]
+        assert list(zip(x.tolist(), y.tolist())) == [pt or (0, 0) for pt in expected]
 
 
 def test_identity_skip_builds_no_large_multiple(small_primes, caplog, monkeypatch, ufunc248, gen248):
