@@ -12,14 +12,17 @@ items whose key occurs more than once become candidates.  A run of equal
 keys is a full two-prime fingerprint match, and each run is split by exact
 re-evaluation before it may enter the report.
 
-The orbit scans reduce the orbit mod each prime by block doubling
-(`_walk`): each block of multiples of G is the block before it plus a
-stride, in one vectorised chord addition with one batched inverse
-(`_inverse`), and only an entry that doubles or meets the identity goes
-through the scalar group law.  An orbit point that reduces to the
-identity either is the identity exactly, which G's torsion order decides
-without building m*G, or makes the prime unsuitable.  Labels follow from
-the walk's positions (`_OrbitLabels`).
+The orbit scans decide once, exactly, whether the generator G has finite
+order, and with it the orbit labels (`_OrbitLabels`).  A G of finite
+order d is never walked: its exact points r*G + T_k, r < d, are reduced
+mod each prime and tiled over (m mod d, -m mod d), and the labels skip
+the points that are exactly the identity.  A G of infinite order is
+reduced mod each prime by block doubling (`_walk`): each block of
+multiples of G is the block before it plus a stride, in one vectorised
+chord addition with one batched inverse (`_inverse`), and only an entry
+that doubles goes through the scalar group law.  No point of its orbit is
+exactly the identity, so any that reduces to the identity mod p makes
+the prime unsuitable.
 
 The f-scan and `zagier_probe`, whose items are the rationals of bounded
 height, share its pair form (`_pair_classes`).  `collision_scan` holds
@@ -46,14 +49,14 @@ import logging
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .curve import INFINITY, Point, add, scalar_mul
 from .injection import UniquenessFunction, validate_params
 from .modular import CurveModP, UnsuitablePrimeError, fraction_mod, primes_descending
 from .pairing import zagier_eval
-from .points import OrbitSpec, rationals_by_height, torsion_order
+from .points import OrbitSpec, rationals_by_height, torsion_cycle
 from .rational import format_rational
 from .reporting import envelope
 
@@ -320,44 +323,37 @@ def _add_point(p, x, y, t):
 
 
 def _walk(cm: CurveModP, g: tuple, bound: int):
-    """(x, y, identities): m*G mod p for m = 1..bound as uint64 arrays, and
-    the sorted m at which m*G reduces to the identity (x and y read 0 there).
+    """(x, y): m*G mod p for m = 1..bound as uint64 arrays.  Raises
+    UnsuitablePrimeError at the least m with m*G reducing to the identity.
 
     Block doubling: position i holds (i + 1)*G, and the block
     [lo, lo + size) is the block [lo - size, lo) plus the stride size*G, in
     one vectorised chord addition.  `size` doubles from 1 up to WALK_BLOCK,
     one scalar `cm.add(t, t)` per doubling, and then stays fixed, so each
-    block needs only the block before it.  An entry `_add_point` flags, or
-    whose source is at the identity, goes through `CurveModP.add`; when the
-    stride itself is the identity, the block is a copy of its source.
+    block needs only the block before it.  An entry `_add_point` flags goes
+    through `CurveModP.add`.  As the walk stops at the first identity, no
+    source and no stride is ever the identity.
     """
     import numpy as np
 
-    x = np.zeros(bound, dtype=np.uint64)
-    y = np.zeros(bound, dtype=np.uint64)
+    x = np.empty(bound, dtype=np.uint64)
+    y = np.empty(bound, dtype=np.uint64)
     if bound:
         x[0], y[0] = g
-    identities = []  # the positions at the identity, in increasing order
     lo, size, t = 1, 1, g
     while lo < bound:
         n = min(size, bound - lo)
         src = lo - size
-        ids = identities[bisect.bisect_left(identities, src):bisect.bisect_left(identities, src + n)]
-        if t is None:
-            x[lo:lo + n], y[lo:lo + n] = x[src:src + n], y[src:src + n]
-            identities.extend(i + size for i in ids)
-        else:
-            x[lo:lo + n], y[lo:lo + n], odd = _add_point(cm.p, x[src:src + n], y[src:src + n], t)
-            at_identity = {i - src for i in ids}
-            for j in sorted(at_identity.union(odd.tolist())):
-                pt = cm.add(None if j in at_identity else (int(x[src + j]), int(y[src + j])), t)
-                if pt is None:
-                    identities.append(lo + j)
-                x[lo + j], y[lo + j] = pt or (0, 0)
+        x[lo:lo + n], y[lo:lo + n], odd = _add_point(cm.p, x[src:src + n], y[src:src + n], t)
+        for j in odd.tolist():
+            pt = cm.add((int(x[src + j]), int(y[src + j])), t)
+            if pt is None:
+                raise UnsuitablePrimeError(f"{lo + j + 1}*G reduces to the identity mod {cm.p}")
+            x[lo + j], y[lo + j] = pt
         lo += n
         if size < WALK_BLOCK and lo < bound:
             size, t = 2 * size, cm.add(t, t)
-    return x, y, [i + 1 for i in identities]
+    return x, y
 
 
 @dataclass(frozen=True)
@@ -392,69 +388,35 @@ class _OrbitLabels(Sequence):
         return [pos - j for j, pos in enumerate(self.skipped)]
 
 
-class _OrbitResidues:
-    """Orbit labels (an `_OrbitLabels`) and the P residues
-    alpha*x + beta*y mod one prime (a uint64 array), mirroring orbit()
-    emission; `ar` and `br` are alpha and beta mod p.
+def _walked_residues(spec: OrbitSpec, cm: CurveModP, ar: int, br: int):
+    """The P residues alpha*x + beta*y mod p (`ar` and `br` are alpha and
+    beta mod p) of the orbit of a G of infinite order, a uint64 array in
+    orbit() emission order.
 
-    Raises UnsuitablePrimeError when any emitted point reduces to the
-    identity mod p (i.e. p divides its coordinate denominators), when the
-    curve has bad reduction, or when an inverted denominator vanishes; the
-    first such point in emission order names the error.  `is_identity(m, t)`
-    tells an exact identity m*G + t (skipped, as orbit skips it) from an
-    unsuitable prime.
+    No such orbit point is exactly the identity, so one that reduces to the
+    identity mod p makes the prime unsuitable: UnsuitablePrimeError.  A
+    torsion translate never does, as rational torsion injects into E(F_p)
+    at an odd prime of good reduction.
     """
+    import numpy as np
 
-    def __init__(self, spec: OrbitSpec, p: int, ar: int, br: int, is_identity):
-        import numpy as np
-
-        cm = CurveModP(spec.generator.curve, p)
-        g = cm.reduce_point(spec.generator)
-        if g is None:
-            raise UnsuitablePrimeError(f"generator reduces to the identity mod {p}")
-        translates = spec.torsion or (INFINITY,)
-        reduced = [cm.reduce_point(t) for t in translates]
-        if any(r is None and not t.is_infinity for r, t in zip(reduced, translates)):
-            raise UnsuitablePrimeError(f"torsion point reduces to the identity mod {p}")
-        width = len(translates)
-        x, y, identities = _walk(cm, g, spec.bound)
-        residues = np.empty((spec.bound, 2, width), dtype=np.uint64)
-        # (2 * position, position, exact m, exact translate, error) of every
-        # point that reduces to the identity; m*G itself sorts first
-        zeros = [
-            (4 * (m - 1) * width, None, m, INFINITY, f"{m}*G reduces to the identity mod {p}")
-            for m in identities
-        ]
-        base_is_identity = {m - 1 for m in identities}
-        base_at_identity = np.array(sorted(base_is_identity), dtype=np.int64)
-        for s, sign, ys in ((0, 1, y), (1, -1, (p - y) % p)):
-            for k, (t, r) in enumerate(zip(translates, reduced)):
-                if r is None:
-                    px, py, odd = x, ys, base_at_identity
-                else:
-                    px, py, odd = _add_point(p, x, ys, r)
-                    odd = np.union1d(odd, base_at_identity)
-                for i in odd.tolist():
-                    pos = (i * 2 + s) * width + k
-                    base = None if i in base_is_identity else (int(x[i]), int(ys[i]))
-                    pt = cm.add(base, r)
-                    if pt is None:
-                        label = (sign * (i + 1), k)
-                        zeros.append((
-                            2 * pos + 1, pos, label[0], t,
-                            f"orbit point at label {label} reduces to the identity mod {p}",
-                        ))
-                    else:
-                        px[i], py[i] = pt
-                residues[:, s, k] = (ar * px + br * py) % p
-        skipped = []
-        for _, pos, m, t, error in sorted(zeros, key=lambda z: z[0]):
-            if not is_identity(m, t):
-                raise UnsuitablePrimeError(error)
-            if pos is not None:
-                skipped.append(pos)
-        self.labels = _OrbitLabels(spec.bound, len(spec.torsion), tuple(skipped))
-        self.residues = np.delete(residues.reshape(-1), skipped)
+    p = cm.p
+    g = cm.reduce_point(spec.generator)
+    if g is None:
+        raise UnsuitablePrimeError(f"generator reduces to the identity mod {p}")
+    translates = [cm.reduce_point(t) for t in spec.torsion or (INFINITY,)]
+    x, y = _walk(cm, g, spec.bound)
+    residues = np.empty((spec.bound, 2, len(translates)), dtype=np.uint64)
+    for s, ys in enumerate((y, (p - y) % p)):
+        for k, t in enumerate(translates):
+            px, py, odd = (x, ys, ()) if t is None else _add_point(p, x, ys, t)
+            if len(odd):
+                # m*G = +-T_k mod p puts m*G + T_k or -m*G + T_k at the identity
+                m = int(odd[0]) + 1
+                label = (m if (y[m - 1] + t[1]) % p == 0 else -m, k)
+                raise UnsuitablePrimeError(f"orbit point at label {label} reduces to the identity mod {p}")
+            residues[:, s, k] = (ar * px + br * py) % p
+    return residues.reshape(-1)
 
 
 def _exact_orbit_point(spec: OrbitSpec, m: int, k: int = 0) -> Point:
@@ -487,27 +449,40 @@ def _orbit_p_keys(u: UniquenessFunction, spec: OrbitSpec, *also_invert):
     """(labels, N, keys): the orbit labels in emission order and the uint64
     keys mod N = p*q of their P values, at the primes `_choose_primes`
     picks.  The denominators of `also_invert` must not vanish mod p either.
-    """
-    @cache
-    def order():
-        return torsion_order(spec.generator)
 
-    def is_identity(m, t):
-        # only a torsion G of order d sums to the identity, and m*G = (m mod d)*G;
-        # the order is found the first time a point reduces to the identity
-        d = order()
-        return d is not None and add(scalar_mul(m % d, spec.generator), t).is_infinity
+    G's order is decided once, exactly, and with it the labels: a G of
+    infinite order is walked mod each prime (`_walked_residues`), and one of
+    finite order is tiled from its exact cycle.
+    """
+    import numpy as np
+
+    cycle = torsion_cycle(spec.generator)
+    if cycle is None:
+        labels = _OrbitLabels(spec.bound, len(spec.torsion))
+    else:
+        translates = spec.torsion or (INFINITY,)
+        d, width = len(cycle), len(translates)
+        points = [add(c, t) for c in cycle for t in translates]  # r*G + T_k at r*width + k
+        m = np.arange(1, spec.bound + 1)
+        # the index of each position's point, with r = m mod d and -m mod d
+        tiles = (np.stack([m % d, -m % d], axis=1)[:, :, None] * width + np.arange(width)).reshape(-1)
+        at_identity = np.array([pt.is_infinity for pt in points])[tiles]
+        index = tiles[~at_identity]
+        labels = _OrbitLabels(spec.bound, len(spec.torsion), tuple(np.flatnonzero(at_identity).tolist()))
 
     def build(p):
         ar, br = fraction_mod(u.params.alpha, p), fraction_mod(u.params.beta, p)
         for c in also_invert:
             fraction_mod(c, p)
-        return _OrbitResidues(spec, p, ar, br, is_identity)
+        cm = CurveModP(spec.generator.curve, p)
+        if cycle is None:
+            return _walked_residues(spec, cm, ar, br)
+        # torsion injects into E(F_p), so only O reduces to the identity
+        reduced = [(0, 0) if pt.is_infinity else cm.reduce_point(pt) for pt in points]
+        return np.array([(ar * x + br * y) % p for x, y in reduced], dtype=np.uint64)[index]
 
-    (p, first), (q, second) = _choose_primes(build)
-    if second.labels != first.labels:
-        raise RuntimeError(f"orbit labels mod {q} differ from those mod {p}")
-    return first.labels, p * q, _crt(p, q, first.residues, second.residues)
+    (p, rp), (q, rq) = _choose_primes(build)
+    return labels, p * q, _crt(p, q, rp, rq)
 
 
 class _ExactLabelEvaluator:
@@ -599,10 +574,10 @@ def p_injectivity_scan(
 ) -> CollisionReport:
     """Scan eval_P over the orbit for exact value collisions.
 
-    Labels whose points coincide (possible only with a wrong torsion list)
-    are flagged as duplicate points, not value collisions, and only the
-    first occurrence stays in the value scan.  The key-range partitions are
-    as few as fit `memory_ceiling`.
+    Labels whose points coincide (from a generator of finite order, or a
+    torsion list that names a point twice) are flagged as duplicate points,
+    not value collisions, and only the first occurrence stays in the value
+    scan.  The key-range partitions are as few as fit `memory_ceiling`.
     """
     _require_valid(u)
     spec.validate()

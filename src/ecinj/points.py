@@ -45,7 +45,7 @@ class OrbitSpec:
                     continue
                 if not on_curve(g.curve, t):
                     raise ValueError(f"torsion point {t} is not on the curve")
-                if torsion_order(t) is None:
+                if torsion_cycle(t) is None:
                     raise ValueError(
                         f"claimed torsion point {t} has order > {MAX_TORSION_ORDER}"
                     )
@@ -58,18 +58,12 @@ class OrbitSpec:
         }
 
 
-def torsion_order(p: Point) -> Optional[int]:
-    """The order of p if p is a torsion point, else None (infinite order).
+def torsion_cycle(p: Point) -> Optional[list]:
+    """[O, p, 2p, ..., (d-1)p] when p has order d, else None (infinite order).
 
     A rational torsion point has order at most MAX_TORSION_ORDER (Mazur),
     so that many exact additions decide it.
     """
-    cycle = _torsion_cycle(p)
-    return None if cycle is None else len(cycle)
-
-
-def _torsion_cycle(p: Point) -> Optional[list]:
-    """[O, p, 2p, ..., (d-1)p] when p has order d, else None."""
     cycle = [INFINITY]
     q = p
     while len(cycle) <= MAX_TORSION_ORDER:
@@ -102,7 +96,7 @@ def orbit(spec: OrbitSpec) -> Iterator[tuple]:
 def _multiples(g: Point, bound: int) -> Iterator[Point]:
     """m*G for m = 1..bound: (m mod d)*G when G has order d, else from the
     elliptic divisibility sequence."""
-    cycle = _torsion_cycle(g)
+    cycle = torsion_cycle(g)
     if cycle is None:
         yield from multiples(g, bound)
     else:

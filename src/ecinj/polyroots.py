@@ -8,7 +8,6 @@ value ever enters a certificate.
 """
 
 from fractions import Fraction
-from typing import Optional
 
 
 def poly_trim(coeffs):
@@ -100,7 +99,7 @@ def cauchy_root_bound(coeffs) -> Fraction:
     return 1 + max(abs(v / lead) for v in c[:-1])
 
 
-def isolate_real_roots(coeffs, lo: Optional[Fraction] = None, hi: Optional[Fraction] = None):
+def isolate_real_roots(coeffs):
     """Disjoint intervals [a, b], each containing exactly one real root.
 
     Exact rational roots come back as degenerate [r, r] intervals.  The
@@ -110,10 +109,9 @@ def isolate_real_roots(coeffs, lo: Optional[Fraction] = None, hi: Optional[Fract
     if len(f) <= 1:
         return []
     chain = sturm_chain(f)
+    # every root lies strictly inside (-bound, bound), so (-bound, bound]
+    # holds them all
     bound = cauchy_root_bound(f)
-    lo = -bound if lo is None else Fraction(lo)
-    hi = bound if hi is None else Fraction(hi)
-    # count over (lo, hi] plus a possible root exactly at lo
     out = []
 
     def recurse(a, b, count):
@@ -136,9 +134,7 @@ def isolate_real_roots(coeffs, lo: Optional[Fraction] = None, hi: Optional[Fract
         recurse(a, mid, left)
         recurse(mid, b, count - left)
 
-    if poly_eval(f, lo) == 0:
-        out.append((lo, lo))
-    recurse(lo, hi, count_roots(chain, lo, hi))
+    recurse(-bound, bound, count_roots(chain, -bound, bound))
     out.sort(key=lambda iv: iv[0])
     return out
 

@@ -32,6 +32,13 @@ from .curve import Curve, Point
 SERIES_TERMS = 64
 POLE_TOLERANCE = 1e-8
 _MP_DPS = 30
+# The largest ODE residual a self-validating lattice may show.
+ODE_TOLERANCE = 1e-9
+# The relative tolerance of lambda_match's equations.
+MATCH_TOLERANCE = 1e-9
+# Pole-free sample points of strong_uniqueness_probe, drawn from this seed.
+PROBE_SAMPLES = 48
+PROBE_SEED = 0
 
 
 def laurent_coefficients(A: Fraction, B: Fraction, count: int) -> list:
@@ -140,13 +147,14 @@ class Lattice:
         return p, pp
 
 
-def periods(curve: Curve, validate: bool = True) -> Lattice:
+def periods(curve: Curve) -> Lattice:
     """Period lattice of the curve, with x = wp, y = wp'/2.
 
     Construction: cubic roots via mpmath, complete elliptic integrals via
     Carlson's R_F (the real period equals the integral of dx/sqrt(rhs) over
     the unbounded real branch).  The contract is self-validating: the
-    returned lattice must satisfy the wp differential equation to 1e-9.
+    returned lattice must satisfy the wp differential equation to
+    ODE_TOLERANCE.
     """
     import mpmath as mp
 
@@ -172,16 +180,15 @@ def periods(curve: Curve, validate: bool = True) -> Lattice:
         if mp.im(om2 / om1) < 0:
             om2 = mp.conj(om2)
         lat = Lattice(float(om1), complex(om2), A, B, float(e1))
-    if validate:
-        _self_validate(lat)
+    _self_validate(lat)
     return lat
 
 
-def _self_validate(lat: Lattice, tol: float = 1e-9):
+def _self_validate(lat: Lattice):
     for k in range(1, 8):
         z = (0.07 + 0.11 * k) * lat.omega1 + (0.05 + 0.09 * k) * complex(lat.omega2)
         r = ode_residual(lat, z)
-        if r > tol:
+        if r > ODE_TOLERANCE:
             raise RuntimeError(f"lattice failed self-validation: ODE residual {r:.3e} at {z}")
     p_half, pp_half = lat.wp(lat.omega1 / 2)
     if abs(p_half - lat.branch_root) > 1e-8 or abs(pp_half) > 1e-8:
@@ -217,7 +224,7 @@ class LaurentData:
     condition: float
 
 
-def laurent_fit(lat: Lattice, J: int, rho: Optional[float] = None, samples: Optional[int] = None) -> LaurentData:
+def laurent_fit(lat: Lattice, J: int, rho: Optional[float] = None) -> LaurentData:
     """Recover c_1..c_J by least squares on wp(z) - 1/z^2 over a small circle.
 
     Sampling uses the theta-function evaluator, so the fit is independent of
@@ -231,8 +238,7 @@ def laurent_fit(lat: Lattice, J: int, rho: Optional[float] = None, samples: Opti
         raise ValueError("J must be >= 1")
     if rho is None:
         rho = 0.22 * abs(lat._u1)
-    if samples is None:
-        samples = 8 * J + 16
+    samples = 8 * J + 16
     zs = [rho * cmath.exp(2j * cmath.pi * k / samples) for k in range(samples)]
     rhs = np.array([_theta_wp(lat, z) - 1 / z**2 for z in zs])
     design = np.array([[z ** (2 * j) for j in range(1, J + 1)] for z in zs])
@@ -245,7 +251,7 @@ def laurent_fit(lat: Lattice, J: int, rho: Optional[float] = None, samples: Opti
     return LaurentData(list(fitted), exact, float(dev), cond)
 
 
-def lambda_match(alpha, beta, lambda1: complex, lambda2: complex, c: complex, tol: float = 1e-9) -> str:
+def lambda_match(alpha, beta, lambda1: complex, lambda2: complex, c: complex) -> str:
     """Decide the two coefficient equations beta*l1^-3 = c*beta*l2^-3 and
     alpha*l1^-2 = c*alpha*l2^-2.
 
@@ -258,6 +264,7 @@ def lambda_match(alpha, beta, lambda1: complex, lambda2: complex, c: complex, to
     alpha, beta = complex(alpha), complex(beta)
     if 0 in (alpha, beta) or abs(lambda1) == 0 or abs(lambda2) == 0 or abs(c) == 0:
         raise ValueError("alpha, beta, lambda1, lambda2, c must all be non-zero")
+    tol = MATCH_TOLERANCE
     eq_cubic = abs(beta * lambda1**-3 - c * beta * lambda2**-3) <= tol * abs(beta * lambda1**-3)
     eq_square = abs(alpha * lambda1**-2 - c * alpha * lambda2**-2) <= tol * abs(alpha * lambda1**-2)
     if eq_cubic and eq_square:
@@ -275,21 +282,19 @@ def strong_uniqueness_probe(
     lambda1: complex,
     lambda2: complex,
     c: complex,
-    samples: int = 48,
-    seed: int = 0,
 ) -> float:
     """Max |alpha*wp(l1 z) + (beta/2) wp'(l1 z) - c*alpha*wp(l2 z) - (c*beta/2) wp'(l2 z)|
     over random small z; near 0 only when the two sides are the same function.
     Samples landing too close to a pole are skipped and redrawn."""
     alpha, beta, c = complex(alpha), complex(beta), complex(c)
-    rng = random.Random(seed)
+    rng = random.Random(PROBE_SEED)
     scale = 0.25 * abs(lat._u1) / max(abs(lambda1), abs(lambda2), 1.0)
     worst = 0.0
     got = 0
     attempts = 0
-    while got < samples:
+    while got < PROBE_SAMPLES:
         attempts += 1
-        if attempts > 50 * samples:
+        if attempts > 50 * PROBE_SAMPLES:
             raise RuntimeError("could not draw enough pole-free samples")
         r = scale * (0.2 + 0.8 * rng.random())
         z = r * cmath.exp(2j * cmath.pi * rng.random())

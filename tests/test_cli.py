@@ -87,6 +87,11 @@ GOLDEN_SHA256 = {
     ("check-p", "--curve=-2,1", "--gen", "0,1", "--M", "2"): (
         2, "520a61233add9385eab2b15a6cccbe79dcfae5748546d50cc7a80d62a25a9341"
     ),
+    # the order-4 generator's exact cycle tiled over 50 multiples: three
+    # points, each a duplicate group of 25 or 26 labels
+    ("check-p", "--curve=-2,1", "--gen", "0,1", "--M", "50"): (
+        2, "1132255a0bc7d7875e93d7d159b9b5b0cd6e2fb8b25e5e3c459ff122ffb11177"
+    ),
     # walks past the doubling blocks into the fixed stride; the 2-torsion
     # translate adds it to 20,000 points at once
     ("check-p", "--M", "40000"): (0, "737d0c146cf38179fd8c73e5c38606773e2bcd367393fd4d47483049f76ee584"),

@@ -5,7 +5,7 @@ import pytest
 
 from ecinj import eds
 from ecinj.curve import INFINITY, Curve
-from ecinj.points import OrbitSpec, orbit, torsion_order
+from ecinj.points import OrbitSpec, orbit, torsion_cycle
 from exact_oracle import add_loop_orbit
 
 
@@ -45,8 +45,8 @@ def test_model_primes():
     assert eds._prime_factors(gcd(2 * 3, 3 * 1 + 3)) == ([2, 3], True)
     (a, b), (x, y), _ = MODELS["y^2 = x^3 + x/16 - 1/64"]
     assert eds._integral_scale(Fraction(a), Fraction(b), x, y) == (2, [2], True)
-    assert torsion_order(Curve(-2, 1).point(0, 1)) == 4
-    assert torsion_order(Curve(3, 5).point(1, 3)) is None
+    assert len(torsion_cycle(Curve(-2, 1).point(0, 1))) == 4
+    assert torsion_cycle(Curve(3, 5).point(1, 3)) is None
 
 
 def test_unfactored_scale_falls_back_to_fraction():

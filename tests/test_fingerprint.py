@@ -8,7 +8,6 @@ through the per-partition log records, and every report's findings against
 the tests' exact oracle (`exact_oracle`), which carries no scan config.
 """
 
-import dataclasses
 import logging
 import random
 import re
@@ -34,8 +33,8 @@ from ecinj.collisions import (
 from ecinj.curve import INFINITY, Curve
 from ecinj.injection import InjectionParams, UniquenessFunction
 from ecinj.pairing import zagier_eval
-from ecinj.modular import CurveModP, fraction_mod
-from ecinj.points import MAX_TORSION_ORDER, OrbitSpec, orbit, rationals_by_height
+from ecinj.modular import CurveModP, UnsuitablePrimeError, fraction_mod
+from ecinj.points import MAX_TORSION_ORDER, OrbitSpec, orbit, rationals_by_height, torsion_cycle
 from ecinj.rational import format_rational
 from ecinj.reporting import canonical_json
 from exact_oracle import exact_f_scan, exact_p_scan
@@ -180,20 +179,21 @@ def chosen_primes(caplog):
 
 
 # (curve a, b), generator, torsion points besides the identity, and bounds.
-# Every bound stays in the walk's doubling phase, whose blocks end at
-# 1, 2, 4, 8, ...: 0 walks nothing, 1 is G alone, 2 ends the first block
-# and 3 cuts the second, 15 cuts [8, 16), 16 and 64 end a block, 17 and 65
-# take one point of the next, and 151, 300 and 301 cut the blocks
-# [128, 256) and [256, 512).  Each doubling block adds its stride to
-# itself at its last source, so every walk past G takes the scalar branch.
+# A generator of infinite order is walked, and every bound stays in the
+# walk's doubling phase, whose blocks end at 1, 2, 4, 8, ...: 0 walks
+# nothing, 1 is G alone, 2 ends the first block and 3 cuts the second, 15
+# cuts [8, 16), 16 and 64 end a block, 17 and 65 take one point of the
+# next, and 151 cuts the block [128, 256).  Each doubling block adds its
+# stride to itself at its last source, so every walk past G takes the
+# scalar branch.  A generator of finite order is never walked: its exact
+# cycle is tiled over the bound.
 ORBIT_WALKS = {
     "default curve": ((1, -1), (1, 1), (), (0, 1, 2, 3, 15, 16, 17, 64, 65, 151)),
     "2-torsion translate": ((-6, 40), (2, 6), ((-4, 0),), (3, 17, 65)),
-    # 2G + 2G cancels, and from 4G = O on each stride is the identity, so
-    # each block is a copy of the one before
+    # 4G = O: every fourth label is skipped
     "order-4 generator": ((-2, 1), (0, 1), (), (3, 17, 300, 301)),
-    # translating by the order-3 point 2G doubles at m = 2 mod 6 and
-    # cancels at m = 4 mod 6
+    # translating by the order-3 point 2G gives the identity at the labels
+    # (m, 1) with m = 4 mod 6 and (-m, 1) with m = 2 mod 6
     "order-3 translate": ((0, 1), (2, 3), ((0, 1),), (17, 65)),
 }
 
@@ -205,6 +205,7 @@ def test_lane_walk_matches_exact_orbit(small_primes, caplog, monkeypatch, params
     small_primes(start)
     c = Curve(*curve)
     u = UniquenessFunction(params_default, c)
+    walked = torsion_cycle(c.point(*gen)) is None
     odd = []
     add_point = collisions._add_point
 
@@ -225,44 +226,52 @@ def test_lane_walk_matches_exact_orbit(small_primes, caplog, monkeypatch, params
         for key, (_, pt) in zip(keys.tolist(), exact):
             value = u.eval_P(pt)
             assert (key % p, key % q) == (fraction_mod(value, p), fraction_mod(value, q))
-    assert sum(odd) > 0
+    if walked:
+        assert sum(odd) > 0
+    else:
+        assert odd == []
 
 
-# (curve a, b), generator and prime, with blocks of at most 4 points: the
-# blocks [1, 2), [2, 4) and [4, 8) double the stride, and from 8 on each
-# block adds the stride 4G to the one before.
+# (curve a, b), generator, prime and the least m with m*G = O mod p, with
+# blocks of at most 4 points: the blocks [1, 2), [2, 4) and [4, 8) double
+# the stride, and from 8 on each block adds the stride 4G to the one
+# before.  The walk raises at that m and matches the scalar walk below it.
 BLOCK_WALKS = {
-    # G has order 18 mod 13: 14G + 4G cancels at m = 18, and the block
-    # after it adds 4G to a source at the identity
-    "orbit wraps": ((1, -1), (1, 1), 13),
-    # 4G = O: every stride from the third block on is the identity
-    "stride at the identity": ((-2, 1), (0, 1), 101),
-    # G has order 5 mod 11: the sources 9G, 14G and 19G of the blocks from
-    # 12 on equal the stride 4G and double
-    "doubling inside a block": ((1, -1), (1, 1), 11),
+    # G has order 18 mod 13: 14G + 4G cancels at m = 18, in a fixed-stride
+    # block
+    "orbit wraps": ((1, -1), (1, 1), 13, 18),
+    # G has order 4: 2G + 2G cancels at m = 4, before the stride 4G, which
+    # would be the identity, is formed
+    "stride at the identity": ((-2, 1), (0, 1), 101, 4),
+    # G has order 5 mod 11: the block [2, 4) doubles its stride 2G at its
+    # last source, and 4G + G cancels at m = 5 in the block [4, 8)
+    "doubling inside a block": ((1, -1), (1, 1), 11, 5),
 }
 
 
 @pytest.mark.parametrize("walk", list(BLOCK_WALKS))
 def test_block_walk_matches_scalar_walk(monkeypatch, walk):
-    curve, gen, p = BLOCK_WALKS[walk]
+    curve, gen, p, order = BLOCK_WALKS[walk]
     monkeypatch.setattr(collisions, "WALK_BLOCK", 4)
     c = Curve(*curve)
     cm = CurveModP(c, p)
     g = cm.reduce_point(c.point(*gen))
     multiples = [g]
-    while len(multiples) < 5 * 4 + 3:
+    while len(multiples) < order - 1:
         multiples.append(cm.add(multiples[-1], g))
-    for bound in (0, 1, 2, 3, 4, 5, 5 * 4 + 3):
-        x, y, identities = collisions._walk(cm, g, bound)
-        expected = multiples[:bound]
-        assert identities == [m for m, pt in enumerate(expected, 1) if pt is None]
-        assert list(zip(x.tolist(), y.tolist())) == [pt or (0, 0) for pt in expected]
+    assert cm.add(multiples[-1], g) is None
+    for bound in sorted({0, 1, 2, 3, 4, 5, order - 1, order, 5 * 4 + 3}):
+        if bound >= order:
+            with pytest.raises(UnsuitablePrimeError, match=f"^{order}\\*G reduces to the identity mod {p}$"):
+                collisions._walk(cm, g, bound)
+            continue
+        x, y = collisions._walk(cm, g, bound)
+        assert list(zip(x.tolist(), y.tolist())) == multiples[:bound]
 
 
 def test_identity_skip_builds_no_large_multiple(small_primes, caplog, monkeypatch, ufunc248, gen248):
     # 543*G reduces to the identity mod 1033303.  G has infinite order, so
-    # the prime is unsuitable, and its torsion order says so without 543*G.
+    # the prime is unsuitable, and no exact multiple is built to say so.
     small_primes(1033304)
     scalar_mul = collisions.scalar_mul
 
@@ -280,38 +289,36 @@ def test_identity_skip_builds_no_large_multiple(small_primes, caplog, monkeypatc
 
 
 def test_torsion_identities_come_from_small_multiples(small_primes, caplog, monkeypatch, params_default):
-    # the order-4 generator is the identity exactly at every fourth multiple
+    # the order-4 generator is the identity exactly at every fourth multiple,
+    # which its exact cycle tells before any prime is tried: it is never
+    # walked, and no exact multiple is built
     small_primes(2**10)
     c = Curve(-2, 1)
     spec = OrbitSpec(c.point(0, 1), 500)
-    multiples = []
-    scalar_mul = collisions.scalar_mul
 
-    def recorded(m, pt):
-        multiples.append(m)
-        return scalar_mul(m, pt)
+    def unused(*args):
+        raise AssertionError("a finite-order generator is walked or multiplied")
 
-    monkeypatch.setattr(collisions, "scalar_mul", recorded)
+    monkeypatch.setattr(collisions, "_walk", unused)
+    monkeypatch.setattr(collisions, "scalar_mul", unused)
     labels, _, keys = collisions._orbit_p_keys(UniquenessFunction(params_default, c), spec)
-    assert multiples and max(map(abs, multiples)) < 4
+    assert chosen_primes(caplog) == (1021, 1019)
     assert len(labels) == len(keys) == 2 * 375
     assert [label for label in labels if label % 4 == 0] == []
 
 
-def test_misaligned_labels_raise(monkeypatch, ufunc248, gen248):
-    made = []
-
-    class Misaligned(collisions._OrbitResidues):
-        def __init__(self, *args):
-            super().__init__(*args)
-            made.append(self)
-            if len(made) == 2:
-                # the second prime drops the first label as if it were an identity
-                self.labels = dataclasses.replace(self.labels, skipped=(0,))
-
-    monkeypatch.setattr(collisions, "_OrbitResidues", Misaligned)
-    with pytest.raises(RuntimeError, match="orbit labels mod"):
-        p_injectivity_scan(ufunc248, OrbitSpec(gen248, 5))
+def test_translate_at_identity_skips_prime(small_primes, caplog):
+    # 7G = T mod 113 for the 2-torsion point T, so 7G + T reduces to the
+    # identity there; G has infinite order, so it is not the identity exactly
+    small_primes(2**7)
+    c = Curve(-6, 40)
+    u = UniquenessFunction(InjectionParams(1, 1, 2, 9), c)
+    spec = OrbitSpec(c.point(2, 6), 10, (INFINITY, c.point(-4, 0)))
+    residue = p_injectivity_scan(u, spec)
+    messages = [r.getMessage() for r in caplog.records]
+    assert "prime 113 skipped: orbit point at label (7, 1) reduces to the identity mod 113" in messages
+    assert "primes chosen: 127, 109" in messages
+    assert findings(residue) == findings(exact_p_scan(u, spec))
 
 
 def test_memory_ceiling_is_exact_per_partition(caplog, ufunc248, gen248):
