@@ -32,12 +32,19 @@ fingerprint engine against.
 
 The memory ceiling is the only resource setting.  The fingerprint engine
 generates keys in blocks of at most a quarter of the ceiling and keeps the
-rest for one key-range partition at a time.  When the keys do not all fit
-one partition, a single counting pass over 2**12 equal ranges of the key
-space plans the partitions, so every partition's size is exact before it is
-allocated; a range that alone overflows the room is refused.  Reports are
-deterministic and do not depend on the ceiling: keys inside a class are in
-stream order, and classes are sorted by value before emission.
+rest for one key-range partition at a time.  When all the keys fit one
+partition, each block is generated straight into its slice of it, so the
+sorted partition is the only memory that grows with the scan; the P-scan
+copies its keys in instead, as its candidate pass reads them again.  The
+pair reduction mod N and the search for repeated sorted keys run
+CHUNK_KEYS keys at a time, so no mask covers a block or a partition.  When
+the keys do not all fit one partition, a single counting pass over 2**12
+equal ranges of the key space plans the partitions, so every partition's
+size is exact before it is allocated; a range that alone overflows the
+room is refused.  Each pass then generates its blocks into one reused
+buffer.  Reports are deterministic and do not depend on the ceiling: keys
+inside a class are in stream order, and classes are sorted by value before
+emission.
 
 numpy loads on first use: each function that needs it imports it, so
 importing this module (and with it the CLI) costs no numpy start-up in the
@@ -64,9 +71,10 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_MEMORY_CEILING = 4 * 2**30  # bytes
 
-# Bytes the fingerprint engine holds per key of a partition: the uint64 key
-# and one byte of the mask of repeated sorted keys.  The repeated keys
-# themselves come on top; there are none unless fingerprints collide.
+# Bytes the fingerprint engine budgets per key of a partition: the uint64
+# key and one byte of headroom for the chunked search for repeated sorted
+# keys (CHUNK_KEYS) and for the repeated keys it finds; there are none
+# unless fingerprints collide.
 PARTITION_BYTES_PER_KEY = 9
 # Bytes per key of one generated block at its largest, in the candidate
 # pass: the keys (8), their searchsorted positions (8), the gathered run
@@ -74,6 +82,10 @@ PARTITION_BYTES_PER_KEY = 9
 BLOCK_BYTES_PER_KEY = 25
 # Keys generated per block, at most.
 BLOCK_KEYS = 2**20
+# Keys per chunk of the reduction mod N of a pair block and of the search
+# for repeated sorted keys, so neither holds a mask over a whole block or
+# partition.
+CHUNK_KEYS = 2**16
 # The partition plan counts the keys in 2**KEY_RANGE_BITS equal ranges of
 # the key space: 32 KB of int64 counters.
 KEY_RANGE_BITS = 12
@@ -143,33 +155,23 @@ def collision_scan(stream: Iterable[tuple], *, config: Optional[dict] = None) ->
 def _fingerprint_classes(scan, n, row, modulus, key_block, resolve, *, memory_ceiling):
     """Collision classes among n stream items, found from their keys.
 
-    `key_block(lo, hi)` returns the uint64 keys mod `modulus` of items
-    lo..hi-1 in stream order; lo is a multiple of `row` and hi is one too, or
-    n.  Partition s holds the keys in [edges[s], edges[s + 1]) of
-    `_partition_plan`, built block by block and then sorted in place.  The
-    items whose key occurs more than once in it are found again by a second
-    block pass, grouped by key into buckets of indices in stream order, and
-    handed to `resolve(buckets) -> classes`.  Equal values have equal keys,
-    so a class never spans two partitions.
+    `key_block(lo, hi, out)` writes the uint64 keys mod `modulus` of items
+    lo..hi-1, in stream order, into the uint64 array `out`; lo is a multiple
+    of `row` and hi is one too, or n.  Partition s holds the keys in
+    [edges[s], edges[s + 1]) of `_partition_plan`, built block by block and
+    then sorted in place.  The items whose key occurs more than once in it
+    are found again by a second block pass, grouped by key into buckets of
+    indices in stream order, and handed to `resolve(buckets) -> classes`.
+    Equal values have equal keys, so a class never spans two partitions.
     """
-    import numpy as np
-
     step, edges, sizes = _partition_plan(scan, n, row, modulus, key_block, memory_ceiling)
     classes = []
     for s, size in enumerate(sizes):
         part = _partition_keys(n, step, key_block, edges[s], edges[s + 1], size, modulus)
         part.sort()
-        runs = np.unique(part[1:][part[1:] == part[:-1]])
+        runs = _repeated_keys(part)
         del part
-        buckets = [[] for _ in range(len(runs))]
-        if len(runs):
-            for lo, keys in _blocks(n, step, key_block):
-                at = np.searchsorted(runs, keys)
-                np.minimum(at, len(runs) - 1, out=at)
-                hits = np.flatnonzero(runs[at] == keys)
-                for i, run in zip((lo + hits).tolist(), at[hits].tolist()):
-                    buckets[run].append(i)
-        found = resolve(buckets)
+        found = resolve(_candidate_buckets(n, step, key_block, runs))
         logger.info(
             "%s partition %d/%d: %d keys, %d candidate runs, %d confirmed classes",
             scan, s + 1, len(sizes), size, len(runs), len(found),
@@ -182,28 +184,72 @@ def _fingerprint_classes(scan, n, row, modulus, key_block, resolve, *, memory_ce
 def _partition_keys(n, step, key_block, low, high, size, modulus):
     """The `size` keys of the n items that lie in [low, high), in stream
     order.  Every key lies in [0, modulus), so the one partition of an
-    unsplit scan copies each block whole, with no range mask."""
+    unsplit scan needs no range mask and no block of its own: each block
+    is generated straight into its slice of the partition."""
     import numpy as np
 
     part = np.empty(size, dtype=np.uint64)
+    if low == 0 and high == modulus:
+        for lo in range(0, n, step):
+            key_block(lo, min(lo + step, n), part[lo:lo + step])
+        return part
     filled = 0
-    whole = low == 0 and high == modulus
     for _, keys in _blocks(n, step, key_block):
-        if whole:
-            taken = len(keys)
-            part[filled:filled + taken] = keys
-        else:
-            mask = keys >= low
-            mask &= keys < high
-            taken = int(np.count_nonzero(mask))
-            np.compress(mask, keys, out=part[filled:filled + taken])
+        mask = keys >= low
+        mask &= keys < high
+        taken = int(np.count_nonzero(mask))
+        np.compress(mask, keys, out=part[filled:filled + taken])
         filled += taken
     return part
 
 
+def _repeated_keys(part):
+    """The keys that occur more than once in the sorted uint64 array
+    `part`, each once, in increasing order.  Neighbours are compared
+    CHUNK_KEYS at a time, so no mask covers the partition, and no chunk
+    view outlives this call to keep the partition alive."""
+    import numpy as np
+
+    found = [np.empty(0, dtype=np.uint64)]
+    for lo in range(1, len(part), CHUNK_KEYS):
+        hi = min(lo + CHUNK_KEYS, len(part))
+        keys = part[lo:hi]
+        found.append(keys[keys == part[lo - 1:hi - 1]])
+    dup = np.concatenate(found)
+    if not len(dup):
+        return dup
+    # a run of r equal keys leaves r - 1 copies of its key, adjacent in dup
+    return dup[np.concatenate(([True], dup[1:] != dup[:-1]))]
+
+
+def _candidate_buckets(n, step, key_block, runs):
+    """Bucket r lists, in stream order, the items whose key is runs[r].  The
+    block temporaries end with this call, before the next partition is
+    built."""
+    import numpy as np
+
+    buckets = [[] for _ in range(len(runs))]
+    if len(runs):
+        for lo, keys in _blocks(n, step, key_block):
+            at = np.searchsorted(runs, keys)
+            np.minimum(at, len(runs) - 1, out=at)
+            hits = np.flatnonzero(runs[at] == keys)
+            for i, run in zip((lo + hits).tolist(), at[hits].tolist()):
+                buckets[run].append(i)
+    return buckets
+
+
 def _blocks(n, step, key_block):
+    """(lo, keys) for each block of `step` items from lo; every block's
+    keys are generated into one buffer, so each view is valid only until
+    the next block."""
+    import numpy as np
+
+    buffer = np.empty(min(step, n), dtype=np.uint64)
     for lo in range(0, n, step):
-        yield lo, key_block(lo, min(lo + step, n))
+        keys = buffer[:min(step, n - lo)]
+        key_block(lo, lo + len(keys), keys)
+        yield lo, keys
 
 
 def _partition_plan(scan, n, row, modulus, key_block, memory_ceiling):
@@ -419,8 +465,10 @@ def _walked_residues(spec: OrbitSpec, cm: CurveModP, ar: int, br: int):
     return residues.reshape(-1)
 
 
-def _exact_orbit_point(spec: OrbitSpec, m: int, k: int = 0) -> Point:
-    pt = scalar_mul(m, spec.generator)
+def _exact_orbit_point(spec: OrbitSpec, cycle, m: int, k: int = 0) -> Point:
+    """m*G + T_k exactly.  `cycle` is G's `torsion_cycle`: for a G of finite
+    order d, m*G is cycle[m mod d]."""
+    pt = scalar_mul(m, spec.generator) if cycle is None else cycle[m % len(cycle)]
     if spec.torsion:
         t = spec.torsion[k]
         if not t.is_infinity:
@@ -445,18 +493,18 @@ def _choose_primes(build):
     raise RuntimeError("prime search exhausted")
 
 
-def _orbit_p_keys(u: UniquenessFunction, spec: OrbitSpec, *also_invert):
+def _orbit_p_keys(u: UniquenessFunction, spec: OrbitSpec, cycle, *also_invert):
     """(labels, N, keys): the orbit labels in emission order and the uint64
     keys mod N = p*q of their P values, at the primes `_choose_primes`
     picks.  The denominators of `also_invert` must not vanish mod p either.
 
-    G's order is decided once, exactly, and with it the labels: a G of
-    infinite order is walked mod each prime (`_walked_residues`), and one of
-    finite order is tiled from its exact cycle.
+    `cycle` is G's `torsion_cycle`, which decides G's order exactly, and
+    with it the labels: a G of infinite order (None) is walked mod each
+    prime (`_walked_residues`), and one of finite order is tiled from its
+    exact cycle.
     """
     import numpy as np
 
-    cycle = torsion_cycle(spec.generator)
     if cycle is None:
         labels = _OrbitLabels(spec.bound, len(spec.torsion))
     else:
@@ -488,16 +536,17 @@ def _orbit_p_keys(u: UniquenessFunction, spec: OrbitSpec, *also_invert):
 class _ExactLabelEvaluator:
     """Exact re-evaluation of orbit points and P values by label, cached."""
 
-    def __init__(self, u: UniquenessFunction, spec: OrbitSpec):
+    def __init__(self, u: UniquenessFunction, spec: OrbitSpec, cycle):
         self.u = u
         self.spec = spec
+        self.cycle = cycle
         self._points = {}
         self._pvals = {}
 
     def point(self, label) -> Point:
         if label not in self._points:
             m, k = label if isinstance(label, tuple) else (label, 0)
-            self._points[label] = _exact_orbit_point(self.spec, m, k)
+            self._points[label] = _exact_orbit_point(self.spec, self.cycle, m, k)
         return self._points[label]
 
     def p_value(self, label) -> Fraction:
@@ -558,9 +607,12 @@ def _residue_p_findings(labels, modulus, keys, evaluator, memory_ceiling):
             kept.append(rest)
         return _confirm_buckets(kept, evaluator.p_value)
 
+    def key_block(lo, hi, out):
+        # a copy: the candidate pass reads `keys` again in stream order
+        out[:] = keys[lo:hi]
+
     classes = _fingerprint_classes(
-        "P-scan", len(keys), 1, modulus, lambda lo, hi: keys[lo:hi], resolve,
-        memory_ceiling=memory_ceiling,
+        "P-scan", len(keys), 1, modulus, key_block, resolve, memory_ceiling=memory_ceiling,
     )
     duplicates.sort(key=lambda g: str(g[0]))
     return classes, duplicates
@@ -582,9 +634,10 @@ def p_injectivity_scan(
     _require_valid(u)
     spec.validate()
     config = _scan_config("p_injectivity_scan", u, spec, EXACT_P_SCAN_BOUND)
-    labels, modulus, keys = _orbit_p_keys(u, spec)
+    cycle = torsion_cycle(spec.generator)
+    labels, modulus, keys = _orbit_p_keys(u, spec, cycle)
     classes, duplicates = _residue_p_findings(
-        labels, modulus, keys, _ExactLabelEvaluator(u, spec), memory_ceiling
+        labels, modulus, keys, _ExactLabelEvaluator(u, spec, cycle), memory_ceiling
     )
     # every label of a duplicate group but its first leaves the value scan
     total = len(labels) - sum(len(g) - 1 for g in duplicates)
@@ -613,8 +666,9 @@ def f_injectivity_scan(
     config = _scan_config("f_injectivity_scan", u, spec, EXACT_F_SCAN_BOUND)
     config["strategy"] = "direct"  # hashed into config_digest; the only f-strategy
     n, gamma = u.params.n, u.params.gamma
-    labels, modulus, keys = _orbit_p_keys(u, spec, gamma)
-    evaluator = _ExactLabelEvaluator(u, spec)
+    cycle = torsion_cycle(spec.generator)
+    labels, modulus, keys = _orbit_p_keys(u, spec, cycle, gamma)
+    evaluator = _ExactLabelEvaluator(u, spec, cycle)
     p_classes, duplicates = _residue_p_findings(labels, modulus, keys, evaluator, memory_ceiling)
     if p_classes or duplicates:
         raise ValueError(P_NOT_INJECTIVE)
@@ -645,10 +699,11 @@ def _pair_classes(scan, labels, modulus, w, g, exact, memory_ceiling):
     left = np.asarray(w, dtype=np.uint64)
     right = np.array([g * v % modulus for v in left.tolist()], dtype=np.uint64)
 
-    def key_block(lo, hi):
-        keys = np.add(left[lo // k:hi // k, None], right).ravel()
-        np.subtract(keys, modulus, out=keys, where=keys >= modulus)
-        return keys
+    def key_block(lo, hi, out):
+        np.add(left[lo // k:hi // k, None], right, out=out.reshape(-1, k))
+        for c in range(0, hi - lo, CHUNK_KEYS):
+            chunk = out[c:c + CHUNK_KEYS]
+            np.subtract(chunk, modulus, out=chunk, where=chunk >= modulus)
 
     def resolve(buckets):
         return _confirm_buckets(buckets, lambda x: exact(*divmod(x, k)))

@@ -14,7 +14,7 @@ from typing import Iterator, Optional
 
 from .curve import Curve, INFINITY, Point, add, negate, on_curve
 from .eds import multiples
-from .rational import exact_sqrt, height
+from .rational import exact_sqrt
 
 # The largest order of a rational torsion point (Mazur's bound).
 MAX_TORSION_ORDER = 12

@@ -218,7 +218,7 @@ def test_lane_walk_matches_exact_orbit(small_primes, caplog, monkeypatch, params
     for bound in bounds:
         caplog.clear()
         spec = OrbitSpec(c.point(*gen), bound, (INFINITY, *(c.point(*t) for t in torsion)) if torsion else ())
-        labels, _, keys = collisions._orbit_p_keys(u, spec)
+        labels, _, keys = collisions._orbit_p_keys(u, spec, torsion_cycle(spec.generator))
         p, q = chosen_primes(caplog)
         exact = list(orbit(spec))
         assert list(labels) == [label for label, _ in exact]
@@ -281,7 +281,7 @@ def test_identity_skip_builds_no_large_multiple(small_primes, caplog, monkeypatc
         return scalar_mul(m, pt)
 
     monkeypatch.setattr(collisions, "scalar_mul", small_only)
-    labels, _, keys = collisions._orbit_p_keys(ufunc248, OrbitSpec(gen248, 550))
+    labels, _, keys = collisions._orbit_p_keys(ufunc248, OrbitSpec(gen248, 550), torsion_cycle(gen248))
     messages = [r.getMessage() for r in caplog.records]
     assert "prime 1033303 skipped: 543*G reduces to the identity mod 1033303" in messages
     assert chosen_primes(caplog) < (1033303, 1033303)
@@ -301,10 +301,16 @@ def test_torsion_identities_come_from_small_multiples(small_primes, caplog, monk
 
     monkeypatch.setattr(collisions, "_walk", unused)
     monkeypatch.setattr(collisions, "scalar_mul", unused)
-    labels, _, keys = collisions._orbit_p_keys(UniquenessFunction(params_default, c), spec)
+    u = UniquenessFunction(params_default, c)
+    labels, _, keys = collisions._orbit_p_keys(u, spec, torsion_cycle(spec.generator))
     assert chosen_primes(caplog) == (1021, 1019)
     assert len(labels) == len(keys) == 2 * 375
     assert [label for label in labels if label % 4 == 0] == []
+    # exact confirmation takes each point from the cycle as well: the 750
+    # labels carry three points, so the scan finds three duplicate groups
+    report = p_injectivity_scan(u, spec)
+    assert findings(report) == findings(exact_p_scan(u, spec))
+    assert len(report.duplicate_points) == 3
 
 
 def test_translate_at_identity_skips_prime(small_primes, caplog):
@@ -423,9 +429,9 @@ def test_partition_plan_is_exact_and_greedy():
     keys[:300] = rng.integers(0, 2**8, 300)  # small values crowd the first range
     calls = []
 
-    def key_block(lo, hi):
+    def key_block(lo, hi, out):
         calls.append((lo, hi))
-        return keys[lo:hi]
+        out[:] = keys[lo:hi]
 
     ceiling = 20_000
     step, edges, sizes = collisions._partition_plan("f-scan", n, row, modulus, key_block, ceiling)
@@ -452,7 +458,10 @@ def test_partition_plan_is_exact_and_greedy():
 def test_one_partition_fill_equals_the_split_fills():
     modulus, n, row = 2**20 + 7, 5000, 50
     keys = np.random.default_rng(2).integers(0, modulus, n, dtype=np.uint64)
-    key_block = lambda lo, hi: keys[lo:hi]
+
+    def key_block(lo, hi, out):
+        out[:] = keys[lo:hi]
+
     step, edges, sizes = collisions._partition_plan("f-scan", n, row, modulus, key_block, 20_000)
     assert len(sizes) >= 3
     split = [
@@ -463,6 +472,27 @@ def test_one_partition_fill_equals_the_split_fills():
     assert np.array_equal(whole, keys)
     whole.sort()
     assert np.array_equal(np.sort(np.concatenate(split)), whole)
+
+
+def test_repeated_keys_match_unique(monkeypatch):
+    # chunks of four neighbour comparisons: [1, 5), [5, 9), ...
+    monkeypatch.setattr(collisions, "CHUNK_KEYS", 4)
+    cases = [
+        [],
+        [7],  # n < 2
+        list(range(12)),  # no runs
+        [0, 1, 2, 3, 5, 5, 6, 7, 8],  # a pair across the first chunk edge
+        [0, 1, 2, 4, 4, 4, 4, 4, 4, 4, 4, 4, 9],  # one run over three chunks
+        [3, 3, 3, 5, 6, 6, 8, 8, 8, 8],  # runs of 3 and 4 at both ends
+        [2] * 9,
+    ]
+    rng = np.random.default_rng(3)
+    cases += [np.sort(rng.integers(0, 12, n)) for n in range(2, 40)]
+    for case in cases:
+        part = np.asarray(case, dtype=np.uint64)
+        runs = collisions._repeated_keys(part)
+        assert runs.dtype == np.uint64
+        assert np.array_equal(runs, np.unique(part[1:][part[1:] == part[:-1]]))
 
 
 small_int = st.integers(-4, 4)

@@ -1,0 +1,48 @@
+"""Own peak RSS of scan processes: the f-scan's sorted keys are the only
+memory that grows with the scan.
+
+A small launcher interpreter starts each scan with `posix_spawn` and reads
+its `ru_maxrss` from `os.wait4`.  The test process itself does not spawn
+them: a child's `ru_maxrss` counts the pages it shares with its parent
+until `exec`, so this process's size (pytest with numpy) would floor theirs.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+LAUNCHER = """
+import json, os, sys
+cli = "import sys; from ecinj.cli import main; sys.exit(main(sys.argv[1:]))"
+peaks = []
+for argv in json.loads(sys.argv[1]):
+    pid = os.posix_spawn(sys.executable, [sys.executable, "-c", cli, *argv, "--out", os.devnull], os.environ)
+    _, status, usage = os.wait4(pid, 0)
+    peaks.append([os.waitstatus_to_exitcode(status), usage.ru_maxrss])
+print(json.dumps(peaks))
+"""
+
+
+def own_peaks_kib(*commands):
+    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", LAUNCHER, json.dumps(list(commands))],
+        env={**os.environ, "PYTHONPATH": pythonpath}, capture_output=True, text=True, check=True,
+    )
+    return json.loads(done.stdout)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_f_scan_peak_is_its_keys():
+    # check-f --M 500 sorts 10**6 uint64 keys (7.6 MiB) in one partition,
+    # filled in place; a default check-p, which loads numpy for a small
+    # scan, is the baseline
+    (base_code, base), (code, peak) = own_peaks_kib(["check-p"], ["check-f", "--M", "500"])
+    assert (base_code, code) == (0, 0)
+    assert peak - base <= 11 * 1024

@@ -1,5 +1,7 @@
 """Start-up contract: numpy and mpmath load only in the commands that use
-them, while `import ecinj.cli` still loads every ecinj module.
+them, while `import ecinj.cli` still loads every ecinj module.  No command
+loads `numpy.ma`, which numpy imports lazily for `np.unique` and which
+costs 10-13 ms.
 
 Each probe runs in a fresh interpreter, because this one already holds
 numpy.
@@ -22,7 +24,7 @@ ecinj.cli.build_parser()
 state = {"ecinj": sorted(n for n in sys.modules if n.startswith("ecinj.")), "codes": []}
 for argv in json.loads(sys.argv[1]):
     state["codes"].append(ecinj.cli.main(argv + ["--out", os.devnull]))
-state["loaded"] = sorted(n for n in ("numpy", "mpmath") if n in sys.modules)
+state["loaded"] = sorted(n for n in ("numpy", "numpy.ma", "mpmath") if n in sys.modules)
 print(json.dumps(state))
 """
 
@@ -68,4 +70,10 @@ def test_density_loads_mpmath_only():
 def test_check_p_loads_numpy_only():
     state = probe(["check-p"])
     assert state["codes"] == [0]
+    assert state["loaded"] == ["numpy"]
+
+
+def test_pair_scans_load_numpy_only():
+    state = probe(["check-f"], ["zagier-probe"])
+    assert state["codes"] == [0, 0]
     assert state["loaded"] == ["numpy"]
