@@ -170,8 +170,14 @@ def cmd_slope_bound(args) -> tuple:
 
 def cmd_density(args) -> tuple:
     curve = _parse_curve(args.curve)
-    rep = density_report(_orbit_spec(args, curve), args.bins)
-    cfg = {"op": "density", **curve.to_json_dict(), "gen": args.gen, "M": args.M, "bins": args.bins}
+    spec = _orbit_spec(args, curve)
+    rep = density_report(spec, args.bins)
+    # the generator in canonical text, so that its spelling moves no digest;
+    # "torsion" only when nonempty, so that the digests without it stay
+    gen = f"{format_rational(spec.generator.x)},{format_rational(spec.generator.y)}"
+    cfg = {"op": "density", **curve.to_json_dict(), "gen": gen, "M": args.M, "bins": args.bins}
+    if spec.torsion:
+        cfg["torsion"] = spec.config_dict()["torsion"]
     return envelope(cfg, rep.to_json_dict()), 0
 
 

@@ -9,8 +9,9 @@ values grow quadratically in digit count and are far too large to store
 exactly (measured: the |m| <= 2000 orbit would need hours and gigabytes),
 while residues are constant-size.  The keys are sorted in place, and only
 items whose key occurs more than once become candidates.  A run of equal
-keys is a full two-prime fingerprint match, and each run is split by exact
-re-evaluation before it may enter the report.
+keys is a full two-prime fingerprint match, and every scan groups a
+partition's candidates by exact value in `collision_scan`'s dict before
+they may enter the report.
 
 The orbit scans decide once, exactly, whether the generator G has finite
 order, and with it the orbit labels (`_OrbitLabels`).  A G of finite
@@ -25,10 +26,9 @@ exactly the identity, so any that reduces to the identity mod p makes
 the prime unsuitable.
 
 The f-scan and `zagier_probe`, whose items are the rationals of bounded
-height, share its pair form (`_pair_classes`).  `collision_scan` holds
-exact canonical values in one dict, so equality is exact with no hashing
-false positives; it is the reference index the tests compare the
-fingerprint engine against.
+height, share its pair form (`_pair_classes`) and its one exact formula,
+`pairing.zagier_eval`.  The tests' exact oracle shares only
+`collision_scan` with the product.
 
 The memory ceiling is the only resource setting.  The fingerprint engine
 generates keys in blocks of at most a quarter of the ceiling and keeps the
@@ -56,7 +56,7 @@ import logging
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Optional
 
 from .curve import INFINITY, Point, add, scalar_mul
@@ -71,11 +71,6 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_MEMORY_CEILING = 4 * 2**30  # bytes
 
-# Bytes the fingerprint engine budgets per key of a partition: the uint64
-# key and one byte of headroom for the chunked search for repeated sorted
-# keys (CHUNK_KEYS) and for the repeated keys it finds; there are none
-# unless fingerprints collide.
-PARTITION_BYTES_PER_KEY = 9
 # Bytes per key of one generated block at its largest, in the candidate
 # pass: the keys (8), their searchsorted positions (8), the gathered run
 # values (8) and the hit mask (1).
@@ -160,9 +155,9 @@ def _fingerprint_classes(scan, n, row, modulus, key_block, resolve, *, memory_ce
     of `row` and hi is one too, or n.  Partition s holds the keys in
     [edges[s], edges[s + 1]) of `_partition_plan`, built block by block and
     then sorted in place.  The items whose key occurs more than once in it
-    are found again by a second block pass, grouped by key into buckets of
-    indices in stream order, and handed to `resolve(buckets) -> classes`.
-    Equal values have equal keys, so a class never spans two partitions.
+    are found again by a second block pass, and their indices, in stream
+    order, are handed to `resolve(candidates) -> classes`.  Equal values
+    have equal keys, so a class never spans two partitions.
     """
     step, edges, sizes = _partition_plan(scan, n, row, modulus, key_block, memory_ceiling)
     classes = []
@@ -171,7 +166,7 @@ def _fingerprint_classes(scan, n, row, modulus, key_block, resolve, *, memory_ce
         part.sort()
         runs = _repeated_keys(part)
         del part
-        found = resolve(_candidate_buckets(n, step, key_block, runs))
+        found = resolve(_candidates(n, step, key_block, runs))
         logger.info(
             "%s partition %d/%d: %d keys, %d candidate runs, %d confirmed classes",
             scan, s + 1, len(sizes), size, len(runs), len(found),
@@ -222,21 +217,19 @@ def _repeated_keys(part):
     return dup[np.concatenate(([True], dup[1:] != dup[:-1]))]
 
 
-def _candidate_buckets(n, step, key_block, runs):
-    """Bucket r lists, in stream order, the items whose key is runs[r].  The
-    block temporaries end with this call, before the next partition is
+def _candidates(n, step, key_block, runs):
+    """The items whose key is one of the sorted `runs`, in stream order.
+    The block temporaries end with this call, before the next partition is
     built."""
     import numpy as np
 
-    buckets = [[] for _ in range(len(runs))]
+    found = []
     if len(runs):
         for lo, keys in _blocks(n, step, key_block):
             at = np.searchsorted(runs, keys)
             np.minimum(at, len(runs) - 1, out=at)
-            hits = np.flatnonzero(runs[at] == keys)
-            for i, run in zip((lo + hits).tolist(), at[hits].tolist()):
-                buckets[run].append(i)
-    return buckets
+            found.extend((lo + np.flatnonzero(runs[at] == keys)).tolist())
+    return found
 
 
 def _blocks(n, step, key_block):
@@ -250,6 +243,20 @@ def _blocks(n, step, key_block):
         keys = buffer[:min(step, n - lo)]
         key_block(lo, lo + len(keys), keys)
         yield lo, keys
+
+
+def _partition_bytes(size):
+    """Bytes a partition of `size` keys holds: the uint64 keys and the bool
+    mask of one chunk of the search for repeated sorted keys; the repeated
+    keys it finds are none unless fingerprints collide."""
+    return 8 * size + min(size, CHUNK_KEYS)
+
+
+def _partition_room(avail):
+    """The most keys of a partition that `avail` bytes hold
+    (`_partition_bytes`): 9 bytes a key up to CHUNK_KEYS keys, 8 above."""
+    above = (avail - CHUNK_KEYS) // 8
+    return above if above > CHUNK_KEYS else avail // 9
 
 
 def _partition_plan(scan, n, row, modulus, key_block, memory_ceiling):
@@ -272,10 +279,10 @@ def _partition_plan(scan, n, row, modulus, key_block, memory_ceiling):
     step = row * max(1, min(most, n) // row)
     if n == 0 or memory_ceiling is None:
         return step, [0, modulus], [n]
-    room = (memory_ceiling - BLOCK_BYTES_PER_KEY * step) // PARTITION_BYTES_PER_KEY
+    room = _partition_room(memory_ceiling - BLOCK_BYTES_PER_KEY * step)
     if room < 1:
         raise MemoryCeilingError(
-            f"{scan}: needs at least {BLOCK_BYTES_PER_KEY * step + PARTITION_BYTES_PER_KEY} "
+            f"{scan}: needs at least {BLOCK_BYTES_PER_KEY * step + _partition_bytes(1)} "
             f"bytes for one block of {step} keys, over the memory ceiling of {memory_ceiling}"
         )
     if n <= room:
@@ -283,7 +290,9 @@ def _partition_plan(scan, n, row, modulus, key_block, memory_ceiling):
     shift = max(0, (modulus - 1).bit_length() - KEY_RANGE_BITS)
     counts = np.zeros(((modulus - 1) >> shift) + 1, dtype=np.int64)
     for _, keys in _blocks(n, step, key_block):
-        counts += np.bincount(keys >> shift, minlength=len(counts))
+        # every range index is below 2**KEY_RANGE_BITS, so the int64 view
+        # is exact, and bincount needs no cast from uint64
+        counts += np.bincount((keys >> shift).view(np.int64), minlength=len(counts))
     crowded = int(np.argmax(counts))
     if counts[crowded] > room:
         lo, hi = crowded << shift, min((crowded + 1) << shift, modulus)
@@ -298,18 +307,6 @@ def _partition_plan(scan, n, row, modulus, key_block, memory_ceiling):
             sizes.append(0)
         sizes[-1] += count
     return step, edges + [modulus], sizes
-
-
-def _confirm_buckets(buckets, exact):
-    """The classes of two keys or more among candidate buckets (keys in
-    stream order), each bucket split by `exact` value."""
-    classes = []
-    for bucket in buckets:
-        by_value = {}
-        for key in bucket:
-            by_value.setdefault(exact(key), []).append(key)
-        classes.extend(CollisionClass(v, ks) for v, ks in by_value.items() if len(ks) >= 2)
-    return classes
 
 
 def _crt(p, q, rp, rq):
@@ -465,15 +462,20 @@ def _walked_residues(spec: OrbitSpec, cm: CurveModP, ar: int, br: int):
     return residues.reshape(-1)
 
 
-def _exact_orbit_point(spec: OrbitSpec, cycle, m: int, k: int = 0) -> Point:
-    """m*G + T_k exactly.  `cycle` is G's `torsion_cycle`: for a G of finite
-    order d, m*G is cycle[m mod d]."""
-    pt = scalar_mul(m, spec.generator) if cycle is None else cycle[m % len(cycle)]
-    if spec.torsion:
-        t = spec.torsion[k]
-        if not t.is_infinity:
-            pt = add(pt, t)
-    return pt
+def _exact_points(spec: OrbitSpec, cycle):
+    """point(label): the exact orbit point at an orbit() label, cached.
+    `cycle` is G's `torsion_cycle`: for a G of finite order d, m*G is
+    cycle[m mod d]."""
+
+    @cache
+    def point(label) -> Point:
+        m, k = label if spec.torsion else (label, 0)
+        pt = scalar_mul(m, spec.generator) if cycle is None else cycle[m % len(cycle)]
+        if spec.torsion and not spec.torsion[k].is_infinity:
+            pt = add(pt, spec.torsion[k])
+        return pt
+
+    return point
 
 
 def _choose_primes(build):
@@ -533,32 +535,6 @@ def _orbit_p_keys(u: UniquenessFunction, spec: OrbitSpec, cycle, *also_invert):
     return labels, p * q, _crt(p, q, rp, rq)
 
 
-class _ExactLabelEvaluator:
-    """Exact re-evaluation of orbit points and P values by label, cached."""
-
-    def __init__(self, u: UniquenessFunction, spec: OrbitSpec, cycle):
-        self.u = u
-        self.spec = spec
-        self.cycle = cycle
-        self._points = {}
-        self._pvals = {}
-
-    def point(self, label) -> Point:
-        if label not in self._points:
-            m, k = label if isinstance(label, tuple) else (label, 0)
-            self._points[label] = _exact_orbit_point(self.spec, self.cycle, m, k)
-        return self._points[label]
-
-    def p_value(self, label) -> Fraction:
-        if label not in self._pvals:
-            self._pvals[label] = self.u.eval_P(self.point(label))
-        return self._pvals[label]
-
-    def f_value(self, l1, l2) -> Fraction:
-        n, gamma = self.u.params.n, self.u.params.gamma
-        return self.p_value(l1) ** n + gamma * self.p_value(l2) ** n
-
-
 def _split_duplicate_points(labels, point):
     """(groups of labels carrying one exact point, the labels kept): only
     the first label of each group is kept.  `point(label)` is exact."""
@@ -589,23 +565,21 @@ def _require_valid(u: UniquenessFunction):
         raise ValueError("invalid injection parameters: " + "; ".join(violations))
 
 
-def _residue_p_findings(labels, modulus, keys, evaluator, memory_ceiling):
+def _residue_p_findings(u, labels, modulus, keys, point, memory_ceiling):
     """(classes, duplicate point groups) of P over the orbit `labels`, found
-    from their P keys mod `modulus`.
+    from their P keys mod `modulus`; `point(label)` is exact.
 
     Equal points have equal P, so the runs of equal P keys hold every
-    candidate for a duplicate point and for a value collision.  Of each
-    duplicate group only the first label stays in the value scan.
+    candidate for a duplicate point and for a value collision.  Candidates
+    are split by point first, and P is evaluated only on the labels kept:
+    of each duplicate group only the first label stays in the value scan.
     """
     duplicates = []
 
-    def resolve(buckets):
-        kept = []
-        for bucket in buckets:
-            groups, rest = _split_duplicate_points([labels[i] for i in bucket], evaluator.point)
-            duplicates.extend(groups)
-            kept.append(rest)
-        return _confirm_buckets(kept, evaluator.p_value)
+    def resolve(candidates):
+        groups, kept = _split_duplicate_points([labels[i] for i in candidates], point)
+        duplicates.extend(groups)
+        return collision_scan((label, u.eval_P(point(label))) for label in kept).classes
 
     def key_block(lo, hi, out):
         # a copy: the candidate pass reads `keys` again in stream order
@@ -637,7 +611,7 @@ def p_injectivity_scan(
     cycle = torsion_cycle(spec.generator)
     labels, modulus, keys = _orbit_p_keys(u, spec, cycle)
     classes, duplicates = _residue_p_findings(
-        labels, modulus, keys, _ExactLabelEvaluator(u, spec, cycle), memory_ceiling
+        u, labels, modulus, keys, _exact_points(spec, cycle), memory_ceiling
     )
     # every label of a duplicate group but its first leaves the value scan
     total = len(labels) - sum(len(g) - 1 for g in duplicates)
@@ -658,46 +632,45 @@ def f_injectivity_scan(
     Precondition: eval_P must be collision-free on the same orbit, so the
     scanned set plays the role of the injective open set.  It is checked on
     the scan's own residue systems, with exact confirmation.  The scan holds
-    about PARTITION_BYTES_PER_KEY * k^2 bytes for k orbit points, plus one
-    block, in as many key-range partitions as `memory_ceiling` needs.
+    about 8 * k^2 bytes for k orbit points, plus one block, in as many
+    key-range partitions as `memory_ceiling` needs.
     """
     _require_valid(u)
     spec.validate()
     config = _scan_config("f_injectivity_scan", u, spec, EXACT_F_SCAN_BOUND)
     config["strategy"] = "direct"  # hashed into config_digest; the only f-strategy
-    n, gamma = u.params.n, u.params.gamma
     cycle = torsion_cycle(spec.generator)
-    labels, modulus, keys = _orbit_p_keys(u, spec, cycle, gamma)
-    evaluator = _ExactLabelEvaluator(u, spec, cycle)
-    p_classes, duplicates = _residue_p_findings(labels, modulus, keys, evaluator, memory_ceiling)
+    labels, modulus, keys = _orbit_p_keys(u, spec, cycle, u.params.gamma)
+    point = _exact_points(spec, cycle)
+    p_classes, duplicates = _residue_p_findings(u, labels, modulus, keys, point, memory_ceiling)
     if p_classes or duplicates:
         raise ValueError(P_NOT_INJECTIVE)
-    w = [pow(v, n, modulus) for v in keys.tolist()]
-
-    def exact(i, j):
-        return evaluator.f_value(labels[i], labels[j])
-
     classes = _pair_classes(
-        "f-scan", labels, modulus, w, fraction_mod(gamma, modulus), exact, memory_ceiling
+        "f-scan", labels, modulus, keys, u.params.n, u.params.gamma,
+        lambda i: u.eval_P(point(labels[i])), memory_ceiling,
     )
     return CollisionReport(len(labels) ** 2, classes, [], config)
 
 
-def _pair_classes(scan, labels, modulus, w, g, exact, memory_ceiling):
-    """Collision classes of w_i + g*w_j over all ordered pairs (i, j) of
-    the k items `labels`, keys (labels[i], labels[j]) in row-major order.
+def _pair_classes(scan, labels, modulus, keys, n, gamma, value, memory_ceiling):
+    """Collision classes of v_i**n + gamma*v_j**n over all ordered pairs
+    (i, j) of the k items `labels`, keys (labels[i], labels[j]) in
+    row-major order.
 
-    `w` holds the k values and `g` the factor, both mod `modulus`;
-    `exact(i, j)` is the pair's exact value.
+    `keys` holds each item's uint64 key mod `modulus` and `value(i)` its
+    exact value v_i; gamma must be invertible mod `modulus`.
     """
     import numpy as np
 
     k = len(labels)
+    w = [pow(v, n, modulus) for v in keys.tolist()]
+    g = fraction_mod(gamma, modulus)
     # The key of pair (i, j) is (left[i] + right[j]) mod N, at flat index
     # i*k + j.  Both terms are below N < 2**62, so their sum cannot overflow
     # uint64.
-    left = np.asarray(w, dtype=np.uint64)
-    right = np.array([g * v % modulus for v in left.tolist()], dtype=np.uint64)
+    left = np.array(w, dtype=np.uint64)
+    right = np.array([g * v % modulus for v in w], dtype=np.uint64)
+    value = cache(value)  # an item may sit in many candidate pairs
 
     def key_block(lo, hi, out):
         np.add(left[lo // k:hi // k, None], right, out=out.reshape(-1, k))
@@ -705,8 +678,10 @@ def _pair_classes(scan, labels, modulus, w, g, exact, memory_ceiling):
             chunk = out[c:c + CHUNK_KEYS]
             np.subtract(chunk, modulus, out=chunk, where=chunk >= modulus)
 
-    def resolve(buckets):
-        return _confirm_buckets(buckets, lambda x: exact(*divmod(x, k)))
+    def resolve(candidates):
+        return collision_scan(
+            (x, zagier_eval(value(x // k), value(x % k), n, gamma)) for x in candidates
+        ).classes
 
     classes = _fingerprint_classes(
         scan, k * k, max(k, 1), modulus, key_block, resolve, memory_ceiling=memory_ceiling,
@@ -727,13 +702,10 @@ def zagier_probe(
     rats = list(rationals_by_height(h_bound))
     config = {"op": "zagier_probe", "height_bound": h_bound, "n": 7, "gamma": "3"}
 
-    (p, wp), (q, wq) = _choose_primes(lambda p: [pow(fraction_mod(r, p), 7, p) for r in rats])
-
-    def exact(i, j):
-        return zagier_eval(rats[i], rats[j], 7, 3)
-
+    (p, rp), (q, rq) = _choose_primes(lambda p: [fraction_mod(r, p) for r in rats])
     labels = [format_rational(r) for r in rats]
     classes = _pair_classes(
-        "zagier-scan", labels, p * q, _crt(p, q, wp, wq), 3, exact, memory_ceiling
+        "zagier-scan", labels, p * q, _crt(p, q, rp, rq), 7, Fraction(3), rats.__getitem__,
+        memory_ceiling,
     )
     return CollisionReport(len(rats) ** 2, classes, [], config)

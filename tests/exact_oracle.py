@@ -5,8 +5,10 @@ f-scans the fingerprint scans are tested against.
 shares no code with the division-polynomial orbit of `points.orbit`.  The
 scans walk that orbit, evaluate every value exactly and index it in
 `collision_scan`'s exact dict, so they share no code with the residue path
-(primes, reduction mod p, fingerprints, partitions).  They are slow: only
-small orbits belong here.
+(primes, reduction mod p, fingerprints, partitions).  The product confirms
+its candidates in that same dict, so the ten lines of `collision_scan` are
+all the oracle shares with it, and `test_collisions.py` pins them against
+hand-built classes.  The scans are slow: only small orbits belong here.
 """
 
 from ecinj.collisions import P_NOT_INJECTIVE, collision_scan

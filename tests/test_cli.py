@@ -257,6 +257,19 @@ def test_density_cli(capsys):
     assert report["certified"] is False
 
 
+def test_density_digest_follows_the_orbit_not_its_spelling(capsys):
+    def digest(*argv):
+        code, out, _ = run(capsys, "density", "--M", "5", *argv)
+        assert code == 0
+        return json.loads(out)["config_digest"]
+
+    # the same generator spelled two ways gives one digest, the default's
+    assert digest("--gen", "1/1,1") == digest("--gen", "1,1") == digest()
+    # a torsion list doubles the points, so it must move the digest
+    plain = ("--curve", "0,1", "--gen", "2,3")
+    assert digest(*plain, "--torsion", "O;-1,0") != digest(*plain)
+
+
 def test_weierstrass_verify_cli(capsys):
     code, out, _ = run(capsys, "weierstrass-verify", "--samples", "25")
     report = json.loads(out)

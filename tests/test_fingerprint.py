@@ -6,12 +6,20 @@ fingerprint coincidence ever happens, so these tests lower
 `collisions.PRIME_SEARCH_START` (read at call time) and check each branch
 through the per-partition log records, and every report's findings against
 the tests' exact oracle (`exact_oracle`), which carries no scan config.
+Where candidates occur, the tests also check that each scan hands them, in
+stream order, to `collision_scan`, the one exact index.
 """
 
+import json
 import logging
+import os
 import random
 import re
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -23,7 +31,6 @@ from ecinj import collisions
 from ecinj.collisions import (
     BLOCK_BYTES_PER_KEY,
     DEFAULT_MEMORY_CEILING,
-    PARTITION_BYTES_PER_KEY,
     MemoryCeilingError,
     collision_scan,
     f_injectivity_scan,
@@ -70,6 +77,35 @@ def small_primes(monkeypatch, caplog):
     return use
 
 
+@pytest.fixture
+def confirmed(monkeypatch):
+    """The keys of every stream the scans hand to `collision_scan`, one
+    list a call."""
+    streams = []
+
+    def counted(stream, **kwargs):
+        items = list(stream)
+        streams.append([key for key, _ in items])
+        return collision_scan(items, **kwargs)
+
+    monkeypatch.setattr(collisions, "collision_scan", counted)
+    return streams
+
+
+def repeated(keys):
+    """The positions of the keys that occur more than once, in order."""
+    count = Counter(keys)
+    return [i for i, key in enumerate(keys) if count[key] >= 2]
+
+
+def pair_keys(keys, n, gamma, modulus):
+    """(P_i**n + gamma*P_j**n) mod N of every ordered pair, row-major, from
+    the items' keys in plain integers."""
+    w = [pow(key, n, modulus) for key in keys]
+    g = fraction_mod(gamma, modulus)
+    return [(a + g * b) % modulus for a in w for b in w]
+
+
 def test_key_is_the_full_fingerprint(small_primes, caplog, ufunc248, gen248):
     # a run of equal keys mod N = p*q is a match at both primes: at 251 and
     # 241 the 144 f keys share 29 residue runs mod 251, none of them mod 241
@@ -85,12 +121,17 @@ def test_key_is_the_full_fingerprint(small_primes, caplog, ufunc248, gen248):
         assert findings(residue) == oracle
 
 
-def test_buckets_surviving_every_prime_split_exactly(small_primes, caplog, ufunc248, gen248):
+def test_buckets_surviving_every_prime_split_exactly(small_primes, caplog, confirmed, ufunc248, gen248):
     small_primes(2**7)  # primes 127 and 113
     spec = OrbitSpec(gen248, 6)
     residue = f_injectivity_scan(ufunc248, spec)
     [part] = partitions(caplog, "f")
     assert part["runs"] > 0 and part["classes"] == 0
+    # the P precondition's candidates, then every candidate pair's flat
+    # index, each in stream order, go through the one exact index
+    n, gamma = ufunc248.params.n, ufunc248.params.gamma
+    _, modulus, keys = collisions._orbit_p_keys(ufunc248, spec, torsion_cycle(gen248), gamma)
+    assert confirmed == [repeated(keys.tolist()), repeated(pair_keys(keys.tolist(), n, gamma, modulus))]
     assert findings(residue) == findings(exact_f_scan(ufunc248, spec))
 
 
@@ -161,7 +202,7 @@ def test_non_invertible_coefficient_skips_prime(small_primes, caplog, curve248, 
         ((-2, 1), (0, 1), 2, 2**6),
     ],
 )
-def test_planted_findings_confirmed_at_small_primes(small_primes, caplog, curve, gen, bound, start):
+def test_planted_findings_confirmed_at_small_primes(small_primes, caplog, confirmed, curve, gen, bound, start):
     small_primes(start)
     c = Curve(*curve)
     u = UniquenessFunction(InjectionParams(1, 1, 2, 9), c)
@@ -170,6 +211,11 @@ def test_planted_findings_confirmed_at_small_primes(small_primes, caplog, curve,
     [part] = partitions(caplog, "P")
     assert part["runs"] == part["classes"] == 1
     assert residue.exit_code == 2
+    # the candidate labels in stream order, but for the duplicates dropped
+    # by point, go through the one exact index
+    labels, _, keys = collisions._orbit_p_keys(u, spec, torsion_cycle(spec.generator))
+    dropped = {label for group in residue.duplicate_points for label in group[1:]}
+    assert confirmed == [[labels[i] for i in repeated(keys.tolist()) if labels[i] not in dropped]]
     assert findings(residue) == findings(exact_p_scan(u, spec))
 
 
@@ -341,7 +387,7 @@ def test_memory_ceiling_is_exact_per_partition(caplog, ufunc248, gen248):
     assert canonical_json(partitioned.to_json_dict()) == canonical_json(unlimited.to_json_dict())
 
     caplog.clear()
-    needed = BLOCK_BYTES_PER_KEY * row + PARTITION_BYTES_PER_KEY  # one row's block and one key
+    needed = BLOCK_BYTES_PER_KEY * row + collisions._partition_bytes(1)  # one row's block and one key
     with pytest.raises(MemoryCeilingError, match=f"needs at least {needed} bytes"):
         f_injectivity_scan(ufunc248, spec, memory_ceiling=needed - 1)
     assert partitions(caplog, "f") == []  # refused before any key was built
@@ -352,20 +398,51 @@ def test_pair_classes_match_exact_index():
     # several ordered pairs, and each class keeps its pairs in stream order
     labels = list("abcde")
     classes = collisions._pair_classes(
-        "f-scan", labels, 61 * 59, list(range(5)), 1, lambda i, j: Fraction(i + j), memory_ceiling=None
+        "f-scan", labels, 61 * 59, np.arange(5, dtype=np.uint64), 1, Fraction(1), Fraction, None
     )
     stream = (((a, b), Fraction(i + j)) for i, a in enumerate(labels) for j, b in enumerate(labels))
     assert classes == collision_scan(stream).classes
     assert len(classes) == 7
 
 
-def test_zagier_runs_confirmed_against_exact_index(small_primes, caplog):
+def test_traced_p_scan_counts_collision_scan():
+    # the planted P-collision of the scaled model is a candidate at the
+    # default primes, so the layer tracer sees its exact confirmation
+    root = Path(__file__).resolve().parents[1]
+    pythonpath = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    argv = ["check-p", "--curve", "1/16,-1/64", "--gen", "1/4,1/8", "--M", "20"]
+    done = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "tracer.py"), *argv],
+        env={**os.environ, "PYTHONPATH": pythonpath}, capture_output=True, text=True,
+    )
+    assert done.returncode == 2
+    marker = "perfbench-trace: "
+    [trace] = [line for line in done.stderr.splitlines() if line.startswith(marker)]
+    calls, _ = json.loads(trace.removeprefix(marker))["spans"]["collisions.collision_scan"]
+    assert calls >= 1
+
+
+def test_partition_room_is_the_exact_budget():
+    # 9 bytes a key up to CHUNK_KEYS keys, 8 bytes a key and one chunk mask above
+    chunk = collisions.CHUNK_KEYS
+    assert collisions._partition_bytes(chunk) == 9 * chunk
+    assert collisions._partition_bytes(chunk + 1) == 8 * (chunk + 1) + chunk
+    edges = (0, 9, 9 * chunk, 17 * chunk)
+    for avail in {a + d for a in edges for d in range(-20, 20) if a + d >= 0} | {10**6, 3 * 10**7}:
+        room = collisions._partition_room(avail)
+        assert collisions._partition_bytes(room) <= avail < collisions._partition_bytes(room + 1)
+
+
+def test_zagier_runs_confirmed_against_exact_index(small_primes, caplog, confirmed):
     small_primes(2**6)  # primes 61 and 59: 82,369 pair keys on 61 values
     report = zagier_probe(15)
     assert "primes chosen: 61, 59" in [r.getMessage() for r in caplog.records]
     [part] = partitions(caplog, "zagier")
     assert part["runs"] > 0 and part["classes"] == 0
     rats = list(rationals_by_height(15))
+    # every candidate pair's flat index, in stream order
+    modulus = 61 * 59
+    assert confirmed == [repeated(pair_keys([fraction_mod(r, modulus) for r in rats], 7, 3, modulus))]
     stream = (
         ((format_rational(r1), format_rational(r2)), zagier_eval(r1, r2, 7, 3))
         for r1 in rats
@@ -389,7 +466,7 @@ def test_zagier_memory_ceiling_is_exact_per_partition(caplog):
     assert canonical_json(partitioned.to_json_dict()) == canonical_json(unlimited.to_json_dict())
 
     caplog.clear()
-    needed = BLOCK_BYTES_PER_KEY * row + PARTITION_BYTES_PER_KEY  # one row's block and one key
+    needed = BLOCK_BYTES_PER_KEY * row + collisions._partition_bytes(1)  # one row's block and one key
     with pytest.raises(MemoryCeilingError, match=f"needs at least {needed} bytes"):
         zagier_probe(10, memory_ceiling=needed - 1)
     assert partitions(caplog, "zagier") == []
@@ -412,7 +489,7 @@ def test_crowded_key_range_is_refused(small_primes, caplog, ufunc248, gen248):
     spec = OrbitSpec(gen248, 6)
     # blocks of one row (12 keys) leave room for two keys, and one range of
     # four key values holds more
-    ceiling = 2 * PARTITION_BYTES_PER_KEY + BLOCK_BYTES_PER_KEY * 12
+    ceiling = collisions._partition_bytes(2) + BLOCK_BYTES_PER_KEY * 12
     message = (
         "f-scan: the key range [4292, 4296) holds 4 keys, over the 2 of one partition "
         "under the memory ceiling of 318"
@@ -437,8 +514,8 @@ def test_partition_plan_is_exact_and_greedy():
     step, edges, sizes = collisions._partition_plan("f-scan", n, row, modulus, key_block, ceiling)
     assert calls == [(lo, min(lo + step, n)) for lo in range(0, n, step)]  # one counting pass
     assert step % row == 0 and BLOCK_BYTES_PER_KEY * step <= ceiling // 4
-    room = (ceiling - BLOCK_BYTES_PER_KEY * step) // PARTITION_BYTES_PER_KEY
-    assert len(sizes) >= 3 and sum(sizes) == n and max(sizes) <= room
+    avail = ceiling - BLOCK_BYTES_PER_KEY * step
+    assert len(sizes) >= 3 and sum(sizes) == n and collisions._partition_bytes(max(sizes)) <= avail
     assert edges[0] == 0 and edges[-1] == modulus and edges == sorted(set(edges))
 
     def held(lo, hi):
@@ -448,7 +525,7 @@ def test_partition_plan_is_exact_and_greedy():
     width = 2 ** ((modulus - 1).bit_length() - collisions.KEY_RANGE_BITS)
     for size, edge in zip(sizes, edges[1:-1]):
         # no partition but the last could take the next range too
-        assert size + held(edge, edge + width) > room
+        assert collisions._partition_bytes(size + held(edge, edge + width)) > avail
 
     calls.clear()
     plan = collisions._partition_plan("f-scan", n, row, modulus, key_block, DEFAULT_MEMORY_CEILING)
