@@ -23,28 +23,32 @@ multiples of G is the block before it plus a stride, in one vectorised
 chord addition with one batched inverse (`_inverse`), and only an entry
 that doubles goes through the scalar group law.  No point of its orbit is
 exactly the identity, so any that reduces to the identity mod p makes
-the prime unsuitable.
+the prime unsuitable.  The walk is streamed: each block's P residues go
+into one uint32 array per prime, and only the keys are uint64.
 
 The f-scan and `zagier_probe`, whose items are the rationals of bounded
 height, share its pair form (`_pair_classes`) and its one exact formula,
 `pairing.zagier_eval`.  The tests' exact oracle shares only
 `collision_scan` with the product.
 
-The memory ceiling is the only resource setting.  The fingerprint engine
-generates keys in blocks of at most a quarter of the ceiling and keeps the
-rest for one key-range partition at a time.  When all the keys fit one
-partition, each block is generated straight into its slice of it, so the
-sorted partition is the only memory that grows with the scan; the P-scan
-copies its keys in instead, as its candidate pass reads them again.  The
-pair reduction mod N and the search for repeated sorted keys run
-CHUNK_KEYS keys at a time, so no mask covers a block or a partition.  When
-the keys do not all fit one partition, a single counting pass over 2**12
-equal ranges of the key space plans the partitions, so every partition's
-size is exact before it is allocated; a range that alone overflows the
-room is refused.  Each pass then generates its blocks into one reused
-buffer.  Reports are deterministic and do not depend on the ceiling: keys
-inside a class are in stream order, and classes are sorted by value before
-emission.
+The memory ceiling is the only resource setting.  It bounds the
+fingerprint index, not the orbit scans' keys: those hold 4 bytes per
+orbit point per prime and a few walk blocks, then the 8-byte keys, which
+the P-scan's partitions copy and the f-scan keeps beside its pair keys.
+The fingerprint engine generates keys in blocks of at most a quarter of
+the ceiling and keeps the rest for one key-range partition at a time.
+When all the keys fit one partition, each block is generated straight
+into its slice of it, so the sorted partition is the only memory that
+grows with the scan; the P-scan copies its keys in instead, as its
+candidate pass reads them again.  The pair reduction mod N and the
+search for repeated sorted keys run CHUNK_KEYS keys at a time, so no
+mask covers a block or a partition.  When the keys do not all fit one
+partition, a single counting pass over 2**12 equal ranges of the key
+space plans the partitions, so every partition's size is exact before it
+is allocated; a range that alone overflows the room is refused.  Each
+pass then generates its blocks into one reused buffer.  Reports are
+deterministic and do not depend on the ceiling: keys inside a class are
+in stream order, and classes are sorted by value before emission.
 
 numpy loads on first use: each function that needs it imports it, so
 importing this module (and with it the CLI) costs no numpy start-up in the
@@ -168,8 +172,8 @@ def _fingerprint_classes(scan, n, row, modulus, key_block, resolve, *, memory_ce
         del part
         found = resolve(_candidates(n, step, key_block, runs))
         logger.info(
-            "%s partition %d/%d: %d keys, %d candidate runs, %d confirmed classes",
-            scan, s + 1, len(sizes), size, len(runs), len(found),
+            "%s partition %d/%d: %d keys, %d candidate runs, %d confirmed classes, %d bytes",
+            scan, s + 1, len(sizes), size, len(runs), len(found), _partition_bytes(size),
         )
         classes.extend(found)
     classes.sort(key=lambda c: c.value)
@@ -311,19 +315,25 @@ def _partition_plan(scan, n, row, modulus, key_block, memory_ceiling):
 
 def _crt(p, q, rp, rq):
     """The uint64 keys mod p*q of residues `rp` mod p and `rq` mod q, for two
-    distinct primes below 2**31, as rp + p*t (Garner's form), computed in
-    place in the key array.  Every intermediate value stays below 2**62."""
+    distinct primes below 2**31, as rp + p*t (Garner's form).  The residues
+    are read as uint32 and combined CHUNK_KEYS at a time, in place in the
+    key array, so no temporary spans the scan.  Every intermediate value
+    stays below 2**62."""
     import numpy as np
 
-    rp = np.asarray(rp, dtype=np.uint64)
-    keys = rp % q
-    np.subtract(q, keys, out=keys)
-    keys += np.asarray(rq, dtype=np.uint64)
-    keys %= q
-    keys *= pow(p, -1, q)
-    keys %= q
-    keys *= p
-    keys += rp
+    rp, rq = np.asarray(rp, dtype=np.uint32), np.asarray(rq, dtype=np.uint32)
+    keys = np.empty(len(rp), dtype=np.uint64)
+    inv = pow(p, -1, q)
+    for lo in range(0, len(keys), CHUNK_KEYS):
+        out, a = keys[lo:lo + CHUNK_KEYS], rp[lo:lo + CHUNK_KEYS]
+        out[:] = rq[lo:lo + CHUNK_KEYS]
+        out += q
+        out -= a % q
+        out %= q
+        out *= inv
+        out %= q
+        out *= p
+        out += a
     return keys
 
 
@@ -365,38 +375,53 @@ def _add_point(p, x, y, t):
     return x3, y3, np.flatnonzero(den == 0)
 
 
+def _shifted(cm: CurveModP, x, y, t: tuple, lo: int):
+    """(x3, y3): the points (x, y) at positions lo.. of the walk plus the
+    point t, as new uint64 arrays.  An entry `_add_point` flags goes through
+    `CurveModP.add`; one at the identity raises UnsuitablePrimeError."""
+    x3, y3, odd = _add_point(cm.p, x, y, t)
+    for j in odd.tolist():
+        pt = cm.add((int(x[j]), int(y[j])), t)
+        if pt is None:
+            raise UnsuitablePrimeError(f"{lo + j + 1}*G reduces to the identity mod {cm.p}")
+        x3[j], y3[j] = pt
+    return x3, y3
+
+
 def _walk(cm: CurveModP, g: tuple, bound: int):
-    """(x, y): m*G mod p for m = 1..bound as uint64 arrays.  Raises
+    """Yields (lo, x, y): m*G mod p for m = lo + 1.., uint64 arrays of at
+    most WALK_BLOCK points, whose blocks tile m = 1..bound in order.  Raises
     UnsuitablePrimeError at the least m with m*G reducing to the identity.
 
     Block doubling: position i holds (i + 1)*G, and the block
     [lo, lo + size) is the block [lo - size, lo) plus the stride size*G, in
     one vectorised chord addition.  `size` doubles from 1 up to WALK_BLOCK,
-    one scalar `cm.add(t, t)` per doubling, and then stays fixed, so each
-    block needs only the block before it.  An entry `_add_point` flags goes
-    through `CurveModP.add`.  As the walk stops at the first identity, no
-    source and no stride is ever the identity.
+    one scalar `cm.add(t, t)` per doubling, and then stays fixed.  The
+    doubling prefix [0, WALK_BLOCK) is one buffer, yielded whole; after it,
+    each block needs only the block before it, so the walk holds at most two
+    blocks.  As the walk stops at the first identity, no source and no
+    stride is ever the identity.
     """
     import numpy as np
 
-    x = np.empty(bound, dtype=np.uint64)
-    y = np.empty(bound, dtype=np.uint64)
-    if bound:
-        x[0], y[0] = g
-    lo, size, t = 1, 1, g
-    while lo < bound:
-        n = min(size, bound - lo)
-        src = lo - size
-        x[lo:lo + n], y[lo:lo + n], odd = _add_point(cm.p, x[src:src + n], y[src:src + n], t)
-        for j in odd.tolist():
-            pt = cm.add((int(x[src + j]), int(y[src + j])), t)
-            if pt is None:
-                raise UnsuitablePrimeError(f"{lo + j + 1}*G reduces to the identity mod {cm.p}")
-            x[lo + j], y[lo + j] = pt
+    if not bound:
+        return
+    head = min(bound, WALK_BLOCK)
+    x, y = np.empty(head, dtype=np.uint64), np.empty(head, dtype=np.uint64)
+    x[0], y[0] = g
+    lo, t = 1, g
+    while lo < head:  # the block [lo, 2*lo), cut at head, from [0, lo)
+        n = min(lo, head - lo)
+        x[lo:lo + n], y[lo:lo + n] = _shifted(cm, x[:n], y[:n], t, lo)
         lo += n
-        if size < WALK_BLOCK and lo < bound:
-            size, t = 2 * size, cm.add(t, t)
-    return x, y
+        if lo < bound:
+            t = cm.add(t, t)
+    yield 0, x, y
+    while lo < bound:
+        n = min(head, bound - lo)
+        x, y = _shifted(cm, x[:n], y[:n], t, lo)
+        yield lo, x, y
+        lo += n
 
 
 @dataclass(frozen=True)
@@ -433,13 +458,15 @@ class _OrbitLabels(Sequence):
 
 def _walked_residues(spec: OrbitSpec, cm: CurveModP, ar: int, br: int):
     """The P residues alpha*x + beta*y mod p (`ar` and `br` are alpha and
-    beta mod p) of the orbit of a G of infinite order, a uint64 array in
-    orbit() emission order.
+    beta mod p) of the orbit of a G of infinite order, a uint32 array in
+    orbit() emission order (p < 2**31), written one walk block at a time.
 
     No such orbit point is exactly the identity, so one that reduces to the
     identity mod p makes the prime unsuitable: UnsuitablePrimeError.  A
     torsion translate never does, as rational torsion injects into E(F_p)
-    at an odd prime of good reduction.
+    at an odd prime of good reduction.  An identity the walk meets is
+    reported first; otherwise the least k whose translates meet one, at its
+    least m, whichever block found it.
     """
     import numpy as np
 
@@ -448,17 +475,21 @@ def _walked_residues(spec: OrbitSpec, cm: CurveModP, ar: int, br: int):
     if g is None:
         raise UnsuitablePrimeError(f"generator reduces to the identity mod {p}")
     translates = [cm.reduce_point(t) for t in spec.torsion or (INFINITY,)]
-    x, y = _walk(cm, g, spec.bound)
-    residues = np.empty((spec.bound, 2, len(translates)), dtype=np.uint64)
-    for s, ys in enumerate((y, (p - y) % p)):
-        for k, t in enumerate(translates):
-            px, py, odd = (x, ys, ()) if t is None else _add_point(p, x, ys, t)
-            if len(odd):
-                # m*G = +-T_k mod p puts m*G + T_k or -m*G + T_k at the identity
-                m = int(odd[0]) + 1
-                label = (m if (y[m - 1] + t[1]) % p == 0 else -m, k)
-                raise UnsuitablePrimeError(f"orbit point at label {label} reduces to the identity mod {p}")
-            residues[:, s, k] = (ar * px + br * py) % p
+    residues = np.empty((spec.bound, 2, len(translates)), dtype=np.uint32)
+    cancelled = {}  # k: the label of the first orbit point m*G +- T_k at the identity
+    for lo, x, y in _walk(cm, g, spec.bound):
+        for s, ys in enumerate((y, (p - y) % p)):
+            for k, t in enumerate(translates):
+                px, py, odd = (x, ys, ()) if t is None else _add_point(p, x, ys, t)
+                if len(odd) and k not in cancelled:
+                    # m*G = +-T_k mod p puts m*G + T_k or -m*G + T_k at the identity
+                    j = int(odd[0])
+                    m = lo + j + 1
+                    cancelled[k] = (m if (y[j] + t[1]) % p == 0 else -m, k)
+                residues[lo:lo + len(x), s, k] = (ar * px + br * py) % p
+    if cancelled:
+        label = cancelled[min(cancelled)]
+        raise UnsuitablePrimeError(f"orbit point at label {label} reduces to the identity mod {p}")
     return residues.reshape(-1)
 
 
@@ -529,10 +560,15 @@ def _orbit_p_keys(u: UniquenessFunction, spec: OrbitSpec, cycle, *also_invert):
             return _walked_residues(spec, cm, ar, br)
         # torsion injects into E(F_p), so only O reduces to the identity
         reduced = [(0, 0) if pt.is_infinity else cm.reduce_point(pt) for pt in points]
-        return np.array([(ar * x + br * y) % p for x, y in reduced], dtype=np.uint64)[index]
+        return np.array([(ar * x + br * y) % p for x, y in reduced], dtype=np.uint32)[index]
 
     (p, rp), (q, rq) = _choose_primes(build)
-    return labels, p * q, _crt(p, q, rp, rq)
+    keys = _crt(p, q, rp, rq)
+    logger.info(
+        "orbit of %d points: residues %d + %d bytes, keys %d bytes",
+        len(keys), rp.nbytes, rq.nbytes, keys.nbytes,
+    )
+    return labels, p * q, keys
 
 
 def _split_duplicate_points(labels, point):

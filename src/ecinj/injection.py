@@ -10,7 +10,7 @@ the roots of unity are exactly {1, -1}, so "the only n-th root of unity is
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curve import Curve, Point, on_curve
+from .curve import Curve, CurveMismatchError, Point
 from .rational import format_rational
 
 
@@ -57,7 +57,11 @@ def validate_params(p: InjectionParams) -> list[str]:
 
 @dataclass(frozen=True)
 class UniquenessFunction:
-    """P = alpha*x + beta*y, regular exactly on affine points of the curve."""
+    """P = alpha*x + beta*y, regular exactly on affine points of the curve.
+
+    A point is taken to lie on its curve, as `Curve.point`, `add` and
+    `scalar_mul` build no other; eval_P checks only that it is this curve.
+    """
 
     params: InjectionParams
     curve: Curve
@@ -65,8 +69,8 @@ class UniquenessFunction:
     def eval_P(self, p: Point) -> Fraction:
         if p.is_infinity:
             raise PoleError("pole of P: the only pole of alpha*x + beta*y is the identity")
-        if not on_curve(self.curve, p):
-            raise ValueError(f"{p} is not on {self.curve}")
+        if p.curve != self.curve:
+            raise CurveMismatchError(f"curve mismatch: {p.curve} vs {self.curve}")
         return self.params.alpha * p.x + self.params.beta * p.y
 
     def eval_f(self, p1: Point, p2: Point) -> Fraction:

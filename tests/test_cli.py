@@ -355,7 +355,14 @@ def test_verbose_logs_the_primes_and_leaves_stdout_alone(capsys):
     code, out, err = run(capsys, "check-p", "-v")
     assert (code, out) == run(capsys, "check-p")[:2]
     assert "ecinj.collisions: primes chosen: 2147483647, 2147483629\n" in err
-    assert "P-scan partition 1/1: 120 keys" in err
+    # the bytes of the two primes' uint32 residues, the uint64 keys and the
+    # partition: 120 keys, and 8 bytes a key plus one bool a key of the
+    # chunked search for repeated keys
+    assert "ecinj.collisions: orbit of 120 points: residues 480 + 480 bytes, keys 960 bytes\n" in err
+    assert "P-scan partition 1/1: 120 keys, 0 candidate runs, 0 confirmed classes, 1080 bytes\n" in err
+    code, out, err = run(capsys, "check-f", "-v")
+    assert (code, out) == run(capsys, "check-f")[:2]
+    assert "f-scan partition 1/1: 14400 keys, 0 candidate runs, 0 confirmed classes, 129600 bytes\n" in err
     # the stderr handler is gone again, so in-process runs do not stack them
     assert (log.handlers, log.level) == (handlers, level)
     assert run(capsys, "check-p")[2] == ""

@@ -17,6 +17,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -48,17 +49,19 @@ from exact_oracle import exact_f_scan, exact_p_scan
 
 PARTITION = re.compile(
     r"(?P<scan>P|f|zagier)-scan partition \d+/\d+: (?P<keys>\d+) keys, (?P<runs>\d+) candidate runs, "
-    r"(?P<classes>\d+) confirmed classes"
+    r"(?P<classes>\d+) confirmed classes, (?P<bytes>\d+) bytes"
 )
 
 
 def partitions(caplog, scan):
-    """The counts of every `scan` partition record, in order."""
+    """The counts of every `scan` partition record, in order.  Each record's
+    bytes must be those `_partition_bytes` budgets for its keys."""
     found = []
     for record in caplog.records:
         match = PARTITION.fullmatch(record.getMessage())
         if match and match["scan"] == scan:
-            found.append({k: int(v) for k, v in match.groupdict().items() if k != "scan"})
+            assert int(match["bytes"]) == collisions._partition_bytes(int(match["keys"]))
+            found.append({k: int(match[k]) for k in ("keys", "runs", "classes")})
     return found
 
 
@@ -309,10 +312,66 @@ def test_block_walk_matches_scalar_walk(monkeypatch, walk):
     for bound in sorted({0, 1, 2, 3, 4, 5, order - 1, order, 5 * 4 + 3}):
         if bound >= order:
             with pytest.raises(UnsuitablePrimeError, match=f"^{order}\\*G reduces to the identity mod {p}$"):
-                collisions._walk(cm, g, bound)
+                walked(cm, g, bound)
             continue
-        x, y = collisions._walk(cm, g, bound)
-        assert list(zip(x.tolist(), y.tolist())) == multiples[:bound]
+        assert walked(cm, g, bound) == multiples[:bound]
+
+
+def walked(cm, g, bound):
+    """The points of `_walk`'s blocks, joined in order."""
+    return [pt for _, x, y in collisions._walk(cm, g, bound) for pt in zip(x.tolist(), y.tolist())]
+
+
+def test_walk_blocks_tile_the_bound(monkeypatch, gen248):
+    # with blocks of at most 4 points the prefix [0, 4) is one block, then
+    # each block of the stride 4G follows the one before, the last cut at
+    # the bound
+    monkeypatch.setattr(collisions, "WALK_BLOCK", 4)
+    cm = CurveModP(gen248.curve, 2**31 - 1)
+    g = cm.reduce_point(gen248)
+    multiples = [g]
+    while len(multiples) < 23:
+        multiples.append(cm.add(multiples[-1], g))
+    for bound in range(24):
+        blocks = list(collisions._walk(cm, g, bound))
+        assert [lo for lo, _, _ in blocks] == list(range(0, bound, 4))
+        assert [len(x) for _, x, _ in blocks] == [min(4, bound - lo) for lo in range(0, bound, 4)]
+        assert all(len(x) == len(y) for _, x, y in blocks)
+        assert walked(cm, g, bound) == multiples[:bound]
+
+
+def test_walk_identity_is_reported_before_a_translate(monkeypatch):
+    # mod 139, 36*G is the identity and 18*G the 2-torsion point T: the
+    # translate 18*G + T cancels in the block [16, 20), long before the
+    # walk reaches 36*G, and the walk's identity is still the one reported,
+    # as it was when the whole orbit was walked first
+    monkeypatch.setattr(collisions, "WALK_BLOCK", 4)
+    c = Curve(-6, 40)
+    spec = OrbitSpec(c.point(2, 6), 40, (INFINITY, c.point(-4, 0)))
+    with pytest.raises(UnsuitablePrimeError, match=r"^36\*G reduces to the identity mod 139$"):
+        collisions._walked_residues(spec, CurveModP(c, 139), 1, 1)
+    # below 36*G, the translate's identity is the one reported
+    translate = r"^orbit point at label \(18, 1\) reduces to the identity mod 139$"
+    with pytest.raises(UnsuitablePrimeError, match=translate):
+        collisions._walked_residues(OrbitSpec(spec.generator, 35, spec.torsion), CurveModP(c, 139), 1, 1)
+
+
+def test_orbit_keys_hold_16_bytes_a_point(ufunc248, gen248):
+    # each prime's P residues are 4 bytes a point, streamed in from the walk
+    # one block at a time, and the keys 8: 16 bytes a point at their peak,
+    # plus the walk's blocks and the CRT's chunks, whatever the bound
+    spec = OrbitSpec(gen248, 2**17)
+    cycle = torsion_cycle(gen248)
+    collisions._orbit_p_keys(ufunc248, OrbitSpec(gen248, 3), cycle)  # imports and caches
+    tracemalloc.start()
+    try:
+        labels, _, keys = collisions._orbit_p_keys(ufunc248, spec, cycle)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    points = 2 * spec.bound
+    assert len(labels) == len(keys) == points
+    assert peak < 18 * points + 64 * collisions.WALK_BLOCK
 
 
 def test_identity_skip_builds_no_large_multiple(small_primes, caplog, monkeypatch, ufunc248, gen248):
@@ -418,8 +477,13 @@ def test_traced_p_scan_counts_collision_scan():
     assert done.returncode == 2
     marker = "perfbench-trace: "
     [trace] = [line for line in done.stderr.splitlines() if line.startswith(marker)]
-    calls, _ = json.loads(trace.removeprefix(marker))["spans"]["collisions.collision_scan"]
-    assert calls >= 1
+    spans = json.loads(trace.removeprefix(marker))["spans"]
+    assert spans["collisions.collision_scan"][0] >= 1
+    # P is evaluated exactly on the planted pair, and no evaluated point is
+    # checked against the curve again: the two on_curve calls are the
+    # generator's, when it is parsed and when the orbit spec is validated
+    assert spans["injection.UniquenessFunction.eval_P"][0] >= 2
+    assert spans["curve.on_curve"][0] == 2
 
 
 def test_partition_room_is_the_exact_budget():

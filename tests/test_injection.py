@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ecinj.curve import INFINITY, negate, scalar_mul
+from ecinj.curve import INFINITY, Curve, CurveMismatchError, negate, scalar_mul
 from ecinj.injection import InjectionParams, PoleError, validate_params
 
 
@@ -40,6 +40,12 @@ def test_eval_P(ufunc248, curve248, gen248):
     assert ufunc248.eval_P(curve248.point(2, -3)) == -1
     with pytest.raises(PoleError):
         ufunc248.eval_P(INFINITY)
+
+
+def test_eval_P_refuses_a_point_of_another_curve(ufunc248):
+    # (1, 1) lies on y^2 = x^3 + 1*x - 1 and on y^2 = x^3 - 1*x + 1
+    with pytest.raises(CurveMismatchError, match="^curve mismatch: "):
+        ufunc248.eval_P(Curve(-1, 1).point(1, 1))
 
 
 def test_eval_f_examples(ufunc248, curve248, gen248):

@@ -1,5 +1,5 @@
-"""Own peak RSS of scan processes: the f-scan's sorted keys are the only
-memory that grows with the scan.
+"""Own peak RSS of scan processes: the keys, and the residues they are
+built from, are the only memory that grows with the scan.
 
 A small launcher interpreter starts each scan with `posix_spawn` and reads
 its `ru_maxrss` from `os.wait4`.  The test process itself does not spawn
@@ -46,3 +46,13 @@ def test_f_scan_peak_is_its_keys():
     (base_code, base), (code, peak) = own_peaks_kib(["check-p"], ["check-f", "--M", "500"])
     assert (base_code, code) == (0, 0)
     assert peak - base <= 11 * 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_p_scan_peak_is_its_keys():
+    # check-p --M 100000 keys 200,000 orbit points: two primes' uint32
+    # residues and the uint64 keys (3.1 MiB), then the keys and their sorted
+    # copy; the walk streams its blocks into the residues
+    (base_code, base), (code, peak) = own_peaks_kib(["check-p"], ["check-p", "--M", "100000"])
+    assert (base_code, code) == (0, 0)
+    assert peak - base <= 5 * 1024
