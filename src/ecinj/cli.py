@@ -10,7 +10,6 @@ Defaults reproduce the headline configuration: curve (1, -1), generator
 
 import argparse
 import logging
-import os
 import random
 import sys
 from fractions import Fraction
@@ -94,12 +93,6 @@ def _parse_torsion(text: str, curve: Curve):
 
 def _memory_ceiling(args) -> int:
     ceiling = args.memory_ceiling
-    if ceiling is None:
-        env = os.environ.get("ECINJ_MEMORY_CEILING")
-        try:
-            ceiling = int(env) if env else DEFAULT_MEMORY_CEILING
-        except ValueError:
-            raise CliError(f"ECINJ_MEMORY_CEILING must be a whole number of bytes, got {env!r}") from None
     if ceiling < 0:
         raise CliError(f"memory ceiling must be >= 0, got {ceiling}")
     return ceiling
@@ -282,8 +275,8 @@ def build_parser() -> _Parser:
         )
         if scan:
             p.add_argument(
-                "--memory-ceiling", type=int, default=None, metavar="BYTES",
-                help="bytes the collision index may hold (default 4 GiB, or env ECINJ_MEMORY_CEILING); "
+                "--memory-ceiling", type=int, default=DEFAULT_MEMORY_CEILING, metavar="BYTES",
+                help="bytes the collision index may hold (default 4 GiB); "
                 "the scan splits its keys into as few key ranges as fit, "
                 "and reports are identical for every ceiling that passes",
             )

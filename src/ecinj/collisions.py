@@ -1,7 +1,8 @@
 """Exact collision detection: the P- and f-injectivity scans and the Zagier
 probe.
 
-All three scans run one engine.  It fingerprints each value by its
+All three scans run one engine on every orbit of infinite order and on
+the rationals.  It fingerprints each value by its
 residue modulo N = p*q, for the first two suitable primes p, q below 2**31,
 so every key fits a uint64 (N < 2**62).  Equal exact values always produce
 equal keys at suitable primes, so no true collision can be missed.  Orbit
@@ -14,17 +15,17 @@ partition's candidates by exact value in `collision_scan`'s dict before
 they may enter the report.
 
 The orbit scans decide once, exactly, whether the generator G has finite
-order, and with it the orbit labels (`_OrbitLabels`).  A G of finite
-order d is never walked: its exact points r*G + T_k, r < d, are reduced
-mod each prime and tiled over (m mod d, -m mod d), and the labels skip
-the points that are exactly the identity.  A G of infinite order is
-reduced mod each prime by block doubling (`_walk`): each block of
-multiples of G is the block before it plus a stride, in one vectorised
-chord addition with one batched inverse (`_inverse`), and only an entry
-that doubles goes through the scalar group law.  No point of its orbit is
-exactly the identity, so any that reduces to the identity mod p makes
-the prime unsuitable.  The walk is streamed: each block's P residues go
-into one uint32 array per prime, and only the keys are uint64.
+order.  A G of finite order d never enters the engine: its orbit holds
+at most d*width exact points, so `_finite_orbit` groups its labels by
+exact point and the scans index those few values exactly.  A G of
+infinite order is reduced mod each prime by block doubling (`_walk`):
+each block of multiples of G is the block before it plus a stride, in
+one vectorised chord addition with one batched inverse (`_inverse`), and
+only an entry that doubles goes through the scalar group law.  No point
+of its orbit is exactly the identity, so any that reduces to the
+identity mod p makes the prime unsuitable.  The walk is streamed: each
+block's P residues go into one uint32 array per prime, and only the keys
+are uint64.
 
 The f-scan and `zagier_probe`, whose items are the rationals of bounded
 height, share its pair form (`_pair_classes`) and its one exact formula,
@@ -52,15 +53,14 @@ in stream order, and classes are sorted by value before emission.
 
 numpy loads on first use: each function that needs it imports it, so
 importing this module (and with it the CLI) costs no numpy start-up in the
-commands that run no scan.
+commands that run no scan, nor in a scan of a finite orbit.
 """
 
-import bisect
 import logging
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from typing import Iterable, Optional
 
 from .curve import INFINITY, Point, add, scalar_mul
@@ -426,34 +426,26 @@ def _walk(cm: CurveModP, g: tuple, bound: int):
 
 @dataclass(frozen=True)
 class _OrbitLabels(Sequence):
-    """The orbit() labels of the walk's kept positions, by index arithmetic.
+    """The orbit() labels of the walk's positions, by index arithmetic.
 
     Position ((m - 1)*2 + s)*width + k, with width = max(torsion, 1), holds
     m*G + T_k for s = 0 and -m*G + T_k for s = 1.  Its label is m or -m,
-    paired with k when the spec has `torsion` points.  `skipped` lists the
-    positions of exact identities in increasing order; they carry no label.
+    paired with k when the spec has `torsion` points.
     """
 
     bound: int
     torsion: int
-    skipped: tuple = ()
 
     def __len__(self):
-        return 2 * self.bound * max(self.torsion, 1) - len(self.skipped)
+        return 2 * self.bound * max(self.torsion, 1)
 
     def __getitem__(self, i):
         if not 0 <= i < len(self):
             raise IndexError(i)
-        pos = i + bisect.bisect_right(self._kept_below, i)
-        m, k = divmod(pos, max(self.torsion, 1))
+        m, k = divmod(i, max(self.torsion, 1))
         m, s = divmod(m, 2)
         label = -(m + 1) if s else m + 1
         return (label, k) if self.torsion else label
-
-    @cached_property
-    def _kept_below(self):
-        # kept positions below each skipped one, a non-decreasing list
-        return [pos - j for j, pos in enumerate(self.skipped)]
 
 
 def _walked_residues(spec: OrbitSpec, cm: CurveModP, ar: int, br: int):
@@ -493,15 +485,13 @@ def _walked_residues(spec: OrbitSpec, cm: CurveModP, ar: int, br: int):
     return residues.reshape(-1)
 
 
-def _exact_points(spec: OrbitSpec, cycle):
-    """point(label): the exact orbit point at an orbit() label, cached.
-    `cycle` is G's `torsion_cycle`: for a G of finite order d, m*G is
-    cycle[m mod d]."""
+def _exact_points(spec: OrbitSpec):
+    """point(label): the exact orbit point at an orbit() label, cached."""
 
     @cache
     def point(label) -> Point:
         m, k = label if spec.torsion else (label, 0)
-        pt = scalar_mul(m, spec.generator) if cycle is None else cycle[m % len(cycle)]
+        pt = scalar_mul(m, spec.generator)
         if spec.torsion and not spec.torsion[k].is_infinity:
             pt = add(pt, spec.torsion[k])
         return pt
@@ -526,41 +516,18 @@ def _choose_primes(build):
     raise RuntimeError("prime search exhausted")
 
 
-def _orbit_p_keys(u: UniquenessFunction, spec: OrbitSpec, cycle, *also_invert):
-    """(labels, N, keys): the orbit labels in emission order and the uint64
-    keys mod N = p*q of their P values, at the primes `_choose_primes`
-    picks.  The denominators of `also_invert` must not vanish mod p either.
-
-    `cycle` is G's `torsion_cycle`, which decides G's order exactly, and
-    with it the labels: a G of infinite order (None) is walked mod each
-    prime (`_walked_residues`), and one of finite order is tiled from its
-    exact cycle.
+def _orbit_p_keys(u: UniquenessFunction, spec: OrbitSpec, *also_invert):
+    """(labels, N, keys): the orbit labels of a G of infinite order in
+    emission order and the uint64 keys mod N = p*q of their P values, walked
+    mod each of the primes `_choose_primes` picks (`_walked_residues`).  The
+    denominators of `also_invert` must not vanish mod p either.
     """
-    import numpy as np
-
-    if cycle is None:
-        labels = _OrbitLabels(spec.bound, len(spec.torsion))
-    else:
-        translates = spec.torsion or (INFINITY,)
-        d, width = len(cycle), len(translates)
-        points = [add(c, t) for c in cycle for t in translates]  # r*G + T_k at r*width + k
-        m = np.arange(1, spec.bound + 1)
-        # the index of each position's point, with r = m mod d and -m mod d
-        tiles = (np.stack([m % d, -m % d], axis=1)[:, :, None] * width + np.arange(width)).reshape(-1)
-        at_identity = np.array([pt.is_infinity for pt in points])[tiles]
-        index = tiles[~at_identity]
-        labels = _OrbitLabels(spec.bound, len(spec.torsion), tuple(np.flatnonzero(at_identity).tolist()))
 
     def build(p):
         ar, br = fraction_mod(u.params.alpha, p), fraction_mod(u.params.beta, p)
         for c in also_invert:
             fraction_mod(c, p)
-        cm = CurveModP(spec.generator.curve, p)
-        if cycle is None:
-            return _walked_residues(spec, cm, ar, br)
-        # torsion injects into E(F_p), so only O reduces to the identity
-        reduced = [(0, 0) if pt.is_infinity else cm.reduce_point(pt) for pt in points]
-        return np.array([(ar * x + br * y) % p for x, y in reduced], dtype=np.uint32)[index]
+        return _walked_residues(spec, CurveModP(spec.generator.curve, p), ar, br)
 
     (p, rp), (q, rq) = _choose_primes(build)
     keys = _crt(p, q, rp, rq)
@@ -568,7 +535,30 @@ def _orbit_p_keys(u: UniquenessFunction, spec: OrbitSpec, cycle, *also_invert):
         "orbit of %d points: residues %d + %d bytes, keys %d bytes",
         len(keys), rp.nbytes, rq.nbytes, keys.nbytes,
     )
-    return labels, p * q, keys
+    return _OrbitLabels(spec.bound, len(spec.torsion)), p * q, keys
+
+
+def _finite_orbit(u: UniquenessFunction, spec: OrbitSpec, cycle):
+    """(duplicate groups, kept) of the orbit of a G of finite order d, whose
+    exact `torsion_cycle` is `cycle`.  Each orbit() label takes its point
+    from the table r*G + T_k, r = m mod d, and the labels are grouped by
+    exact point (a translate inside the cycle makes two entries one point);
+    exact identities carry no label.  `kept` is (first label, P value) of
+    each point, in stream order; the groups of two or more labels are
+    sorted by the text of their first label."""
+    table = [[add(c, t) for t in spec.torsion or (INFINITY,)] for c in cycle]
+    d, by_point = len(cycle), {}
+    for m in range(1, spec.bound + 1):
+        for sign, r in ((m, m % d), (-m, -m % d)):
+            for k, pt in enumerate(table[r]):
+                if not pt.is_infinity:
+                    label = (sign, k) if spec.torsion else sign
+                    by_point.setdefault((pt.x, pt.y), (pt, []))[1].append(label)
+    points = list(by_point.values())
+    labels = sum(len(g) for _, g in points)
+    logger.info("finite orbit: G of order %d, %d labels on %d points", d, labels, len(points))
+    groups = sorted((g for _, g in points if len(g) >= 2), key=lambda g: str(g[0]))
+    return groups, [(g[0], u.eval_P(pt)) for pt, g in points]
 
 
 def _split_duplicate_points(labels, point):
@@ -639,16 +629,19 @@ def p_injectivity_scan(
     Labels whose points coincide (from a generator of finite order, or a
     torsion list that names a point twice) are flagged as duplicate points,
     not value collisions, and only the first occurrence stays in the value
-    scan.  The key-range partitions are as few as fit `memory_ceiling`.
+    scan.  A finite orbit is scanned exactly (`_finite_orbit`), any other in
+    as few key-range partitions as fit `memory_ceiling`.
     """
     _require_valid(u)
     spec.validate()
     config = _scan_config("p_injectivity_scan", u, spec, EXACT_P_SCAN_BOUND)
     cycle = torsion_cycle(spec.generator)
-    labels, modulus, keys = _orbit_p_keys(u, spec, cycle)
-    classes, duplicates = _residue_p_findings(
-        u, labels, modulus, keys, _exact_points(spec, cycle), memory_ceiling
-    )
+    if cycle is not None:
+        groups, kept = _finite_orbit(u, spec, cycle)
+        return CollisionReport(len(kept), collision_scan(kept).classes, groups, config)
+    labels, modulus, keys = _orbit_p_keys(u, spec)
+    point = _exact_points(spec)
+    classes, duplicates = _residue_p_findings(u, labels, modulus, keys, point, memory_ceiling)
     # every label of a duplicate group but its first leaves the value scan
     total = len(labels) - sum(len(g) - 1 for g in duplicates)
     return CollisionReport(total, classes, duplicates, config)
@@ -669,20 +662,28 @@ def f_injectivity_scan(
     scanned set plays the role of the injective open set.  It is checked on
     the scan's own residue systems, with exact confirmation.  The scan holds
     about 8 * k^2 bytes for k orbit points, plus one block, in as many
-    key-range partitions as `memory_ceiling` needs.
+    key-range partitions as `memory_ceiling` needs.  A finite orbit passes
+    the precondition only while 2M < d, so its few pairs are indexed exactly.
     """
     _require_valid(u)
     spec.validate()
     config = _scan_config("f_injectivity_scan", u, spec, EXACT_F_SCAN_BOUND)
     config["strategy"] = "direct"  # hashed into config_digest; the only f-strategy
+    n, gamma = u.params.n, u.params.gamma
     cycle = torsion_cycle(spec.generator)
-    labels, modulus, keys = _orbit_p_keys(u, spec, cycle, u.params.gamma)
-    point = _exact_points(spec, cycle)
+    if cycle is not None:
+        groups, kept = _finite_orbit(u, spec, cycle)
+        if groups or collision_scan(kept).classes:
+            raise ValueError(P_NOT_INJECTIVE)
+        pairs = (((a, b), zagier_eval(v, w, n, gamma)) for a, v in kept for b, w in kept)
+        return CollisionReport(len(kept) ** 2, collision_scan(pairs).classes, [], config)
+    labels, modulus, keys = _orbit_p_keys(u, spec, gamma)
+    point = _exact_points(spec)
     p_classes, duplicates = _residue_p_findings(u, labels, modulus, keys, point, memory_ceiling)
     if p_classes or duplicates:
         raise ValueError(P_NOT_INJECTIVE)
     classes = _pair_classes(
-        "f-scan", labels, modulus, keys, u.params.n, u.params.gamma,
+        "f-scan", labels, modulus, keys, n, gamma,
         lambda i: u.eval_P(point(labels[i])), memory_ceiling,
     )
     return CollisionReport(len(labels) ** 2, classes, [], config)

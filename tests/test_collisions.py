@@ -17,8 +17,9 @@ from ecinj.rational import parse_rational
 from ecinj.reporting import canonical_json
 from exact_oracle import exact_f_scan, exact_p_scan
 
-# (P-scan, f-scan) of the tests' exact oracle and of the package, whose one
-# engine is the residue fingerprint engine
+# (P-scan, f-scan) of the tests' exact oracle and of the package, which
+# scans an orbit of infinite order with the residue fingerprint engine and
+# a finite one, like the order-4 generator below, exactly
 ENGINES = {
     "exact": (exact_p_scan, exact_f_scan),
     "residue": (p_injectivity_scan, f_injectivity_scan),

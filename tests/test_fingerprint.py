@@ -7,7 +7,9 @@ fingerprint coincidence ever happens, so these tests lower
 through the per-partition log records, and every report's findings against
 the tests' exact oracle (`exact_oracle`), which carries no scan config.
 Where candidates occur, the tests also check that each scan hands them, in
-stream order, to `collision_scan`, the one exact index.
+stream order, to `collision_scan`, the one exact index.  A generator of
+finite order never reaches the engine: its scans are checked against the
+oracle with the prime search, the walk and `scalar_mul` made to raise.
 """
 
 import json
@@ -133,7 +135,7 @@ def test_buckets_surviving_every_prime_split_exactly(small_primes, caplog, confi
     # the P precondition's candidates, then every candidate pair's flat
     # index, each in stream order, go through the one exact index
     n, gamma = ufunc248.params.n, ufunc248.params.gamma
-    _, modulus, keys = collisions._orbit_p_keys(ufunc248, spec, torsion_cycle(gen248), gamma)
+    _, modulus, keys = collisions._orbit_p_keys(ufunc248, spec, gamma)
     assert confirmed == [repeated(keys.tolist()), repeated(pair_keys(keys.tolist(), n, gamma, modulus))]
     assert findings(residue) == findings(exact_f_scan(ufunc248, spec))
 
@@ -211,15 +213,24 @@ def test_planted_findings_confirmed_at_small_primes(small_primes, caplog, confir
     u = UniquenessFunction(InjectionParams(1, 1, 2, 9), c)
     spec = OrbitSpec(c.point(*gen), bound)
     residue = p_injectivity_scan(u, spec)
-    [part] = partitions(caplog, "P")
-    assert part["runs"] == part["classes"] == 1
     assert residue.exit_code == 2
-    # the candidate labels in stream order, but for the duplicates dropped
-    # by point, go through the one exact index
-    labels, _, keys = collisions._orbit_p_keys(u, spec, torsion_cycle(spec.generator))
-    dropped = {label for group in residue.duplicate_points for label in group[1:]}
-    assert confirmed == [[labels[i] for i in repeated(keys.tolist()) if labels[i] not in dropped]]
     assert findings(residue) == findings(exact_p_scan(u, spec))
+    cycle = torsion_cycle(spec.generator)
+    if cycle is None:
+        [part] = partitions(caplog, "P")
+        assert part["runs"] == part["classes"] == 1
+        # the candidate labels, in stream order, go through the one exact index
+        labels, _, keys = collisions._orbit_p_keys(u, spec)
+        assert confirmed == [[labels[i] for i in repeated(keys.tolist())]]
+    else:
+        # a finite orbit chooses no prime and fills no partition: the first
+        # label of each of its points goes through the one exact index
+        messages = [r.getMessage() for r in caplog.records]
+        assert partitions(caplog, "P") == []
+        assert not any(m.startswith("primes chosen") for m in messages)
+        _, kept = collisions._finite_orbit(u, spec, cycle)
+        assert confirmed == [[label for label, _ in kept]]
+        assert len(residue.classes) == len(residue.duplicate_points) == 1
 
 
 def chosen_primes(caplog):
@@ -227,34 +238,40 @@ def chosen_primes(caplog):
     return tuple(map(int, chosen.removeprefix("primes chosen: ").split(", ")))
 
 
-# (curve a, b), generator, torsion points besides the identity, and bounds.
-# A generator of infinite order is walked, and every bound stays in the
-# walk's doubling phase, whose blocks end at 1, 2, 4, 8, ...: 0 walks
+# (curve a, b), generator, torsion points besides the identity, bounds, and
+# for a generator of finite order the distinct points of its orbit past the
+# order.  A generator of infinite order is walked, and every bound stays in
+# the walk's doubling phase, whose blocks end at 1, 2, 4, 8, ...: 0 walks
 # nothing, 1 is G alone, 2 ends the first block and 3 cuts the second, 15
 # cuts [8, 16), 16 and 64 end a block, 17 and 65 take one point of the
 # next, and 151 cuts the block [128, 256).  Each doubling block adds its
 # stride to itself at its last source, so every walk past G takes the
-# scalar branch.  A generator of finite order is never walked: its exact
-# cycle is tiled over the bound.
+# scalar branch.  A generator of finite order is never walked, whatever the
+# prime start: its orbit is read from its exact cycle (`_finite_orbit`).
 ORBIT_WALKS = {
-    "default curve": ((1, -1), (1, 1), (), (0, 1, 2, 3, 15, 16, 17, 64, 65, 151)),
-    "2-torsion translate": ((-6, 40), (2, 6), ((-4, 0),), (3, 17, 65)),
-    # 4G = O: every fourth label is skipped
-    "order-4 generator": ((-2, 1), (0, 1), (), (3, 17, 300, 301)),
-    # translating by the order-3 point 2G gives the identity at the labels
-    # (m, 1) with m = 4 mod 6 and (-m, 1) with m = 2 mod 6
-    "order-3 translate": ((0, 1), (2, 3), ((0, 1),), (17, 65)),
+    "default curve": ((1, -1), (1, 1), (), (0, 1, 2, 3, 15, 16, 17, 64, 65, 151), None),
+    "2-torsion translate": ((-6, 40), (2, 6), ((-4, 0),), (3, 17, 65), None),
+    # 4G = O: every fourth label carries no point
+    "order-4 generator": ((-2, 1), (0, 1), (), (3, 17, 300, 301), 3),
+    # translating by the order-3 point 2G of the order-6 G gives the
+    # identity at the labels (m, 1) with m = 4 mod 6 and (-m, 1) with
+    # m = 2 mod 6, and each m*G + T is (m + 2)*G
+    "order-3 translate": ((0, 1), (2, 3), ((0, 1),), (17, 65), 5),
 }
 
 
 @pytest.mark.parametrize("start", [2**10, 2**31])
 @pytest.mark.parametrize("walk", list(ORBIT_WALKS))
 def test_lane_walk_matches_exact_orbit(small_primes, caplog, monkeypatch, params_default, walk, start):
-    curve, gen, torsion, bounds = ORBIT_WALKS[walk]
+    curve, gen, torsion, bounds, distinct = ORBIT_WALKS[walk]
     small_primes(start)
     c = Curve(*curve)
     u = UniquenessFunction(params_default, c)
-    walked = torsion_cycle(c.point(*gen)) is None
+    if distinct is not None:
+        block_engine(monkeypatch)
+        for bound in bounds:
+            check_finite_orbit(u, orbit_spec(curve, gen, torsion, bound), distinct)
+        return
     odd = []
     add_point = collisions._add_point
 
@@ -267,7 +284,7 @@ def test_lane_walk_matches_exact_orbit(small_primes, caplog, monkeypatch, params
     for bound in bounds:
         caplog.clear()
         spec = OrbitSpec(c.point(*gen), bound, (INFINITY, *(c.point(*t) for t in torsion)) if torsion else ())
-        labels, _, keys = collisions._orbit_p_keys(u, spec, torsion_cycle(spec.generator))
+        labels, _, keys = collisions._orbit_p_keys(u, spec)
         p, q = chosen_primes(caplog)
         exact = list(orbit(spec))
         assert list(labels) == [label for label, _ in exact]
@@ -275,10 +292,7 @@ def test_lane_walk_matches_exact_orbit(small_primes, caplog, monkeypatch, params
         for key, (_, pt) in zip(keys.tolist(), exact):
             value = u.eval_P(pt)
             assert (key % p, key % q) == (fraction_mod(value, p), fraction_mod(value, q))
-    if walked:
-        assert sum(odd) > 0
-    else:
-        assert odd == []
+    assert sum(odd) > 0
 
 
 # (curve a, b), generator, prime and the least m with m*G = O mod p, with
@@ -361,11 +375,10 @@ def test_orbit_keys_hold_16_bytes_a_point(ufunc248, gen248):
     # one block at a time, and the keys 8: 16 bytes a point at their peak,
     # plus the walk's blocks and the CRT's chunks, whatever the bound
     spec = OrbitSpec(gen248, 2**17)
-    cycle = torsion_cycle(gen248)
-    collisions._orbit_p_keys(ufunc248, OrbitSpec(gen248, 3), cycle)  # imports and caches
+    collisions._orbit_p_keys(ufunc248, OrbitSpec(gen248, 3))  # imports and caches
     tracemalloc.start()
     try:
-        labels, _, keys = collisions._orbit_p_keys(ufunc248, spec, cycle)
+        labels, _, keys = collisions._orbit_p_keys(ufunc248, spec)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -386,36 +399,121 @@ def test_identity_skip_builds_no_large_multiple(small_primes, caplog, monkeypatc
         return scalar_mul(m, pt)
 
     monkeypatch.setattr(collisions, "scalar_mul", small_only)
-    labels, _, keys = collisions._orbit_p_keys(ufunc248, OrbitSpec(gen248, 550), torsion_cycle(gen248))
+    labels, _, keys = collisions._orbit_p_keys(ufunc248, OrbitSpec(gen248, 550))
     messages = [r.getMessage() for r in caplog.records]
     assert "prime 1033303 skipped: 543*G reduces to the identity mod 1033303" in messages
     assert chosen_primes(caplog) < (1033303, 1033303)
     assert len(labels) == len(keys) == 1100
 
 
-def test_torsion_identities_come_from_small_multiples(small_primes, caplog, monkeypatch, params_default):
-    # the order-4 generator is the identity exactly at every fourth multiple,
-    # which its exact cycle tells before any prime is tried: it is never
-    # walked, and no exact multiple is built
-    small_primes(2**10)
-    c = Curve(-2, 1)
-    spec = OrbitSpec(c.point(0, 1), 500)
+# (curve a, b), generator of finite order, torsion points besides the
+# identity.  Each order comes alone and with translates, among them one
+# inside G's cycle, whose table entries r*G + T and (r + j)*G are one point.
+FINITE_SPECS = {
+    "order 2": ((-1, 0), (0, 0), ()),
+    "order 2, G and the other 2-torsion": ((-1, 0), (0, 0), ((0, 0), (1, 0))),
+    "order 3": ((0, 1), (0, 1), ()),
+    # (-1, 0) is outside G's cycle, (0, -1) = 2G inside it
+    "order 3, translates": ((0, 1), (0, 1), ((-1, 0), (0, -1))),
+    "order 4": ((-2, 1), (0, 1), ()),
+    "order 4, 2G": ((-2, 1), (0, 1), ((1, 0),)),
+    # y^2 = (x - 15)(x - 6)(x + 21): 2G = (15, 0), and (6, 0) is outside G's cycle
+    "order 4, translates": ((-351, 1890), (33, 162), ((15, 0), (6, 0))),
+    "order 6": ((0, 1), (2, 3), ()),
+    # 2G = (0, 1) and 3G = (-1, 0)
+    "order 6, translates": ((0, 1), (2, 3), ((0, 1), (-1, 0))),
+}
+
+
+def orbit_spec(curve, gen, torsion, bound):
+    """The orbit spec of (curve a, b), a generator and the torsion points
+    besides the identity."""
+    c = Curve(*curve)
+    return OrbitSpec(c.point(*gen), bound, (INFINITY, *(c.point(*t) for t in torsion)) if torsion else ())
+
+
+def block_engine(monkeypatch):
+    """Makes any prime search, walk mod p or exact scalar multiple raise."""
 
     def unused(*args):
-        raise AssertionError("a finite-order generator is walked or multiplied")
+        raise AssertionError("a finite-order generator reached the fingerprint engine")
 
-    monkeypatch.setattr(collisions, "_walk", unused)
-    monkeypatch.setattr(collisions, "scalar_mul", unused)
+    for name in ("_choose_primes", "_walk", "scalar_mul"):
+        monkeypatch.setattr(collisions, name, unused)
+
+
+@pytest.fixture
+def no_engine(monkeypatch):
+    block_engine(monkeypatch)
+
+
+def test_torsion_identities_come_from_small_multiples(no_engine, params_default):
+    # a generator of finite order d is scanned exactly from its d*width
+    # points: both scans equal the exact oracle below, at and past d, and no
+    # prime is chosen, no orbit walked and no exact multiple built
+    orders = set()
+    for name, (curve, gen, torsion) in FINITE_SPECS.items():
+        c = Curve(*curve)
+        d = len(torsion_cycle(c.point(*gen)))
+        orders.add(d)
+        u = UniquenessFunction(params_default, c)
+        for bound in sorted({0, 1, 2, d - 1, d, 3 * d + 1, 300}):
+            spec = orbit_spec(curve, gen, torsion, bound)
+            for scan, oracle in ((p_injectivity_scan, exact_p_scan), (f_injectivity_scan, exact_f_scan)):
+                assert outcome(scan, u, spec) == outcome(oracle, u, spec), (name, bound, scan.__name__)
+    assert orders == {2, 3, 4, 6}
+
+
+def outcome(scan, u, spec):
+    """A scan's findings, or the message of the ValueError it raises."""
+    try:
+        return findings(scan(u, spec))
+    except ValueError as exc:
+        return str(exc)
+
+
+def check_finite_orbit(u, spec, distinct):
+    """`_finite_orbit` groups the labels of the exact orbit() of a G of
+    finite order by point, `distinct` points in all, and keeps the first
+    label of each with its P value, in stream order."""
+    groups, kept = collisions._finite_orbit(u, spec, torsion_cycle(spec.generator))
+    by_point = {}
+    for label, pt in orbit(spec):
+        by_point.setdefault((pt.x, pt.y), (pt, []))[1].append(label)
+    assert len(by_point) == distinct
+    assert kept == [(labels[0], u.eval_P(pt)) for pt, labels in by_point.values()]
+    expected = [labels for _, labels in by_point.values() if len(labels) >= 2]
+    assert groups == sorted(expected, key=lambda g: str(g[0]))
+
+
+def test_finite_orbit_logs_one_line(no_engine, caplog, params_default):
+    # in place of the primes, orbit and partition lines: the order, the
+    # labels and the distinct points.  At M = 50 the order-4 generator's
+    # 100 labels lose the 24 with m = 0 mod 4, and keep G, 2G and 3G.
+    caplog.set_level(logging.INFO, logger="ecinj.collisions")
+    spec = orbit_spec(*FINITE_SPECS["order 4"], 50)
+    p_injectivity_scan(UniquenessFunction(params_default, spec.generator.curve), spec)
+    assert [r.getMessage() for r in caplog.records] == ["finite orbit: G of order 4, 76 labels on 3 points"]
+
+
+def test_repeated_torsion_point_splits_by_point(confirmed, params_default):
+    # G has infinite order and the torsion list names T twice: the labels
+    # (m, 1) and (m, 2) carry one point, so each pair of them is a run of
+    # equal keys, split by point before P is evaluated, and only the first
+    # label of each goes through the one exact index, in stream order with
+    # the planted P-collision of G + T and -G
+    c = Curve(-6, 40)
+    t = c.point(-4, 0)
+    spec = OrbitSpec(c.point(2, 6), 10, (INFINITY, t, t))
     u = UniquenessFunction(params_default, c)
-    labels, _, keys = collisions._orbit_p_keys(u, spec, torsion_cycle(spec.generator))
-    assert chosen_primes(caplog) == (1021, 1019)
-    assert len(labels) == len(keys) == 2 * 375
-    assert [label for label in labels if label % 4 == 0] == []
-    # exact confirmation takes each point from the cycle as well: the 750
-    # labels carry three points, so the scan finds three duplicate groups
     report = p_injectivity_scan(u, spec)
+    signs = [s for m in range(1, 11) for s in (m, -m)]
+    assert report.duplicate_points == sorted(([(s, 1), (s, 2)] for s in signs), key=lambda g: str(g[0]))
+    assert confirmed == [[(1, 1), (-1, 0), *((s, 1) for s in signs[1:])]]
+    assert [c.keys for c in report.classes] == [[(1, 1), (-1, 0)]]
     assert findings(report) == findings(exact_p_scan(u, spec))
-    assert len(report.duplicate_points) == 3
+    with pytest.raises(ValueError, match=re.escape(collisions.P_NOT_INJECTIVE)):
+        f_injectivity_scan(u, spec)
 
 
 def test_translate_at_identity_skips_prime(small_primes, caplog):

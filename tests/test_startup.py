@@ -77,3 +77,13 @@ def test_pair_scans_load_numpy_only():
     state = probe(["check-f"], ["zagier-probe"])
     assert state["codes"] == [0, 0]
     assert state["loaded"] == ["numpy"]
+
+
+def test_finite_order_scans_load_neither_library():
+    # a generator of finite order is scanned exactly, without the engine
+    state = probe(
+        ["check-p", "--curve=-2,1", "--gen", "0,1", "--M", "50"],
+        ["check-f", "--curve=-2,1", "--gen", "0,1", "--M", "1"],
+    )
+    assert state["codes"] == [2, 0]
+    assert state["loaded"] == []
