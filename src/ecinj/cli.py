@@ -73,9 +73,12 @@ def _parse_params(text: str) -> InjectionParams:
     parts = text.split(",")
     if len(parts) != 4:
         raise CliError(f"expected alpha,beta,gamma,n for --params, got {text!r}")
-    return InjectionParams(
-        _parse_rational(parts[0]), _parse_rational(parts[1]), _parse_rational(parts[2]), int(parts[3])
-    )
+    coefficients = [_parse_rational(part) for part in parts[:3]]
+    try:
+        n = int(parts[3])
+    except ValueError:
+        raise CliError(f"n in --params must be an integer, got {parts[3]!r}") from None
+    return InjectionParams(*coefficients, n)
 
 
 def _parse_torsion(text: str, curve: Curve):

@@ -17,15 +17,17 @@ they may enter the report.
 The orbit scans decide once, exactly, whether the generator G has finite
 order.  A G of finite order d never enters the engine: its orbit holds
 at most d*width exact points, so `_finite_orbit` groups its labels by
-exact point and the scans index those few values exactly.  A G of
-infinite order is reduced mod each prime by block doubling (`_walk`):
-each block of multiples of G is the block before it plus a stride, in
-one vectorised chord addition with one batched inverse (`_inverse`), and
-only an entry that doubles goes through the scalar group law.  No point
-of its orbit is exactly the identity, so any that reduces to the
-identity mod p makes the prime unsuitable.  The walk is streamed: each
-block's P residues go into one uint32 array per prime, and only the keys
-are uint64.
+exact point and the scans index those few values exactly.  On a G of
+infinite order two labels name one point only when the torsion list names
+a point twice, so its duplicate groups come from the spec
+(`_distinct_translates`), and only one translate of each point is walked.
+G is reduced mod each prime by block doubling (`_walk`): each block of
+multiples of G is the block before it plus a stride, in one vectorised
+chord addition with one batched inverse (`_inverse`), and only an entry
+that doubles goes through the scalar group law.  No point of its orbit is
+exactly the identity, so any that reduces to the identity mod p makes the
+prime unsuitable.  The walk is streamed: each block's P residues go into
+one uint32 array per prime, and only the keys are uint64.
 
 The f-scan and `zagier_probe`, whose items are the rationals of bounded
 height, share its pair form (`_pair_classes`) and its one exact formula,
@@ -428,30 +430,48 @@ def _walk(cm: CurveModP, g: tuple, bound: int):
 class _OrbitLabels(Sequence):
     """The orbit() labels of the walk's positions, by index arithmetic.
 
-    Position ((m - 1)*2 + s)*width + k, with width = max(torsion, 1), holds
-    m*G + T_k for s = 0 and -m*G + T_k for s = 1.  Its label is m or -m,
-    paired with k when the spec has `torsion` points.
+    `translates` holds the index k of each distinct torsion point, in
+    order, and is empty without a torsion list; width = max(its length, 1).
+    Position ((m - 1)*2 + s)*width + j holds m*G + T_k for s = 0 and
+    -m*G + T_k for s = 1, with k = translates[j].  Its label is m or -m,
+    paired with k when the spec has a torsion list.
     """
 
     bound: int
-    torsion: int
+    translates: tuple
 
     def __len__(self):
-        return 2 * self.bound * max(self.torsion, 1)
+        return 2 * self.bound * max(len(self.translates), 1)
 
     def __getitem__(self, i):
         if not 0 <= i < len(self):
             raise IndexError(i)
-        m, k = divmod(i, max(self.torsion, 1))
+        m, j = divmod(i, max(len(self.translates), 1))
         m, s = divmod(m, 2)
         label = -(m + 1) if s else m + 1
-        return (label, k) if self.torsion else label
+        return (label, self.translates[j]) if self.translates else label
 
 
-def _walked_residues(spec: OrbitSpec, cm: CurveModP, ar: int, br: int):
+def _distinct_translates(spec: OrbitSpec):
+    """(kept, duplicate groups) of an orbit of infinite order, from its
+    torsion list alone: `kept` is the index of the first entry naming each
+    point, in order.  A point named at k1 < k2 < ... makes the group
+    [(s, k1), (s, k2), ...] for s = 1, -1, ..., M, -M, sorted by the text of
+    the first label, and no other labels share a point: s*G + T_k =
+    s'*G + T_l makes (s - s')*G torsion, so s = s' and T_k = T_l."""
+    by_point = {}
+    for k, t in enumerate(spec.torsion):
+        by_point.setdefault(t, []).append(k)
+    repeats = [ks for ks in by_point.values() if len(ks) >= 2]
+    groups = [[(s, k) for k in ks] for ks in repeats for m in range(1, spec.bound + 1) for s in (m, -m)]
+    return tuple(ks[0] for ks in by_point.values()), sorted(groups, key=lambda g: str(g[0]))
+
+
+def _walked_residues(spec: OrbitSpec, kept: tuple, cm: CurveModP, ar: int, br: int):
     """The P residues alpha*x + beta*y mod p (`ar` and `br` are alpha and
-    beta mod p) of the orbit of a G of infinite order, a uint32 array in
-    orbit() emission order (p < 2**31), written one walk block at a time.
+    beta mod p) of the orbit of a G of infinite order on the translates
+    `kept` (`_OrbitLabels`), a uint32 array in emission order (p < 2**31),
+    written one walk block at a time.
 
     No such orbit point is exactly the identity, so one that reduces to the
     identity mod p makes the prime unsuitable: UnsuitablePrimeError.  A
@@ -466,37 +486,29 @@ def _walked_residues(spec: OrbitSpec, cm: CurveModP, ar: int, br: int):
     g = cm.reduce_point(spec.generator)
     if g is None:
         raise UnsuitablePrimeError(f"generator reduces to the identity mod {p}")
-    translates = [cm.reduce_point(t) for t in spec.torsion or (INFINITY,)]
+    translates = [(k, cm.reduce_point(spec.torsion[k])) for k in kept] or [(0, None)]
     residues = np.empty((spec.bound, 2, len(translates)), dtype=np.uint32)
     cancelled = {}  # k: the label of the first orbit point m*G +- T_k at the identity
     for lo, x, y in _walk(cm, g, spec.bound):
         for s, ys in enumerate((y, (p - y) % p)):
-            for k, t in enumerate(translates):
+            for j, (k, t) in enumerate(translates):
                 px, py, odd = (x, ys, ()) if t is None else _add_point(p, x, ys, t)
                 if len(odd) and k not in cancelled:
                     # m*G = +-T_k mod p puts m*G + T_k or -m*G + T_k at the identity
-                    j = int(odd[0])
-                    m = lo + j + 1
-                    cancelled[k] = (m if (y[j] + t[1]) % p == 0 else -m, k)
-                residues[lo:lo + len(x), s, k] = (ar * px + br * py) % p
+                    i = int(odd[0])
+                    m = lo + i + 1
+                    cancelled[k] = (m if (y[i] + t[1]) % p == 0 else -m, k)
+                residues[lo:lo + len(x), s, j] = (ar * px + br * py) % p
     if cancelled:
         label = cancelled[min(cancelled)]
         raise UnsuitablePrimeError(f"orbit point at label {label} reduces to the identity mod {p}")
     return residues.reshape(-1)
 
 
-def _exact_points(spec: OrbitSpec):
-    """point(label): the exact orbit point at an orbit() label, cached."""
-
-    @cache
-    def point(label) -> Point:
-        m, k = label if spec.torsion else (label, 0)
-        pt = scalar_mul(m, spec.generator)
-        if spec.torsion and not spec.torsion[k].is_infinity:
-            pt = add(pt, spec.torsion[k])
-        return pt
-
-    return point
+def _exact_point(spec: OrbitSpec, label) -> Point:
+    """The exact orbit point at an orbit() label."""
+    m, k = label if spec.torsion else (label, 0)
+    return add(scalar_mul(m, spec.generator), (spec.torsion or (INFINITY,))[k])
 
 
 def _choose_primes(build):
@@ -516,10 +528,11 @@ def _choose_primes(build):
     raise RuntimeError("prime search exhausted")
 
 
-def _orbit_p_keys(u: UniquenessFunction, spec: OrbitSpec, *also_invert):
-    """(labels, N, keys): the orbit labels of a G of infinite order in
-    emission order and the uint64 keys mod N = p*q of their P values, walked
-    mod each of the primes `_choose_primes` picks (`_walked_residues`).  The
+def _orbit_p_keys(u: UniquenessFunction, spec: OrbitSpec, kept: tuple, *also_invert):
+    """(labels, N, keys): the orbit labels of a G of infinite order on the
+    distinct translates `kept` (`_distinct_translates`), in emission order,
+    and the uint64 keys mod N = p*q of their P values, walked mod each of
+    the primes `_choose_primes` picks (`_walked_residues`).  The
     denominators of `also_invert` must not vanish mod p either.
     """
 
@@ -527,7 +540,7 @@ def _orbit_p_keys(u: UniquenessFunction, spec: OrbitSpec, *also_invert):
         ar, br = fraction_mod(u.params.alpha, p), fraction_mod(u.params.beta, p)
         for c in also_invert:
             fraction_mod(c, p)
-        return _walked_residues(spec, CurveModP(spec.generator.curve, p), ar, br)
+        return _walked_residues(spec, kept, CurveModP(spec.generator.curve, p), ar, br)
 
     (p, rp), (q, rq) = _choose_primes(build)
     keys = _crt(p, q, rp, rq)
@@ -535,7 +548,7 @@ def _orbit_p_keys(u: UniquenessFunction, spec: OrbitSpec, *also_invert):
         "orbit of %d points: residues %d + %d bytes, keys %d bytes",
         len(keys), rp.nbytes, rq.nbytes, keys.nbytes,
     )
-    return _OrbitLabels(spec.bound, len(spec.torsion)), p * q, keys
+    return _OrbitLabels(spec.bound, kept), p * q, keys
 
 
 def _finite_orbit(u: UniquenessFunction, spec: OrbitSpec, cycle):
@@ -561,18 +574,6 @@ def _finite_orbit(u: UniquenessFunction, spec: OrbitSpec, cycle):
     return groups, [(g[0], u.eval_P(pt)) for pt, g in points]
 
 
-def _split_duplicate_points(labels, point):
-    """(groups of labels carrying one exact point, the labels kept): only
-    the first label of each group is kept.  `point(label)` is exact."""
-    by_point = {}
-    for label in labels:
-        pt = point(label)
-        by_point.setdefault((pt.x, pt.y), []).append(label)
-    groups = [group for group in by_point.values() if len(group) >= 2]
-    dropped = {label for group in groups for label in group[1:]}
-    return groups, [label for label in labels if label not in dropped]
-
-
 def _scan_config(op: str, u: UniquenessFunction, spec: OrbitSpec, exact_bound: int) -> dict:
     return {
         "op": op,
@@ -591,31 +592,23 @@ def _require_valid(u: UniquenessFunction):
         raise ValueError("invalid injection parameters: " + "; ".join(violations))
 
 
-def _residue_p_findings(u, labels, modulus, keys, point, memory_ceiling):
-    """(classes, duplicate point groups) of P over the orbit `labels`, found
-    from their P keys mod `modulus`; `point(label)` is exact.
-
-    Equal points have equal P, so the runs of equal P keys hold every
-    candidate for a duplicate point and for a value collision.  Candidates
-    are split by point first, and P is evaluated only on the labels kept:
-    of each duplicate group only the first label stays in the value scan.
-    """
-    duplicates = []
+def _p_classes(u, spec, labels, modulus, keys, memory_ceiling):
+    """The classes of P over the orbit `labels`, found from their P keys
+    mod `modulus`.  No two labels name one point, so each candidate's exact
+    point is built once, to evaluate P on it."""
 
     def resolve(candidates):
-        groups, kept = _split_duplicate_points([labels[i] for i in candidates], point)
-        duplicates.extend(groups)
-        return collision_scan((label, u.eval_P(point(label))) for label in kept).classes
+        return collision_scan(
+            (labels[i], u.eval_P(_exact_point(spec, labels[i]))) for i in candidates
+        ).classes
 
     def key_block(lo, hi, out):
         # a copy: the candidate pass reads `keys` again in stream order
         out[:] = keys[lo:hi]
 
-    classes = _fingerprint_classes(
+    return _fingerprint_classes(
         "P-scan", len(keys), 1, modulus, key_block, resolve, memory_ceiling=memory_ceiling,
     )
-    duplicates.sort(key=lambda g: str(g[0]))
-    return classes, duplicates
 
 
 def p_injectivity_scan(
@@ -626,11 +619,12 @@ def p_injectivity_scan(
 ) -> CollisionReport:
     """Scan eval_P over the orbit for exact value collisions.
 
-    Labels whose points coincide (from a generator of finite order, or a
-    torsion list that names a point twice) are flagged as duplicate points,
-    not value collisions, and only the first occurrence stays in the value
-    scan.  A finite orbit is scanned exactly (`_finite_orbit`), any other in
-    as few key-range partitions as fit `memory_ceiling`.
+    Labels whose points coincide are flagged as duplicate points, not value
+    collisions, and only the first occurrence stays in the value scan.  A
+    finite orbit is scanned exactly (`_finite_orbit`).  On any other only a
+    point the torsion list names twice has two labels, so those groups come
+    from the spec, and the rest is walked and scanned in as few key-range
+    partitions as fit `memory_ceiling`.
     """
     _require_valid(u)
     spec.validate()
@@ -639,12 +633,10 @@ def p_injectivity_scan(
     if cycle is not None:
         groups, kept = _finite_orbit(u, spec, cycle)
         return CollisionReport(len(kept), collision_scan(kept).classes, groups, config)
-    labels, modulus, keys = _orbit_p_keys(u, spec)
-    point = _exact_points(spec)
-    classes, duplicates = _residue_p_findings(u, labels, modulus, keys, point, memory_ceiling)
-    # every label of a duplicate group but its first leaves the value scan
-    total = len(labels) - sum(len(g) - 1 for g in duplicates)
-    return CollisionReport(total, classes, duplicates, config)
+    kept, groups = _distinct_translates(spec)
+    labels, modulus, keys = _orbit_p_keys(u, spec, kept)
+    classes = _p_classes(u, spec, labels, modulus, keys, memory_ceiling)
+    return CollisionReport(len(labels), classes, groups, config)
 
 
 P_NOT_INJECTIVE = "P not injective on scanned set; shrink or exclude collision points"
@@ -659,11 +651,13 @@ def f_injectivity_scan(
     """Scan eval_f over all ordered orbit-point pairs; keys are (m1, m2).
 
     Precondition: eval_P must be collision-free on the same orbit, so the
-    scanned set plays the role of the injective open set.  It is checked on
-    the scan's own residue systems, with exact confirmation.  The scan holds
-    about 8 * k^2 bytes for k orbit points, plus one block, in as many
-    key-range partitions as `memory_ceiling` needs.  A finite orbit passes
-    the precondition only while 2M < d, so its few pairs are indexed exactly.
+    scanned set plays the role of the injective open set.  A torsion list
+    that names a point twice fails it from the spec, before any prime is
+    chosen, once M >= 1; otherwise it is checked on the scan's own residue
+    systems, with exact confirmation.  The scan holds about 8 * k^2 bytes
+    for k orbit points, plus one block, in as many key-range partitions as
+    `memory_ceiling` needs.  A finite orbit passes the precondition only
+    while 2M < d, so its few pairs are indexed exactly.
     """
     _require_valid(u)
     spec.validate()
@@ -677,14 +671,15 @@ def f_injectivity_scan(
             raise ValueError(P_NOT_INJECTIVE)
         pairs = (((a, b), zagier_eval(v, w, n, gamma)) for a, v in kept for b, w in kept)
         return CollisionReport(len(kept) ** 2, collision_scan(pairs).classes, [], config)
-    labels, modulus, keys = _orbit_p_keys(u, spec, gamma)
-    point = _exact_points(spec)
-    p_classes, duplicates = _residue_p_findings(u, labels, modulus, keys, point, memory_ceiling)
-    if p_classes or duplicates:
+    kept, groups = _distinct_translates(spec)
+    if groups:
+        raise ValueError(P_NOT_INJECTIVE)
+    labels, modulus, keys = _orbit_p_keys(u, spec, kept, gamma)
+    if _p_classes(u, spec, labels, modulus, keys, memory_ceiling):
         raise ValueError(P_NOT_INJECTIVE)
     classes = _pair_classes(
         "f-scan", labels, modulus, keys, n, gamma,
-        lambda i: u.eval_P(point(labels[i])), memory_ceiling,
+        lambda i: u.eval_P(_exact_point(spec, labels[i])), memory_ceiling,
     )
     return CollisionReport(len(labels) ** 2, classes, [], config)
 

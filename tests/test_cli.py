@@ -99,9 +99,14 @@ GOLDEN_SHA256 = {
         0, "b3d1cb82083458fe57d888090946be5723afb4c038fc92e9a8cb2d6fa001f91b"
     ),
     # a torsion list that names a point twice, on a generator of infinite
-    # order: 20 duplicate groups, split by point in the fingerprint engine
+    # order: its 20 duplicate groups follow from the list, and only the
+    # first of the two translates is walked
     ("check-p", "--curve=-6,40", "--gen", "2,6", "--torsion", "O;-4,0;-4,0", "--M", "10"): (
         2, "c02758fb3440104f33878d30e0990a6aac6a94736a1fe132a01994f9b322e990"
+    ),
+    # O away from index 0 and a point named three times: 74 groups of three
+    ("check-p", "--curve=-6,40", "--gen", "2,6", "--torsion=-4,0;O;-4,0;-4,0", "--M", "37"): (
+        2, "cc051b139bdbf6b6ed7fc39ad18323af946516000f46d69910300518ae8b4d23"
     ),
 }
 
@@ -124,6 +129,13 @@ def test_zero_denominator_exits_one(capsys, flag, value):
     code, _, err = run(capsys, "check-p", flag, value)
     assert code == 1
     assert err.startswith("error: zero denominator")
+
+
+@pytest.mark.parametrize("command, n", [("check-p", "x"), ("check-f", "9.5")])
+def test_non_integer_n_exits_one(capsys, command, n):
+    code, out, err = run(capsys, command, "--params", f"1,1,2,{n}")
+    assert (code, out) == (1, "")
+    assert err == f"error: n in --params must be an integer, got {n!r}\n"
 
 
 def test_unknown_flag_exits_one(capsys):

@@ -135,7 +135,7 @@ def test_buckets_surviving_every_prime_split_exactly(small_primes, caplog, confi
     # the P precondition's candidates, then every candidate pair's flat
     # index, each in stream order, go through the one exact index
     n, gamma = ufunc248.params.n, ufunc248.params.gamma
-    _, modulus, keys = collisions._orbit_p_keys(ufunc248, spec, gamma)
+    _, modulus, keys = collisions._orbit_p_keys(ufunc248, spec, (), gamma)
     assert confirmed == [repeated(keys.tolist()), repeated(pair_keys(keys.tolist(), n, gamma, modulus))]
     assert findings(residue) == findings(exact_f_scan(ufunc248, spec))
 
@@ -220,7 +220,7 @@ def test_planted_findings_confirmed_at_small_primes(small_primes, caplog, confir
         [part] = partitions(caplog, "P")
         assert part["runs"] == part["classes"] == 1
         # the candidate labels, in stream order, go through the one exact index
-        labels, _, keys = collisions._orbit_p_keys(u, spec)
+        labels, _, keys = collisions._orbit_p_keys(u, spec, ())
         assert confirmed == [[labels[i] for i in repeated(keys.tolist())]]
     else:
         # a finite orbit chooses no prime and fills no partition: the first
@@ -284,7 +284,8 @@ def test_lane_walk_matches_exact_orbit(small_primes, caplog, monkeypatch, params
     for bound in bounds:
         caplog.clear()
         spec = OrbitSpec(c.point(*gen), bound, (INFINITY, *(c.point(*t) for t in torsion)) if torsion else ())
-        labels, _, keys = collisions._orbit_p_keys(u, spec)
+        kept, _ = collisions._distinct_translates(spec)
+        labels, _, keys = collisions._orbit_p_keys(u, spec, kept)
         p, q = chosen_primes(caplog)
         exact = list(orbit(spec))
         assert list(labels) == [label for label, _ in exact]
@@ -363,11 +364,12 @@ def test_walk_identity_is_reported_before_a_translate(monkeypatch):
     c = Curve(-6, 40)
     spec = OrbitSpec(c.point(2, 6), 40, (INFINITY, c.point(-4, 0)))
     with pytest.raises(UnsuitablePrimeError, match=r"^36\*G reduces to the identity mod 139$"):
-        collisions._walked_residues(spec, CurveModP(c, 139), 1, 1)
+        collisions._walked_residues(spec, (0, 1), CurveModP(c, 139), 1, 1)
     # below 36*G, the translate's identity is the one reported
     translate = r"^orbit point at label \(18, 1\) reduces to the identity mod 139$"
+    spec = OrbitSpec(spec.generator, 35, spec.torsion)
     with pytest.raises(UnsuitablePrimeError, match=translate):
-        collisions._walked_residues(OrbitSpec(spec.generator, 35, spec.torsion), CurveModP(c, 139), 1, 1)
+        collisions._walked_residues(spec, (0, 1), CurveModP(c, 139), 1, 1)
 
 
 def test_orbit_keys_hold_16_bytes_a_point(ufunc248, gen248):
@@ -375,10 +377,10 @@ def test_orbit_keys_hold_16_bytes_a_point(ufunc248, gen248):
     # one block at a time, and the keys 8: 16 bytes a point at their peak,
     # plus the walk's blocks and the CRT's chunks, whatever the bound
     spec = OrbitSpec(gen248, 2**17)
-    collisions._orbit_p_keys(ufunc248, OrbitSpec(gen248, 3))  # imports and caches
+    collisions._orbit_p_keys(ufunc248, OrbitSpec(gen248, 3), ())  # imports and caches
     tracemalloc.start()
     try:
-        labels, _, keys = collisions._orbit_p_keys(ufunc248, spec)
+        labels, _, keys = collisions._orbit_p_keys(ufunc248, spec, ())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -399,7 +401,7 @@ def test_identity_skip_builds_no_large_multiple(small_primes, caplog, monkeypatc
         return scalar_mul(m, pt)
 
     monkeypatch.setattr(collisions, "scalar_mul", small_only)
-    labels, _, keys = collisions._orbit_p_keys(ufunc248, OrbitSpec(gen248, 550))
+    labels, _, keys = collisions._orbit_p_keys(ufunc248, OrbitSpec(gen248, 550), ())
     messages = [r.getMessage() for r in caplog.records]
     assert "prime 1033303 skipped: 543*G reduces to the identity mod 1033303" in messages
     assert chosen_primes(caplog) < (1033303, 1033303)
@@ -498,10 +500,10 @@ def test_finite_orbit_logs_one_line(no_engine, caplog, params_default):
 
 def test_repeated_torsion_point_splits_by_point(confirmed, params_default):
     # G has infinite order and the torsion list names T twice: the labels
-    # (m, 1) and (m, 2) carry one point, so each pair of them is a run of
-    # equal keys, split by point before P is evaluated, and only the first
-    # label of each goes through the one exact index, in stream order with
-    # the planted P-collision of G + T and -G
+    # (m, 1) and (m, 2) carry one point, and no other two labels do, so the
+    # duplicate groups come from the torsion list.  Only the translate at
+    # index 1 is walked, and the one exact index sees just the planted
+    # P-collision of G + T and -G
     c = Curve(-6, 40)
     t = c.point(-4, 0)
     spec = OrbitSpec(c.point(2, 6), 10, (INFINITY, t, t))
@@ -509,9 +511,46 @@ def test_repeated_torsion_point_splits_by_point(confirmed, params_default):
     report = p_injectivity_scan(u, spec)
     signs = [s for m in range(1, 11) for s in (m, -m)]
     assert report.duplicate_points == sorted(([(s, 1), (s, 2)] for s in signs), key=lambda g: str(g[0]))
-    assert confirmed == [[(1, 1), (-1, 0), *((s, 1) for s in signs[1:])]]
+    assert confirmed == [[(1, 1), (-1, 0)]]
     assert [c.keys for c in report.classes] == [[(1, 1), (-1, 0)]]
     assert findings(report) == findings(exact_p_scan(u, spec))
+    with pytest.raises(ValueError, match=re.escape(collisions.P_NOT_INJECTIVE)):
+        f_injectivity_scan(u, spec)
+    # at M = 0 there is no label, so no duplicate point, and the f-scan passes
+    empty = OrbitSpec(spec.generator, 0, spec.torsion)
+    for scan, oracle in ((p_injectivity_scan, exact_p_scan), (f_injectivity_scan, exact_f_scan)):
+        assert findings(scan(u, empty)) == findings(oracle(u, empty)) == (0, [], [])
+
+
+def test_repeated_torsion_builds_only_candidate_points(monkeypatch, params_default):
+    # at M = 200 the 400 duplicate groups cost no exact point: the only
+    # exact multiples built are those of the planted class's two labels,
+    # and the f-scan refuses the repeated translate before it chooses a prime
+    c = Curve(-6, 40)
+    t = c.point(-4, 0)
+    spec = OrbitSpec(c.point(2, 6), 200, (INFINITY, t, t))
+    u = UniquenessFunction(params_default, c)
+    built = []
+    scalar_mul = collisions.scalar_mul
+
+    def planted_only(m, pt):
+        built.append(m)
+        if abs(m) != 1:
+            raise AssertionError(f"exact {m}*G built outside the planted class")
+        return scalar_mul(m, pt)
+
+    monkeypatch.setattr(collisions, "scalar_mul", planted_only)
+    report = p_injectivity_scan(u, spec)
+    signs = [s for m in range(1, 201) for s in (m, -m)]
+    assert report.duplicate_points == sorted(([(s, 1), (s, 2)] for s in signs), key=lambda g: str(g[0]))
+    assert [c.keys for c in report.classes] == [[(1, 1), (-1, 0)]]
+    assert report.total_scanned == 800
+    assert built == [1, -1]
+
+    def unused(build):
+        raise AssertionError("a prime was chosen for a torsion list that names a point twice")
+
+    monkeypatch.setattr(collisions, "_choose_primes", unused)
     with pytest.raises(ValueError, match=re.escape(collisions.P_NOT_INJECTIVE)):
         f_injectivity_scan(u, spec)
 
@@ -744,6 +783,9 @@ nonzero = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2
     x0=st.integers(-3, 3),
     y0=st.integers(-3, 3),
     with_torsion=st.booleans(),
+    # (copies of (r, 0), index of O): the torsion list names (r, 0) once,
+    # twice or three times, with O at any position
+    layout=st.sampled_from([(copies, at) for copies in (1, 2, 3) for at in range(copies + 1)]),
     bound=st.integers(1, 4),
     alpha=nonzero,
     beta=nonzero,
@@ -752,18 +794,21 @@ nonzero = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2
     ceiling=st.sampled_from([None, 4000, 1000]),
     start=st.integers(2**6, 2**16),
 )
-@example(a=-2, x0=0, y0=1, with_torsion=False, bound=2, alpha=Fraction(1), beta=Fraction(1),
+@example(a=-2, x0=0, y0=1, with_torsion=False, layout=(1, 0), bound=2, alpha=Fraction(1), beta=Fraction(1),
          gamma=Fraction(2), ceiling=None, start=2**6)  # order-4 generator: planted findings
-def test_residue_matches_exact(a, x0, y0, with_torsion, bound, alpha, beta, gamma, ceiling, start):
+def test_residue_matches_exact(a, x0, y0, with_torsion, layout, bound, alpha, beta, gamma, ceiling, start):
     b = y0 * y0 - x0**3 - a * x0  # puts (x0, y0) on the curve
     assume(4 * a**3 + 27 * b**2 != 0)
     c = Curve(a, b)
     torsion = ()
     if with_torsion:
-        # a rational 2-torsion point (r, 0) with a small integer root r
+        # a rational 2-torsion point (r, 0) with a small integer root r, named
+        # `copies` times, and O inserted at index `at`
         roots = [r for r in range(-6, 7) if r**3 + a * r + b == 0]
         assume(roots)
-        torsion = (INFINITY, c.point(roots[0], 0))
+        copies, at = layout
+        torsion = [c.point(roots[0], 0)] * copies
+        torsion.insert(at, INFINITY)
     spec = OrbitSpec(c.point(x0, y0), bound, torsion)
     u = UniquenessFunction(InjectionParams(alpha, beta, gamma, 9), c)
 
