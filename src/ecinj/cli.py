@@ -373,7 +373,7 @@ def main(argv=None) -> int:
         else:
             _write_rows(sys.stdout, rows)
         return code
-    except (CliError, ValueError, RuntimeError, OSError) as exc:
+    except (CliError, ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

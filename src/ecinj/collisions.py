@@ -21,13 +21,15 @@ exact point and the scans index those few values exactly.  On a G of
 infinite order two labels name one point only when the torsion list names
 a point twice, so its duplicate groups come from the spec
 (`_distinct_translates`), and only one translate of each point is walked.
-G is reduced mod each prime by block doubling (`_walk`): each block of
-multiples of G is the block before it plus a stride, in one vectorised
-chord addition with one batched inverse (`_inverse`), and only an entry
-that doubles goes through the scalar group law.  No point of its orbit is
-exactly the identity, so any that reduces to the identity mod p makes the
-prime unsuitable.  The walk is streamed: each block's P residues go into
-one uint32 array per prime, and only the keys are uint64.
+G is reduced mod each prime in one block loop (`_walk`): each block of
+multiples of G is a source block plus a stride, in one vectorised chord
+addition with one batched inverse (`_inverse`), and only an entry that
+doubles goes through the scalar group law.  The source and the stride
+double up to WALK_BLOCK points, and then each block is the one before it
+plus a fixed stride.  No point of its orbit is exactly the identity, so
+any that reduces to the identity mod p makes the prime unsuitable, and
+the first one met ends the prime.  The walk is streamed: each block's P
+residues go into one uint32 array per prime, and only the keys are uint64.
 
 The f-scan and `zagier_probe`, whose items are the rationals of bounded
 height, share its pair form (`_pair_classes`) and its one exact formula,
@@ -63,7 +65,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .curve import INFINITY, Point, add, scalar_mul
 from .injection import UniquenessFunction, validate_params
@@ -97,7 +99,7 @@ EXACT_F_SCAN_BOUND = 60
 
 # Both fingerprint primes lie below this, so N = p*q < 2**62.
 PRIME_SEARCH_START = 2**31
-# The orbit walk's blocks double up to this many points (see _walk).
+# The orbit walk's blocks double up to this many points, then stay (see _walk).
 WALK_BLOCK = 2**14
 
 
@@ -133,7 +135,7 @@ class CollisionReport:
         })
 
 
-def collision_scan(stream: Iterable[tuple], *, config: Optional[dict] = None) -> CollisionReport:
+def collision_scan(stream: Iterable[tuple]) -> CollisionReport:
     """Group exactly equal values in a stream of (key, value) pairs.
 
     Classes (>= 2 keys sharing one value) are sorted by value; key order
@@ -150,7 +152,7 @@ def collision_scan(stream: Iterable[tuple], *, config: Optional[dict] = None) ->
         if len(keys) >= 2
     ]
     classes.sort(key=lambda c: c.value)
-    return CollisionReport(total, classes, [], config or {})
+    return CollisionReport(total, classes)
 
 
 def _fingerprint_classes(scan, n, row, modulus, key_block, resolve, *, memory_ceiling):
@@ -279,11 +281,9 @@ def _partition_plan(scan, n, row, modulus, key_block, memory_ceiling):
     """
     import numpy as np
 
-    most = BLOCK_KEYS
-    if memory_ceiling is not None:
-        most = min(most, memory_ceiling // (4 * BLOCK_BYTES_PER_KEY))
+    most = min(BLOCK_KEYS, memory_ceiling // (4 * BLOCK_BYTES_PER_KEY))
     step = row * max(1, min(most, n) // row)
-    if n == 0 or memory_ceiling is None:
+    if n == 0:
         return step, [0, modulus], [n]
     room = _partition_room(memory_ceiling - BLOCK_BYTES_PER_KEY * step)
     if room < 1:
@@ -377,53 +377,43 @@ def _add_point(p, x, y, t):
     return x3, y3, np.flatnonzero(den == 0)
 
 
-def _shifted(cm: CurveModP, x, y, t: tuple, lo: int):
-    """(x3, y3): the points (x, y) at positions lo.. of the walk plus the
-    point t, as new uint64 arrays.  An entry `_add_point` flags goes through
-    `CurveModP.add`; one at the identity raises UnsuitablePrimeError."""
-    x3, y3, odd = _add_point(cm.p, x, y, t)
-    for j in odd.tolist():
-        pt = cm.add((int(x[j]), int(y[j])), t)
-        if pt is None:
-            raise UnsuitablePrimeError(f"{lo + j + 1}*G reduces to the identity mod {cm.p}")
-        x3[j], y3[j] = pt
-    return x3, y3
-
-
 def _walk(cm: CurveModP, g: tuple, bound: int):
     """Yields (lo, x, y): m*G mod p for m = lo + 1.., uint64 arrays of at
     most WALK_BLOCK points, whose blocks tile m = 1..bound in order.  Raises
     UnsuitablePrimeError at the least m with m*G reducing to the identity.
 
-    Block doubling: position i holds (i + 1)*G, and the block
-    [lo, lo + size) is the block [lo - size, lo) plus the stride size*G, in
-    one vectorised chord addition.  `size` doubles from 1 up to WALK_BLOCK,
-    one scalar `cm.add(t, t)` per doubling, and then stays fixed.  The
-    doubling prefix [0, WALK_BLOCK) is one buffer, yielded whole; after it,
-    each block needs only the block before it, so the walk holds at most two
-    blocks.  As the walk stops at the first identity, no source and no
-    stride is ever the identity.
+    Position i holds (i + 1)*G.  Each block [lo, lo + n) is source[:n] + t,
+    with the stride t = len(source)*G, in one vectorised chord addition;
+    only an entry that doubles or cancels goes through `CurveModP.add`.
+    The source starts as G alone.  While it holds fewer than WALK_BLOCK
+    points it grows by each new block, so t, its last point, doubles; after
+    that each block is the source of the next, and t stays fixed.  Blocks
+    start at 0, 1, 2, 4, ..., WALK_BLOCK and then every WALK_BLOCK, and the
+    walk holds at most the source and one block.  As the walk stops at the
+    first identity, no source and no stride is ever the identity.
     """
     import numpy as np
 
     if not bound:
         return
-    head = min(bound, WALK_BLOCK)
-    x, y = np.empty(head, dtype=np.uint64), np.empty(head, dtype=np.uint64)
-    x[0], y[0] = g
-    lo, t = 1, g
-    while lo < head:  # the block [lo, 2*lo), cut at head, from [0, lo)
-        n = min(lo, head - lo)
-        x[lo:lo + n], y[lo:lo + n] = _shifted(cm, x[:n], y[:n], t, lo)
-        lo += n
-        if lo < bound:
-            t = cm.add(t, t)
+    x, y = np.array([g[0]], dtype=np.uint64), np.array([g[1]], dtype=np.uint64)
     yield 0, x, y
+    lo, t = 1, g
     while lo < bound:
-        n = min(head, bound - lo)
-        x, y = _shifted(cm, x[:n], y[:n], t, lo)
-        yield lo, x, y
+        n = min(len(x), bound - lo)
+        bx, by, odd = _add_point(cm.p, x[:n], y[:n], t)
+        for j in odd.tolist():
+            pt = cm.add((int(x[j]), int(y[j])), t)
+            if pt is None:
+                raise UnsuitablePrimeError(f"{lo + j + 1}*G reduces to the identity mod {cm.p}")
+            bx[j], by[j] = pt
+        yield lo, bx, by
         lo += n
+        if len(x) < WALK_BLOCK:
+            x, y = np.concatenate((x, bx)), np.concatenate((y, by))
+            t = int(x[-1]), int(y[-1])
+        else:
+            x, y = bx, by
 
 
 @dataclass(frozen=True)
@@ -476,9 +466,9 @@ def _walked_residues(spec: OrbitSpec, kept: tuple, cm: CurveModP, ar: int, br: i
     No such orbit point is exactly the identity, so one that reduces to the
     identity mod p makes the prime unsuitable: UnsuitablePrimeError.  A
     torsion translate never does, as rational torsion injects into E(F_p)
-    at an odd prime of good reduction.  An identity the walk meets is
-    reported first; otherwise the least k whose translates meet one, at its
-    least m, whichever block found it.
+    at an odd prime of good reduction.  The first identity met ends the
+    prime: the walk's own, or else, in the first block where a translate
+    meets one, the least such k at its least m.
     """
     import numpy as np
 
@@ -488,20 +478,17 @@ def _walked_residues(spec: OrbitSpec, kept: tuple, cm: CurveModP, ar: int, br: i
         raise UnsuitablePrimeError(f"generator reduces to the identity mod {p}")
     translates = [(k, cm.reduce_point(spec.torsion[k])) for k in kept] or [(0, None)]
     residues = np.empty((spec.bound, 2, len(translates)), dtype=np.uint32)
-    cancelled = {}  # k: the label of the first orbit point m*G +- T_k at the identity
     for lo, x, y in _walk(cm, g, spec.bound):
         for s, ys in enumerate((y, (p - y) % p)):
             for j, (k, t) in enumerate(translates):
                 px, py, odd = (x, ys, ()) if t is None else _add_point(p, x, ys, t)
-                if len(odd) and k not in cancelled:
+                if len(odd):
                     # m*G = +-T_k mod p puts m*G + T_k or -m*G + T_k at the identity
                     i = int(odd[0])
                     m = lo + i + 1
-                    cancelled[k] = (m if (y[i] + t[1]) % p == 0 else -m, k)
+                    label = (m if (y[i] + t[1]) % p == 0 else -m, k)
+                    raise UnsuitablePrimeError(f"orbit point at label {label} reduces to the identity mod {p}")
                 residues[lo:lo + len(x), s, j] = (ar * px + br * py) % p
-    if cancelled:
-        label = cancelled[min(cancelled)]
-        raise UnsuitablePrimeError(f"orbit point at label {label} reduces to the identity mod {p}")
     return residues.reshape(-1)
 
 
@@ -615,7 +602,7 @@ def p_injectivity_scan(
     u: UniquenessFunction,
     spec: OrbitSpec,
     *,
-    memory_ceiling: Optional[int] = DEFAULT_MEMORY_CEILING,
+    memory_ceiling: int = DEFAULT_MEMORY_CEILING,
 ) -> CollisionReport:
     """Scan eval_P over the orbit for exact value collisions.
 
@@ -646,7 +633,7 @@ def f_injectivity_scan(
     u: UniquenessFunction,
     spec: OrbitSpec,
     *,
-    memory_ceiling: Optional[int] = DEFAULT_MEMORY_CEILING,
+    memory_ceiling: int = DEFAULT_MEMORY_CEILING,
 ) -> CollisionReport:
     """Scan eval_f over all ordered orbit-point pairs; keys are (m1, m2).
 
@@ -726,7 +713,7 @@ def _pair_classes(scan, labels, modulus, keys, n, gamma, value, memory_ceiling):
 def zagier_probe(
     h_bound: int,
     *,
-    memory_ceiling: Optional[int] = DEFAULT_MEMORY_CEILING,
+    memory_ceiling: int = DEFAULT_MEMORY_CEILING,
 ) -> CollisionReport:
     """Exact collision scan of r1^7 + 3*r2^7 over all ordered pairs of
     rationals of height <= h_bound, keys (r1, r2) in text form.  A nonempty

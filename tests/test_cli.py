@@ -347,6 +347,17 @@ def test_negative_memory_ceiling_exits_one(capsys, argv):
     assert (code, out, err) == (1, "", "error: memory ceiling must be >= 0, got -1\n")
 
 
+def test_orbit_too_large_for_memory_exits_one(capsys, monkeypatch):
+    # a scan whose arrays cannot be allocated gets one error line, not a
+    # traceback; the scan is replaced, so nothing is allocated for real
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    monkeypatch.setattr("ecinj.cli.p_injectivity_scan", refuse)
+    code, out, err = run(capsys, "check-p", "--M", "100000000000")
+    assert (code, out, err) == (1, "", "error: Unable to allocate 745. GiB for an array\n")
+
+
 def test_weierstrass_verify_needs_a_sample(capsys):
     code, out, err = run(capsys, "weierstrass-verify", "--samples", "0")
     assert (code, out, err) == (1, "", "error: samples must be >= 1\n")

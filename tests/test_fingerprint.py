@@ -338,9 +338,9 @@ def walked(cm, g, bound):
 
 
 def test_walk_blocks_tile_the_bound(monkeypatch, gen248):
-    # with blocks of at most 4 points the prefix [0, 4) is one block, then
-    # each block of the stride 4G follows the one before, the last cut at
-    # the bound
+    # with blocks of at most 4 points the source and the stride double from
+    # G, so blocks start at 0, 1 and 2; from 4 on each block is the one
+    # before it plus the stride 4G, and the last is cut at the bound
     monkeypatch.setattr(collisions, "WALK_BLOCK", 4)
     cm = CurveModP(gen248.curve, 2**31 - 1)
     g = cm.reduce_point(gen248)
@@ -348,28 +348,35 @@ def test_walk_blocks_tile_the_bound(monkeypatch, gen248):
     while len(multiples) < 23:
         multiples.append(cm.add(multiples[-1], g))
     for bound in range(24):
+        starts = [lo for lo in (0, 1, 2, *range(4, 24, 4)) if lo < bound]
         blocks = list(collisions._walk(cm, g, bound))
-        assert [lo for lo, _, _ in blocks] == list(range(0, bound, 4))
-        assert [len(x) for _, x, _ in blocks] == [min(4, bound - lo) for lo in range(0, bound, 4)]
+        assert [lo for lo, _, _ in blocks] == starts
+        assert [len(x) for _, x, _ in blocks] == [b - a for a, b in zip(starts, starts[1:] + [bound])]
         assert all(len(x) == len(y) for _, x, y in blocks)
         assert walked(cm, g, bound) == multiples[:bound]
+    # bound 3 cuts the doubling prefix; bound 23 runs past two blocks of
+    # the fixed stride and cuts the third
+    assert [(lo, len(x)) for lo, x, _ in collisions._walk(cm, g, 3)] == [(0, 1), (1, 1), (2, 1)]
+    assert [(lo, len(x)) for lo, x, _ in collisions._walk(cm, g, 23)] == [
+        (0, 1), (1, 1), (2, 2), (4, 4), (8, 4), (12, 4), (16, 4), (20, 3)
+    ]
 
 
-def test_walk_identity_is_reported_before_a_translate(monkeypatch):
+def test_walk_first_identity_ends_the_prime(monkeypatch):
     # mod 139, 36*G is the identity and 18*G the 2-torsion point T: the
-    # translate 18*G + T cancels in the block [16, 20), long before the
-    # walk reaches 36*G, and the walk's identity is still the one reported,
-    # as it was when the whole orbit was walked first
+    # translate 18*G + T cancels in the block [16, 20), before the walk
+    # reaches 36*G, and that first identity ends the prime
     monkeypatch.setattr(collisions, "WALK_BLOCK", 4)
     c = Curve(-6, 40)
-    spec = OrbitSpec(c.point(2, 6), 40, (INFINITY, c.point(-4, 0)))
-    with pytest.raises(UnsuitablePrimeError, match=r"^36\*G reduces to the identity mod 139$"):
-        collisions._walked_residues(spec, (0, 1), CurveModP(c, 139), 1, 1)
-    # below 36*G, the translate's identity is the one reported
     translate = r"^orbit point at label \(18, 1\) reduces to the identity mod 139$"
-    spec = OrbitSpec(spec.generator, 35, spec.torsion)
-    with pytest.raises(UnsuitablePrimeError, match=translate):
-        collisions._walked_residues(spec, (0, 1), CurveModP(c, 139), 1, 1)
+    for bound in (40, 35):
+        spec = OrbitSpec(c.point(2, 6), bound, (INFINITY, c.point(-4, 0)))
+        with pytest.raises(UnsuitablePrimeError, match=translate):
+            collisions._walked_residues(spec, (0, 1), CurveModP(c, 139), 1, 1)
+    # without the translate the walk meets its own identity at 36*G
+    spec = OrbitSpec(c.point(2, 6), 40)
+    with pytest.raises(UnsuitablePrimeError, match=r"^36\*G reduces to the identity mod 139$"):
+        collisions._walked_residues(spec, (), CurveModP(c, 139), 1, 1)
 
 
 def test_orbit_keys_hold_16_bytes_a_point(ufunc248, gen248):
@@ -579,8 +586,8 @@ def test_memory_ceiling_is_exact_per_partition(caplog, ufunc248, gen248):
     counted = partitions(caplog, "f")
     assert len(counted) >= 3
     assert sum(part["keys"] for part in counted) == pairs
-    unlimited = f_injectivity_scan(ufunc248, spec, memory_ceiling=None)
-    assert canonical_json(partitioned.to_json_dict()) == canonical_json(unlimited.to_json_dict())
+    whole = f_injectivity_scan(ufunc248, spec, memory_ceiling=DEFAULT_MEMORY_CEILING)
+    assert canonical_json(partitioned.to_json_dict()) == canonical_json(whole.to_json_dict())
 
     caplog.clear()
     needed = BLOCK_BYTES_PER_KEY * row + collisions._partition_bytes(1)  # one row's block and one key
@@ -594,7 +601,8 @@ def test_pair_classes_match_exact_index():
     # several ordered pairs, and each class keeps its pairs in stream order
     labels = list("abcde")
     classes = collisions._pair_classes(
-        "f-scan", labels, 61 * 59, np.arange(5, dtype=np.uint64), 1, Fraction(1), Fraction, None
+        "f-scan", labels, 61 * 59, np.arange(5, dtype=np.uint64), 1, Fraction(1), Fraction,
+        DEFAULT_MEMORY_CEILING,
     )
     stream = (((a, b), Fraction(i + j)) for i, a in enumerate(labels) for j, b in enumerate(labels))
     assert classes == collision_scan(stream).classes
@@ -649,7 +657,8 @@ def test_zagier_runs_confirmed_against_exact_index(small_primes, caplog, confirm
         for r1 in rats
         for r2 in rats
     )
-    exact = collision_scan(stream, config=report.config)
+    exact = collision_scan(stream)
+    exact.config = report.config
     assert canonical_json(report.to_json_dict()) == canonical_json(exact.to_json_dict())
 
 
@@ -663,8 +672,8 @@ def test_zagier_memory_ceiling_is_exact_per_partition(caplog):
     counted = partitions(caplog, "zagier")
     assert len(counted) >= 2
     assert sum(part["keys"] for part in counted) == pairs
-    unlimited = zagier_probe(10, memory_ceiling=None)
-    assert canonical_json(partitioned.to_json_dict()) == canonical_json(unlimited.to_json_dict())
+    whole = zagier_probe(10, memory_ceiling=DEFAULT_MEMORY_CEILING)
+    assert canonical_json(partitioned.to_json_dict()) == canonical_json(whole.to_json_dict())
 
     caplog.clear()
     needed = BLOCK_BYTES_PER_KEY * row + collisions._partition_bytes(1)  # one row's block and one key
@@ -791,11 +800,11 @@ nonzero = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2
     beta=nonzero,
     gamma=st.sampled_from([Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(3, 2)]),
     # 4000 and 1000 bytes split the f-scan's keys from k = 11 and k = 6 orbit points on
-    ceiling=st.sampled_from([None, 4000, 1000]),
+    ceiling=st.sampled_from([DEFAULT_MEMORY_CEILING, 4000, 1000]),
     start=st.integers(2**6, 2**16),
 )
 @example(a=-2, x0=0, y0=1, with_torsion=False, layout=(1, 0), bound=2, alpha=Fraction(1), beta=Fraction(1),
-         gamma=Fraction(2), ceiling=None, start=2**6)  # order-4 generator: planted findings
+         gamma=Fraction(2), ceiling=DEFAULT_MEMORY_CEILING, start=2**6)  # order-4 generator: planted findings
 def test_residue_matches_exact(a, x0, y0, with_torsion, layout, bound, alpha, beta, gamma, ceiling, start):
     b = y0 * y0 - x0**3 - a * x0  # puts (x0, y0) on the curve
     assume(4 * a**3 + 27 * b**2 != 0)
