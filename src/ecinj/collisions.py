@@ -37,23 +37,27 @@ height, share its pair form (`_pair_classes`) and its one exact formula,
 `collision_scan` with the product.
 
 The memory ceiling is the only resource setting.  It bounds the
-fingerprint index, not the orbit scans' keys: those hold 4 bytes per
-orbit point per prime and a few walk blocks, then the 8-byte keys, which
-the P-scan's partitions copy and the f-scan keeps beside its pair keys.
-The fingerprint engine generates keys in blocks of at most a quarter of
-the ceiling and keeps the rest for one key-range partition at a time.
-When all the keys fit one partition, each block is generated straight
-into its slice of it, so the sorted partition is the only memory that
-grows with the scan; the P-scan copies its keys in instead, as its
-candidate pass reads them again.  The pair reduction mod N and the
-search for repeated sorted keys run CHUNK_KEYS keys at a time, so no
-mask covers a block or a partition.  When the keys do not all fit one
-partition, a single counting pass over 2**12 equal ranges of the key
-space plans the partitions, so every partition's size is exact before it
-is allocated; a range that alone overflows the room is refused.  Each
-pass then generates its blocks into one reused buffer.  Reports are
-deterministic and do not depend on the ceiling: keys inside a class are
-in stream order, and classes are sorted by value before emission.
+fingerprint index, one key-range partition at a time, not the arrays of
+one entry per item: the orbit scans hold 4 bytes per orbit point per
+prime and a few walk blocks, then the 8-byte keys, and the pair scans
+about 100 bytes per item of sorted and searched row arrays.  The P-scan
+reads its keys in blocks of at most a quarter of the ceiling and keeps
+the rest for a partition.  When all its keys fit one, the partition is a
+copy of the keys, as the candidate pass reads them again in stream
+order; otherwise a single counting pass over 2**12 equal ranges of the
+key space plans the partitions.  The pair scans never build all k*k
+keys: row i's keys in a key range are one slice of the sorted right
+terms (`_PairKeys`), so one searchsorted per partition edge counts every
+partition exactly (`_pair_plan`), and each is gathered from its slices.
+A pair partition targets max(2**14, 16*k) keys, or fewer if the room the
+ceiling leaves at 24 bytes a key is less, so a pair scan holds O(k)
+memory plus one small partition.  Either way every partition's size is
+exact before it is allocated, and a key range that alone overflows the
+room is refused before any partition is built.  The search for repeated
+sorted keys runs CHUNK_KEYS keys at a time, so no mask covers a
+partition.  Reports are deterministic and do not depend on the ceiling:
+keys inside a class are in stream order, and classes are sorted by value
+before emission.
 
 numpy loads on first use: each function that needs it imports it, so
 importing this module (and with it the CLI) costs no numpy start-up in the
@@ -65,6 +69,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from math import isqrt
 from typing import Iterable
 
 from .curve import INFINITY, Point, add, scalar_mul
@@ -79,19 +84,29 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_MEMORY_CEILING = 4 * 2**30  # bytes
 
-# Bytes per key of one generated block at its largest, in the candidate
-# pass: the keys (8), their searchsorted positions (8), the gathered run
-# values (8) and the hit mask (1).
-BLOCK_BYTES_PER_KEY = 25
-# Keys generated per block, at most.
+# Bytes per key of one block of the P-scan's keys at its largest, in the
+# candidate pass: their searchsorted positions (8), the gathered run values
+# (8) and the hit mask (1).  A block is a view of the key array.
+BLOCK_BYTES_PER_KEY = 17
+# Keys per block, at most.
 BLOCK_KEYS = 2**20
-# Keys per chunk of the reduction mod N of a pair block and of the search
-# for repeated sorted keys, so neither holds a mask over a whole block or
-# partition.
+# Keys per chunk of the search for repeated sorted keys, so it holds no
+# mask over a whole partition, and of the CRT of the orbit keys.
 CHUNK_KEYS = 2**16
-# The partition plan counts the keys in 2**KEY_RANGE_BITS equal ranges of
-# the key space: 32 KB of int64 counters.
+# The P-scan's partition plan counts its keys in 2**KEY_RANGE_BITS equal
+# ranges of the key space: 32 KB of int64 counters.
 KEY_RANGE_BITS = 12
+
+# Bytes per key of a pair partition at its largest, while it is gathered:
+# the keys (8), the offsets 0, 1, 2, ... (8) and one int64 index or
+# left-term array (8).  The keys and the offsets are two buffers of the
+# largest partition, which every partition reuses.
+PAIR_BYTES_PER_KEY = 24
+# A pair partition of k items targets max(PAIR_PARTITION_KEYS,
+# PAIR_KEYS_PER_ITEM * k) keys, so the k searches of each of its edges cost
+# at most a sixteenth of its keys.
+PAIR_PARTITION_KEYS = 2**14
+PAIR_KEYS_PER_ITEM = 16
 
 # Bounds up to which a scan's config reads "method": "exact"; see _scan_config.
 EXACT_P_SCAN_BOUND = 300
@@ -155,53 +170,62 @@ def collision_scan(stream: Iterable[tuple]) -> CollisionReport:
     return CollisionReport(total, classes)
 
 
-def _fingerprint_classes(scan, n, row, modulus, key_block, resolve, *, memory_ceiling):
-    """Collision classes among n stream items, found from their keys.
+def _fingerprint_classes(scan, keys, modulus, resolve, *, memory_ceiling):
+    """Collision classes among the stream items whose uint64 keys mod
+    `modulus` are `keys`, in stream order.
 
-    `key_block(lo, hi, out)` writes the uint64 keys mod `modulus` of items
-    lo..hi-1, in stream order, into the uint64 array `out`; lo is a multiple
-    of `row` and hi is one too, or n.  Partition s holds the keys in
-    [edges[s], edges[s + 1]) of `_partition_plan`, built block by block and
-    then sorted in place.  The items whose key occurs more than once in it
-    are found again by a second block pass, and their indices, in stream
-    order, are handed to `resolve(candidates) -> classes`.  Equal values
-    have equal keys, so a class never spans two partitions.
+    Partition s holds the keys in [edges[s], edges[s + 1]) of
+    `_partition_plan`, copied out of `keys` and then sorted in place.  The
+    items whose key occurs more than once in it are found again by a pass
+    over `keys`, and their indices, in stream order, are handed to
+    `resolve(candidates) -> classes`.  Equal values have equal keys, so a
+    class never spans two partitions.
     """
-    step, edges, sizes = _partition_plan(scan, n, row, modulus, key_block, memory_ceiling)
+    step, edges, sizes = _partition_plan(scan, keys, modulus, memory_ceiling)
+    return _index_partitions(
+        scan, sizes, lambda s: _partition_keys(keys, step, edges[s], edges[s + 1], sizes[s], modulus),
+        lambda runs: _candidates(keys, step, runs), resolve, _partition_bytes,
+    )
+
+
+def _index_partitions(scan, sizes, fill, candidates, resolve, held):
+    """The classes of every partition, sorted by value: partition s is
+    `fill(s)`, sorted in place, and `resolve` confirms the stream indices
+    `candidates(runs)` of its repeated keys.  `held(size)` is the bytes
+    the partition holds."""
     classes = []
     for s, size in enumerate(sizes):
-        part = _partition_keys(n, step, key_block, edges[s], edges[s + 1], size, modulus)
+        part = fill(s)
         part.sort()
         runs = _repeated_keys(part)
         del part
-        found = resolve(_candidates(n, step, key_block, runs))
+        found = resolve(candidates(runs))
         logger.info(
             "%s partition %d/%d: %d keys, %d candidate runs, %d confirmed classes, %d bytes",
-            scan, s + 1, len(sizes), size, len(runs), len(found), _partition_bytes(size),
+            scan, s + 1, len(sizes), size, len(runs), len(found), held(size),
         )
         classes.extend(found)
     classes.sort(key=lambda c: c.value)
     return classes
 
 
-def _partition_keys(n, step, key_block, low, high, size, modulus):
-    """The `size` keys of the n items that lie in [low, high), in stream
-    order.  Every key lies in [0, modulus), so the one partition of an
-    unsplit scan needs no range mask and no block of its own: each block
-    is generated straight into its slice of the partition."""
+def _partition_keys(keys, step, low, high, size, modulus):
+    """A copy of the `size` keys that lie in [low, high), in stream order,
+    gathered `step` keys at a time.  Every key lies in [0, modulus), so the
+    one partition of an unsplit scan is a plain copy; the candidate pass
+    reads `keys` again in stream order."""
     import numpy as np
 
-    part = np.empty(size, dtype=np.uint64)
     if low == 0 and high == modulus:
-        for lo in range(0, n, step):
-            key_block(lo, min(lo + step, n), part[lo:lo + step])
-        return part
+        return keys.copy()
+    part = np.empty(size, dtype=np.uint64)
     filled = 0
-    for _, keys in _blocks(n, step, key_block):
-        mask = keys >= low
-        mask &= keys < high
+    for lo in range(0, len(keys), step):
+        block = keys[lo:lo + step]
+        mask = block >= low
+        mask &= block < high
         taken = int(np.count_nonzero(mask))
-        np.compress(mask, keys, out=part[filled:filled + taken])
+        np.compress(mask, block, out=part[filled:filled + taken])
         filled += taken
     return part
 
@@ -225,38 +249,26 @@ def _repeated_keys(part):
     return dup[np.concatenate(([True], dup[1:] != dup[:-1]))]
 
 
-def _candidates(n, step, key_block, runs):
-    """The items whose key is one of the sorted `runs`, in stream order.
-    The block temporaries end with this call, before the next partition is
-    built."""
+def _candidates(keys, step, runs):
+    """The indices of the `keys` that are one of the sorted `runs`, in
+    stream order, searched `step` keys at a time.  The block temporaries
+    end with this call, before the next partition is built."""
     import numpy as np
 
     found = []
     if len(runs):
-        for lo, keys in _blocks(n, step, key_block):
-            at = np.searchsorted(runs, keys)
+        for lo in range(0, len(keys), step):
+            block = keys[lo:lo + step]
+            at = np.searchsorted(runs, block)
             np.minimum(at, len(runs) - 1, out=at)
-            found.extend((lo + np.flatnonzero(runs[at] == keys)).tolist())
+            found.extend((lo + np.flatnonzero(runs[at] == block)).tolist())
     return found
 
 
-def _blocks(n, step, key_block):
-    """(lo, keys) for each block of `step` items from lo; every block's
-    keys are generated into one buffer, so each view is valid only until
-    the next block."""
-    import numpy as np
-
-    buffer = np.empty(min(step, n), dtype=np.uint64)
-    for lo in range(0, n, step):
-        keys = buffer[:min(step, n - lo)]
-        key_block(lo, lo + len(keys), keys)
-        yield lo, keys
-
-
 def _partition_bytes(size):
-    """Bytes a partition of `size` keys holds: the uint64 keys and the bool
-    mask of one chunk of the search for repeated sorted keys; the repeated
-    keys it finds are none unless fingerprints collide."""
+    """Bytes a P-scan partition of `size` keys holds: the uint64 keys and
+    the bool mask of one chunk of the search for repeated sorted keys; the
+    repeated keys it finds are none unless fingerprints collide."""
     return 8 * size + min(size, CHUNK_KEYS)
 
 
@@ -267,45 +279,53 @@ def _partition_room(avail):
     return above if above > CHUNK_KEYS else avail // 9
 
 
-def _partition_plan(scan, n, row, modulus, key_block, memory_ceiling):
+def _too_small(scan, needed, unit, memory_ceiling):
+    return MemoryCeilingError(
+        f"{scan}: needs at least {needed} bytes for {unit}, over the memory ceiling of {memory_ceiling}"
+    )
+
+
+def _crowded(scan, lo, hi, count, room, memory_ceiling):
+    return MemoryCeilingError(
+        f"{scan}: the key range [{lo}, {hi}) holds {count} keys, over the "
+        f"{room} of one partition under the memory ceiling of {memory_ceiling}"
+    )
+
+
+def _partition_plan(scan, keys, modulus, memory_ceiling):
     """(step, edges, sizes): blocks of `step` keys, and partition s holding
-    the sizes[s] keys in [edges[s], edges[s + 1]), each of which fits
+    the sizes[s] `keys` in [edges[s], edges[s + 1]), each of which fits
     `memory_ceiling` together with one block.
 
-    The block comes first: whole rows, at most BLOCK_KEYS and a quarter of
-    the ceiling, at least one row.  The rest of the ceiling is the room for
-    one partition.  When all n keys fit it, there is one partition and no
-    pass.  Otherwise one pass counts the keys in 2**KEY_RANGE_BITS equal
-    ranges of [0, modulus), and each partition is the longest run of
-    consecutive ranges that fits the room.
+    The block comes first: at most BLOCK_KEYS and a quarter of the ceiling,
+    at least one key.  The rest of the ceiling is the room for one
+    partition.  When all n keys fit it, there is one partition and no pass.
+    Otherwise one pass counts the keys in 2**KEY_RANGE_BITS equal ranges of
+    [0, modulus), and each partition is the longest run of consecutive
+    ranges that fits the room.
     """
     import numpy as np
 
-    most = min(BLOCK_KEYS, memory_ceiling // (4 * BLOCK_BYTES_PER_KEY))
-    step = row * max(1, min(most, n) // row)
+    n = len(keys)
+    step = max(1, min(BLOCK_KEYS, memory_ceiling // (4 * BLOCK_BYTES_PER_KEY), n))
     if n == 0:
         return step, [0, modulus], [n]
     room = _partition_room(memory_ceiling - BLOCK_BYTES_PER_KEY * step)
     if room < 1:
-        raise MemoryCeilingError(
-            f"{scan}: needs at least {BLOCK_BYTES_PER_KEY * step + _partition_bytes(1)} "
-            f"bytes for one block of {step} keys, over the memory ceiling of {memory_ceiling}"
-        )
+        needed = BLOCK_BYTES_PER_KEY * step + _partition_bytes(1)
+        raise _too_small(scan, needed, f"one block of {step} keys", memory_ceiling)
     if n <= room:
         return step, [0, modulus], [n]
     shift = max(0, (modulus - 1).bit_length() - KEY_RANGE_BITS)
     counts = np.zeros(((modulus - 1) >> shift) + 1, dtype=np.int64)
-    for _, keys in _blocks(n, step, key_block):
+    for lo in range(0, n, step):
         # every range index is below 2**KEY_RANGE_BITS, so the int64 view
         # is exact, and bincount needs no cast from uint64
-        counts += np.bincount((keys >> shift).view(np.int64), minlength=len(counts))
+        counts += np.bincount((keys[lo:lo + step] >> shift).view(np.int64), minlength=len(counts))
     crowded = int(np.argmax(counts))
     if counts[crowded] > room:
         lo, hi = crowded << shift, min((crowded + 1) << shift, modulus)
-        raise MemoryCeilingError(
-            f"{scan}: the key range [{lo}, {hi}) holds {counts[crowded]} keys, over the "
-            f"{room} of one partition under the memory ceiling of {memory_ceiling}"
-        )
+        raise _crowded(scan, lo, hi, counts[crowded], room, memory_ceiling)
     edges, sizes = [0], [0]
     for r, count in enumerate(counts.tolist()):
         if sizes[-1] + count > room:
@@ -589,13 +609,7 @@ def _p_classes(u, spec, labels, modulus, keys, memory_ceiling):
             (labels[i], u.eval_P(_exact_point(spec, labels[i]))) for i in candidates
         ).classes
 
-    def key_block(lo, hi, out):
-        # a copy: the candidate pass reads `keys` again in stream order
-        out[:] = keys[lo:hi]
-
-    return _fingerprint_classes(
-        "P-scan", len(keys), 1, modulus, key_block, resolve, memory_ceiling=memory_ceiling,
-    )
+    return _fingerprint_classes("P-scan", keys, modulus, resolve, memory_ceiling=memory_ceiling)
 
 
 def p_injectivity_scan(
@@ -641,10 +655,12 @@ def f_injectivity_scan(
     scanned set plays the role of the injective open set.  A torsion list
     that names a point twice fails it from the spec, before any prime is
     chosen, once M >= 1; otherwise it is checked on the scan's own residue
-    systems, with exact confirmation.  The scan holds about 8 * k^2 bytes
-    for k orbit points, plus one block, in as many key-range partitions as
-    `memory_ceiling` needs.  A finite orbit passes the precondition only
-    while 2M < d, so its few pairs are indexed exactly.
+    systems, with exact confirmation.  For k orbit points the scan holds
+    row arrays of about 100 bytes a point and one key-range partition of
+    at most max(2**14, 16*k) keys at 24 bytes a key, fewer if
+    `memory_ceiling` needs it (`_pair_plan`), never all k^2 keys at once.
+    A finite orbit passes the precondition only while 2M < d, so its few
+    pairs are indexed exactly.
     """
     _require_valid(u)
     spec.validate()
@@ -677,37 +693,173 @@ def _pair_classes(scan, labels, modulus, keys, n, gamma, value, memory_ceiling):
     row-major order.
 
     `keys` holds each item's uint64 key mod `modulus` and `value(i)` its
-    exact value v_i; gamma must be invertible mod `modulus`.
+    exact value v_i; gamma must be invertible mod `modulus`.  The key of
+    pair (i, j) is (left[i] + right[j]) mod N, at flat index i*k + j, and
+    partition s is gathered from `_PairKeys` between edges[s] and
+    edges[s + 1] of `_pair_plan`.  Each edge is searched once more to fill
+    the partition below it and then reused for the one above.
     """
     import numpy as np
 
     k = len(labels)
     w = [pow(v, n, modulus) for v in keys.tolist()]
     g = fraction_mod(gamma, modulus)
-    # The key of pair (i, j) is (left[i] + right[j]) mod N, at flat index
-    # i*k + j.  Both terms are below N < 2**62, so their sum cannot overflow
-    # uint64.
-    left = np.array(w, dtype=np.uint64)
-    right = np.array([g * v % modulus for v in w], dtype=np.uint64)
+    pairs = _PairKeys(
+        np.array(w, dtype=np.uint64), np.array([g * v % modulus for v in w], dtype=np.uint64), modulus,
+    )
+    del w
+    edges, sizes = _pair_plan(scan, pairs, memory_ceiling)
     value = cache(value)  # an item may sit in many candidate pairs
+    part, offsets = np.empty(max(sizes), dtype=np.uint64), np.arange(max(sizes))
+    below = [pairs.below(0)]
 
-    def key_block(lo, hi, out):
-        np.add(left[lo // k:hi // k, None], right, out=out.reshape(-1, k))
-        for c in range(0, hi - lo, CHUNK_KEYS):
-            chunk = out[c:c + CHUNK_KEYS]
-            np.subtract(chunk, modulus, out=chunk, where=chunk >= modulus)
+    def fill(s):
+        # the upper edge's counts are the next partition's lower ones
+        lower, below[0] = below[0], pairs.below(edges[s + 1])
+        return pairs.gather(lower, below[0], part, offsets)
 
     def resolve(candidates):
         return collision_scan(
             (x, zagier_eval(value(x // k), value(x % k), n, gamma)) for x in candidates
         ).classes
 
-    classes = _fingerprint_classes(
-        scan, k * k, max(k, 1), modulus, key_block, resolve, memory_ceiling=memory_ceiling,
+    classes = _index_partitions(
+        scan, sizes, fill, pairs.candidates, resolve, lambda size: PAIR_BYTES_PER_KEY * size,
     )
     for c in classes:
         c.keys = [(labels[x // k], labels[x % k]) for x in c.keys]
     return classes
+
+
+class _PairKeys:
+    """The k*k keys (left[i] + right[j]) mod N of the ordered pairs (i, j),
+    at flat index i*k + j, read from a sorted `right` without building them
+    all.
+
+    The rows are taken in increasing order of left (`lorder`), and `right`
+    is sorted (`rs`, `rorder`).  Row i's keys ls_i + rs_j wrap past N where
+    rs_j >= N - ls_i, so in increasing order they are rs2[x] + ls_i - N for
+    x in [base_i, base_i + k), where rs2 is rs followed by rs + N and base_i
+    counts the rs below N - ls_i.  Every entry of rs2 is below 2N < 2**63.
+    The row's keys below an edge e are those with rs2[x] < e + N - ls_i,
+    so one searchsorted counts them for every row (`below`), and the keys
+    in [e, e') are one slice of rs2 per row.
+    """
+
+    def __init__(self, left, right, modulus):
+        import numpy as np
+
+        self.k, self.modulus = len(left), modulus
+        self.lorder = np.argsort(left)
+        self.rorder = np.argsort(right)
+        rs = right[self.rorder]
+        self.rs2 = np.concatenate((rs, rs + np.uint64(modulus)))
+        del rs
+        self.shift = np.uint64(modulus) - left[self.lorder]  # N - ls_i, in (0, N]
+        self.base = np.searchsorted(self.rs2, self.shift)
+        # ls_i - N, wrapped mod 2**64: added to rs2[x] it leaves the key
+        self.lows = np.uint64(0) - self.shift
+
+    def below(self, e):
+        """How many keys of each row lie below e, an int64 array, for
+        0 <= e <= N."""
+        import numpy as np
+
+        count = np.searchsorted(self.rs2, self.shift + np.uint64(e))
+        count -= self.base
+        return count
+
+    def gather(self, lower, upper, part, offsets):
+        """The uint64 keys of each row's slice between the counts `lower`
+        and `upper` of `below`, row by row, written to the front of the
+        uint64 buffer `part`; `offsets` is np.arange of its length."""
+        import numpy as np
+
+        count = upper - lower
+        size = int(count.sum())
+        # a key's place in rs2 is its row's first place plus its offset in
+        # the row, which is its index less the row's start in the partition
+        first = self.base + lower
+        first -= np.cumsum(count) - count
+        j = np.repeat(first, count)
+        del first
+        j += offsets[:size]
+        # mode "clip" writes straight into `part`; "raise" would buffer it
+        np.take(self.rs2, j, out=part[:size], mode="clip")
+        del j
+        part[:size] += np.repeat(self.lows, count)
+        return part[:size]
+
+    def candidates(self, runs):
+        """The flat indices of the pairs whose key is one of `runs`, in
+        stream order: for each run key r, each row's entries of rs2 equal
+        to r + N - ls_i, by a left and a right searchsorted.  Equal entries
+        lie in one half of rs2, so they are one slice of `rorder`."""
+        import numpy as np
+
+        k, found = self.k, []
+        for r in runs.tolist():
+            t = self.shift + np.uint64(r)
+            lo, hi = np.searchsorted(self.rs2, t, "left"), np.searchsorted(self.rs2, t, "right")
+            for i in np.flatnonzero(hi > lo).tolist():
+                j = int(lo[i]) % k
+                found.extend((int(self.lorder[i]) * k + self.rorder[j:j + int(hi[i] - lo[i])]).tolist())
+        found.sort()
+        return found
+
+
+def _pair_plan(scan, pairs, memory_ceiling):
+    """(edges, sizes): partition s holds the sizes[s] pair keys in
+    [edges[s], edges[s + 1]), counted exactly by `pairs.below` before any
+    key is built.
+
+    The ceiling is the room for one partition, PAIR_BYTES_PER_KEY a key;
+    the row arrays of `pairs` are outside it, as the orbit keys are.  A
+    partition targets max(PAIR_PARTITION_KEYS, PAIR_KEYS_PER_ITEM * k)
+    keys, or the room if less: when all k*k keys fit, there is one.
+    Otherwise [0, N) is cut into equal ranges expected to hold the target
+    less four standard deviations.  A range that holds more than the
+    target is bisected until it fits, and one that fits beside the
+    partition before it joins it, so no two neighbours would fit together.
+    A single key value held by more pairs is one partition if the room
+    takes it, and refused if not.
+    """
+    k, modulus = pairs.k, pairs.modulus
+    n = k * k
+    if n == 0:
+        return [0, modulus], [n]
+    room = memory_ceiling // PAIR_BYTES_PER_KEY
+    if room < 1:
+        raise _too_small(scan, PAIR_BYTES_PER_KEY, "one key of a partition", memory_ceiling)
+    target = min(room, max(PAIR_PARTITION_KEYS, PAIR_KEYS_PER_ITEM * k))
+    if n <= target:
+        return [0, modulus], [n]
+
+    def counted(e):
+        return e, int(pairs.below(e).sum())
+
+    expected = max(target - 4 * isqrt(target), (target + 1) // 2)
+    ranges = min(modulus, -(-n // expected))
+    pending = [counted(r * modulus // ranges) for r in range(ranges, 0, -1)]
+    edges, sizes, done = [0], [], 0
+    while pending:
+        hi, at = pending[-1]
+        lo, size = edges[-1], at - done
+        if size > target and hi - lo > 1:
+            pending.append(counted((lo + hi) // 2))
+            continue
+        if size > room:
+            raise _crowded(scan, lo, hi, size, room, memory_ceiling)
+        pending.pop()
+        done = at
+        if sizes and sizes[-1] + size <= target:
+            # a range that fits beside the partition before it joins it
+            edges[-1] = hi
+            sizes[-1] += size
+        else:
+            edges.append(hi)
+            sizes.append(size)
+    return edges, sizes
 
 
 def zagier_probe(

@@ -106,10 +106,10 @@ def test_criterion_4_f_injectivity_desk_scan(ufunc248, gen248, caplog):
         spec = OrbitSpec(gen248, 200)
         report = f_injectivity_scan(ufunc248, spec)
         caplog.clear()
-        # 400 kB takes blocks of ten rows (4,000 keys, 100 kB) and leaves room
-        # for 33,333 keys, under a quarter of the 160000
-        partitioned = f_injectivity_scan(ufunc248, spec, memory_ceiling=400_000)
-        assert sum(r.getMessage().startswith("f-scan partition") for r in caplog.records) >= 4
+        # 150 kB leave room for 6,250 keys, a twenty-sixth of the 160000;
+        # the default ceiling's partitions target 2**14 keys
+        partitioned = f_injectivity_scan(ufunc248, spec, memory_ceiling=150_000)
+        assert sum(r.getMessage().startswith("f-scan partition") for r in caplog.records) >= 26
         assert canonical_json(report.to_json_dict()) == canonical_json(partitioned.to_json_dict())
         assert report.total_scanned == 160_000
         reverify(

@@ -376,7 +376,8 @@ def test_verbose_logs_the_primes_and_leaves_stdout_alone(capsys):
     assert "P-scan partition 1/1: 120 keys, 0 candidate runs, 0 confirmed classes, 1080 bytes\n" in err
     code, out, err = run(capsys, "check-f", "-v")
     assert (code, out) == run(capsys, "check-f")[:2]
-    assert "f-scan partition 1/1: 14400 keys, 0 candidate runs, 0 confirmed classes, 129600 bytes\n" in err
+    # a pair partition: 24 bytes a key while it is gathered
+    assert "f-scan partition 1/1: 14400 keys, 0 candidate runs, 0 confirmed classes, 345600 bytes\n" in err
     # the stderr handler is gone again, so in-process runs do not stack them
     assert (log.handlers, log.level) == (handlers, level)
     assert run(capsys, "check-p")[2] == ""

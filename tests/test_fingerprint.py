@@ -20,6 +20,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -34,6 +35,7 @@ from ecinj import collisions
 from ecinj.collisions import (
     BLOCK_BYTES_PER_KEY,
     DEFAULT_MEMORY_CEILING,
+    PAIR_BYTES_PER_KEY,
     MemoryCeilingError,
     collision_scan,
     f_injectivity_scan,
@@ -57,12 +59,15 @@ PARTITION = re.compile(
 
 def partitions(caplog, scan):
     """The counts of every `scan` partition record, in order.  Each record's
-    bytes must be those `_partition_bytes` budgets for its keys."""
+    bytes must be those its engine budgets for its keys: `_partition_bytes`
+    in the P-scan, PAIR_BYTES_PER_KEY a key in the pair scans."""
     found = []
     for record in caplog.records:
         match = PARTITION.fullmatch(record.getMessage())
         if match and match["scan"] == scan:
-            assert int(match["bytes"]) == collisions._partition_bytes(int(match["keys"]))
+            keys = int(match["keys"])
+            held = collisions._partition_bytes(keys) if scan == "P" else PAIR_BYTES_PER_KEY * keys
+            assert int(match["bytes"]) == held
             found.append({k: int(match[k]) for k in ("keys", "runs", "classes")})
     return found
 
@@ -579,21 +584,24 @@ def test_translate_at_identity_skips_prime(small_primes, caplog):
 def test_memory_ceiling_is_exact_per_partition(caplog, ufunc248, gen248):
     caplog.set_level(logging.INFO, logger="ecinj.collisions")
     spec = OrbitSpec(gen248, 20)
-    pairs, row = 40 * 40, 40
-    # 6,000 bytes take blocks of one row (1,000 bytes) and leave room for 555
-    # keys, about a third of the pairs
+    pairs = 40 * 40
+    # 6,000 bytes leave room for 250 keys, under a sixth of the pairs
     partitioned = f_injectivity_scan(ufunc248, spec, memory_ceiling=6000)
     counted = partitions(caplog, "f")
-    assert len(counted) >= 3
+    assert len(counted) >= 7
+    assert all(part["keys"] <= 250 for part in counted)
     assert sum(part["keys"] for part in counted) == pairs
     whole = f_injectivity_scan(ufunc248, spec, memory_ceiling=DEFAULT_MEMORY_CEILING)
     assert canonical_json(partitioned.to_json_dict()) == canonical_json(whole.to_json_dict())
 
     caplog.clear()
-    needed = BLOCK_BYTES_PER_KEY * row + collisions._partition_bytes(1)  # one row's block and one key
-    with pytest.raises(MemoryCeilingError, match=f"needs at least {needed} bytes"):
+    # a pair partition of one key needs 24 bytes, and the P precondition's
+    # smallest block more: one key, and its partition of one key
+    needed = BLOCK_BYTES_PER_KEY + collisions._partition_bytes(1)
+    message = f"P-scan: needs at least {needed} bytes for one block of 1 keys"
+    with pytest.raises(MemoryCeilingError, match=message):
         f_injectivity_scan(ufunc248, spec, memory_ceiling=needed - 1)
-    assert partitions(caplog, "f") == []  # refused before any key was built
+    assert partitions(caplog, "P") == partitions(caplog, "f") == []  # refused before any key was built
 
 
 def test_pair_classes_match_exact_index():
@@ -643,15 +651,22 @@ def test_partition_room_is_the_exact_budget():
 
 
 def test_zagier_runs_confirmed_against_exact_index(small_primes, caplog, confirmed):
-    small_primes(2**6)  # primes 61 and 59: 82,369 pair keys on 61 values
+    small_primes(2**6)  # primes 61 and 59: 82,369 pair keys on 3,599 values
     report = zagier_probe(15)
     assert "primes chosen: 61, 59" in [r.getMessage() for r in caplog.records]
-    [part] = partitions(caplog, "zagier")
-    assert part["runs"] > 0 and part["classes"] == 0
+    # 287 rationals: partitions of about 2**14 keys
+    counted = partitions(caplog, "zagier")
+    assert len(counted) >= 5 and all(part["runs"] > 0 and part["classes"] == 0 for part in counted)
     rats = list(rationals_by_height(15))
-    # every candidate pair's flat index, in stream order
     modulus = 61 * 59
-    assert confirmed == [repeated(pair_keys([fraction_mod(r, modulus) for r in rats], 7, 3, modulus))]
+    keys = pair_keys([fraction_mod(r, modulus) for r in rats], 7, 3, modulus)
+    # one stream a partition, each in stream order, over increasing key
+    # ranges; joined, they are every candidate pair's flat index
+    assert len(confirmed) == len(counted)
+    assert all(stream == sorted(stream) for stream in confirmed)
+    spans = [(min(keys[x] for x in stream), max(keys[x] for x in stream)) for stream in confirmed]
+    assert all(a[1] < b[0] for a, b in zip(spans, spans[1:]))
+    assert sorted(sum(confirmed, [])) == repeated(keys)
     stream = (
         ((format_rational(r1), format_rational(r2)), zagier_eval(r1, r2, 7, 3))
         for r1 in rats
@@ -666,19 +681,19 @@ def test_zagier_memory_ceiling_is_exact_per_partition(caplog):
     caplog.set_level(logging.INFO, logger="ecinj.collisions")
     row = len(list(rationals_by_height(10)))  # 127 rationals
     pairs = row * row
-    # 100,000 bytes take blocks of seven rows (889 keys, 22,225 bytes) and
-    # leave room for 8,641 keys, about half the pairs
+    # 100,000 bytes leave room for 4,166 keys, about a quarter of the pairs
     partitioned = zagier_probe(10, memory_ceiling=100_000)
     counted = partitions(caplog, "zagier")
-    assert len(counted) >= 2
+    assert len(counted) >= 4
+    assert all(part["keys"] <= 4166 for part in counted)
     assert sum(part["keys"] for part in counted) == pairs
     whole = zagier_probe(10, memory_ceiling=DEFAULT_MEMORY_CEILING)
     assert canonical_json(partitioned.to_json_dict()) == canonical_json(whole.to_json_dict())
 
     caplog.clear()
-    needed = BLOCK_BYTES_PER_KEY * row + collisions._partition_bytes(1)  # one row's block and one key
-    with pytest.raises(MemoryCeilingError, match=f"needs at least {needed} bytes"):
-        zagier_probe(10, memory_ceiling=needed - 1)
+    message = f"zagier-scan: needs at least {PAIR_BYTES_PER_KEY} bytes for one key of a partition"
+    with pytest.raises(MemoryCeilingError, match=message):
+        zagier_probe(10, memory_ceiling=PAIR_BYTES_PER_KEY - 1)
     assert partitions(caplog, "zagier") == []
 
 
@@ -695,35 +710,117 @@ def test_empty_scan_is_one_empty_partition(caplog, ufunc248, gen248, scan):
 
 
 def test_crowded_key_range_is_refused(small_primes, caplog, ufunc248, gen248):
-    small_primes(2**7)  # 144 f keys mod 127 * 113 = 14,351, counted in ranges of 4
+    small_primes(2**7)  # 144 f keys mod 127 * 113 = 14,351
     spec = OrbitSpec(gen248, 6)
-    # blocks of one row (12 keys) leave room for two keys, and one range of
-    # four key values holds more
-    ceiling = collisions._partition_bytes(2) + BLOCK_BYTES_PER_KEY * 12
+    # room for three keys: ranges that hold more are bisected down to one
+    # key value, which four pairs share
+    ceiling = PAIR_BYTES_PER_KEY * 3
     message = (
-        "f-scan: the key range [4292, 4296) holds 4 keys, over the 2 of one partition "
-        "under the memory ceiling of 318"
+        "f-scan: the key range [4294, 4295) holds 4 keys, over the 3 of one partition "
+        "under the memory ceiling of 72"
     )
     with pytest.raises(MemoryCeilingError, match=re.escape(message)):
         f_injectivity_scan(ufunc248, spec, memory_ceiling=ceiling)
-    assert partitions(caplog, "f") == []
+    assert partitions(caplog, "f") == []  # refused before any key was built
+    n, gamma = ufunc248.params.n, ufunc248.params.gamma
+    _, modulus, keys = collisions._orbit_p_keys(ufunc248, spec, (), gamma)
+    assert Counter(pair_keys(keys.tolist(), n, gamma, modulus)).most_common(1) == [(4294, 4)]
+    # room for four keys takes that value as one partition
+    report = f_injectivity_scan(ufunc248, spec, memory_ceiling=ceiling + PAIR_BYTES_PER_KEY)
+    assert findings(report) == findings(exact_f_scan(ufunc248, spec))
 
 
-def test_partition_plan_is_exact_and_greedy():
-    modulus, n, row = 2**20 + 7, 5000, 50
+def random_pairs(k, modulus, zeros):
+    """A `_PairKeys` over k random left and right keys mod `modulus`, the
+    first `zeros` of each 0, and its k*k pair keys in plain integers,
+    row-major."""
+    rng = np.random.default_rng(k)
+    left, right = (rng.integers(0, modulus, k, dtype=np.uint64) for _ in range(2))
+    left[:zeros] = right[:zeros] = 0
+    keys = [(a + b) % modulus for a in left.tolist() for b in right.tolist()]
+    return collisions._PairKeys(left, right, modulus), keys
+
+
+# (modulus, items, zeros on each side, memory ceiling, and the partition
+# target's floor and keys per item, or None to keep them)
+PAIR_PLANS = {
+    # room for 700 keys, the target; 400 pairs share the key 0
+    "under a ceiling": (2**20 + 7, 100, 20, PAIR_BYTES_PER_KEY * 700, None),
+    # a target of 16*k = 1,600 keys; the room takes the 2,025 pairs of the
+    # key 0, so they are one partition
+    "crowded key value": (2**20 + 7, 100, 45, DEFAULT_MEMORY_CEILING, (1, 16)),
+    # 40,000 keys on 3,599 values and a target of 16 keys: each first range
+    # is one key value, and the values held by more pairs stay whole
+    "tiny modulus": (61 * 59, 200, 0, DEFAULT_MEMORY_CEILING, (16, 0)),
+}
+
+
+def test_partition_plan_is_exact_and_greedy(monkeypatch):
+    def unused(*args):
+        raise AssertionError("a key was built to plan the partitions")
+
+    for name, (modulus, k, zeros, ceiling, rule) in PAIR_PLANS.items():
+        monkeypatch.undo()
+        monkeypatch.setattr(collisions._PairKeys, "gather", unused)
+        if rule:
+            monkeypatch.setattr(collisions, "PAIR_PARTITION_KEYS", rule[0])
+            monkeypatch.setattr(collisions, "PAIR_KEYS_PER_ITEM", rule[1])
+        pairs, keys = random_pairs(k, modulus, zeros)
+        edges, sizes = collisions._pair_plan("f-scan", pairs, ceiling)
+        rule_target = max(collisions.PAIR_PARTITION_KEYS, collisions.PAIR_KEYS_PER_ITEM * k)
+        target = min(ceiling // PAIR_BYTES_PER_KEY, rule_target)
+        assert edges[0] == 0 and edges[-1] == modulus and all(a < b for a, b in zip(edges, edges[1:])), name
+        # exact sizes, counted with no key built, that sum to k*k
+        ordered = sorted(keys)
+        held = [bisect_left(ordered, hi) - bisect_left(ordered, lo) for lo, hi in zip(edges, edges[1:])]
+        assert sizes == held, name
+        assert sum(sizes) == k * k and len(sizes) >= 3, name
+        # every partition fits the room, and only one key value passes the target
+        assert all(PAIR_BYTES_PER_KEY * size <= ceiling for size in sizes), name
+        assert all(size <= target or hi - lo == 1 for size, lo, hi in zip(sizes, edges, edges[1:])), name
+        # greedy: no two neighbours would fit one partition
+        assert all(a + b > target for a, b in zip(sizes, sizes[1:])), name
+        if name == "crowded key value":
+            assert edges[:2] == [0, 1] and sizes[0] == keys.count(0) > target
+        if name == "tiny modulus":
+            assert max(sizes) > target
+
+    monkeypatch.undo()
+    pairs, _ = random_pairs(100, 2**20 + 7, 20)
+    assert collisions._pair_plan("f-scan", pairs, DEFAULT_MEMORY_CEILING) == ([0, 2**20 + 7], [100 * 100])
+
+
+def test_one_partition_fill_equals_the_split_fills():
+    # each split fill holds the keys of its range; together they are the
+    # one fill of [0, N), which is every pair key
+    modulus, k = 2**20 + 7, 100
+    pairs, keys = random_pairs(k, modulus, 20)
+    edges, sizes = collisions._pair_plan("f-scan", pairs, PAIR_BYTES_PER_KEY * 700)
+    assert len(sizes) >= 3
+
+    def gather(lower, upper):
+        # fresh buffers of exactly the partition's size
+        size = int((upper - lower).sum())
+        return pairs.gather(lower, upper, np.empty(size, dtype=np.uint64), np.arange(size))
+
+    below = [pairs.below(e) for e in edges]
+    split = [gather(lo, hi) for lo, hi in zip(below, below[1:])]
+    assert [len(part) for part in split] == sizes
+    for part, lo, hi in zip(split, edges, edges[1:]):
+        assert part.dtype == np.uint64 and np.all((part >= lo) & (part < hi))
+    whole = gather(pairs.below(0), pairs.below(modulus))
+    assert sorted(whole.tolist()) == sorted(keys)
+    assert np.array_equal(np.sort(np.concatenate(split)), np.sort(whole))
+
+
+def test_p_partition_plan_is_exact_and_greedy():
+    modulus, n = 2**20 + 7, 5000
     rng = np.random.default_rng(1)
     keys = rng.integers(0, modulus, n, dtype=np.uint64)
     keys[:300] = rng.integers(0, 2**8, 300)  # small values crowd the first range
-    calls = []
-
-    def key_block(lo, hi, out):
-        calls.append((lo, hi))
-        out[:] = keys[lo:hi]
-
     ceiling = 20_000
-    step, edges, sizes = collisions._partition_plan("f-scan", n, row, modulus, key_block, ceiling)
-    assert calls == [(lo, min(lo + step, n)) for lo in range(0, n, step)]  # one counting pass
-    assert step % row == 0 and BLOCK_BYTES_PER_KEY * step <= ceiling // 4
+    step, edges, sizes = collisions._partition_plan("P-scan", keys, modulus, ceiling)
+    assert BLOCK_BYTES_PER_KEY * step <= ceiling // 4
     avail = ceiling - BLOCK_BYTES_PER_KEY * step
     assert len(sizes) >= 3 and sum(sizes) == n and collisions._partition_bytes(max(sizes)) <= avail
     assert edges[0] == 0 and edges[-1] == modulus and edges == sorted(set(edges))
@@ -737,28 +834,62 @@ def test_partition_plan_is_exact_and_greedy():
         # no partition but the last could take the next range too
         assert collisions._partition_bytes(size + held(edge, edge + width)) > avail
 
-    calls.clear()
-    plan = collisions._partition_plan("f-scan", n, row, modulus, key_block, DEFAULT_MEMORY_CEILING)
-    assert plan == (n, [0, modulus], [n]) and calls == []
+    plan = collisions._partition_plan("P-scan", keys, modulus, DEFAULT_MEMORY_CEILING)
+    assert plan == (n, [0, modulus], [n])
 
 
-def test_one_partition_fill_equals_the_split_fills():
-    modulus, n, row = 2**20 + 7, 5000, 50
+def test_p_partition_fill_equals_the_split_fills():
+    modulus, n = 2**20 + 7, 5000
     keys = np.random.default_rng(2).integers(0, modulus, n, dtype=np.uint64)
-
-    def key_block(lo, hi, out):
-        out[:] = keys[lo:hi]
-
-    step, edges, sizes = collisions._partition_plan("f-scan", n, row, modulus, key_block, 20_000)
+    step, edges, sizes = collisions._partition_plan("P-scan", keys, modulus, 20_000)
     assert len(sizes) >= 3
     split = [
-        collisions._partition_keys(n, step, key_block, lo, hi, size, modulus)
+        collisions._partition_keys(keys, step, lo, hi, size, modulus)
         for lo, hi, size in zip(edges, edges[1:], sizes)
     ]
-    whole = collisions._partition_keys(n, step, key_block, 0, modulus, n, modulus)
-    assert np.array_equal(whole, keys)
+    whole = collisions._partition_keys(keys, step, 0, modulus, n, modulus)
+    assert np.array_equal(whole, keys) and whole is not keys
     whole.sort()
     assert np.array_equal(np.sort(np.concatenate(split)), whole)
+
+
+def test_crowded_key_value_is_one_partition(small_primes, caplog, monkeypatch, confirmed, ufunc248, gen248):
+    # a partition target of one key: at 127 * 113 every key value held by
+    # two or more of the 144 f pairs is a partition of its own, over the
+    # target, at the default ceiling, and the findings are the oracle's
+    small_primes(2**7)
+    monkeypatch.setattr(collisions, "PAIR_PARTITION_KEYS", 1)
+    monkeypatch.setattr(collisions, "PAIR_KEYS_PER_ITEM", 0)
+    spec = OrbitSpec(gen248, 6)
+    report = f_injectivity_scan(ufunc248, spec)
+    assert findings(report) == findings(exact_f_scan(ufunc248, spec))
+    n, gamma = ufunc248.params.n, ufunc248.params.gamma
+    _, modulus, keys = collisions._orbit_p_keys(ufunc248, spec, (), gamma)
+    crowded = sorted(c for c in Counter(pair_keys(keys.tolist(), n, gamma, modulus)).values() if c > 1)
+    counted = partitions(caplog, "f")
+    assert len(crowded) == 21
+    assert sorted(part["keys"] for part in counted if part["runs"]) == crowded
+    assert all(part["runs"] == 1 or part["keys"] <= 1 for part in counted)
+    # after the P precondition's stream, one a partition: all the pairs of
+    # a crowded key value, or none
+    assert [len(stream) for stream in confirmed[1:]] == [part["keys"] * part["runs"] for part in counted]
+
+
+def test_pair_classes_crowded_value_over_the_target(caplog):
+    # 130 items with the key 0: their 16,900 pairs share one key value,
+    # more than the partition target of 2**14, and are one partition at
+    # the default ceiling; each class keeps its pairs in stream order
+    caplog.set_level(logging.INFO, logger="ecinj.collisions")
+    k = 130
+    labels = list(range(k))
+    classes = collisions._pair_classes(
+        "f-scan", labels, 61 * 59, np.zeros(k, dtype=np.uint64), 1, Fraction(1), Fraction,
+        DEFAULT_MEMORY_CEILING,
+    )
+    stream = (((a, b), Fraction(a + b)) for a in labels for b in labels)
+    assert classes == collision_scan(stream).classes
+    assert partitions(caplog, "f")[0] == {"keys": k * k, "runs": 1, "classes": 2 * k - 3}
+    assert k * k > max(collisions.PAIR_PARTITION_KEYS, collisions.PAIR_KEYS_PER_ITEM * k)
 
 
 def test_repeated_keys_match_unique(monkeypatch):
@@ -799,8 +930,9 @@ nonzero = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2
     alpha=nonzero,
     beta=nonzero,
     gamma=st.sampled_from([Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(3, 2)]),
-    # 4000 and 1000 bytes split the f-scan's keys from k = 11 and k = 6 orbit points on
-    ceiling=st.sampled_from([DEFAULT_MEMORY_CEILING, 4000, 1000]),
+    # 960 and 240 bytes leave room for 40 and 10 keys of an f-scan
+    # partition, which split its k*k keys from k = 8 and k = 4 orbit points on
+    ceiling=st.sampled_from([DEFAULT_MEMORY_CEILING, 960, 240]),
     start=st.integers(2**6, 2**16),
 )
 @example(a=-2, x0=0, y0=1, with_torsion=False, layout=(1, 0), bound=2, alpha=Fraction(1), beta=Fraction(1),

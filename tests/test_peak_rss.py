@@ -1,5 +1,6 @@
-"""Own peak RSS of scan processes: the keys, and the residues they are
-built from, are the only memory that grows with the scan.
+"""Own peak RSS of scan processes: the P-scan's keys, and the residues they
+are built from, are the only memory that grows with the scan, and a pair
+scan holds one partition of its keys at a time.
 
 A small launcher interpreter starts each scan with `posix_spawn` and reads
 its `ru_maxrss` from `os.wait4`.  The test process itself does not spawn
@@ -40,12 +41,16 @@ def own_peaks_kib(*commands):
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
 def test_f_scan_peak_is_its_keys():
-    # check-f --M 500 sorts 10**6 uint64 keys (7.6 MiB) in one partition,
-    # filled in place; a default check-p, which loads numpy for a small
-    # scan, is the baseline
-    (base_code, base), (code, peak) = own_peaks_kib(["check-p"], ["check-f", "--M", "500"])
-    assert (base_code, code) == (0, 0)
-    assert peak - base <= 11 * 1024
+    # check-f --M 1000 (4 * 10**6 pairs, 30.5 MiB of uint64 keys) and
+    # zagier-probe --H 60 (1.9 * 10**7 pairs) hold their row arrays and one
+    # partition of about 16 keys a row at a time, 24 bytes a key while it
+    # is gathered: 0.7 and 1.6 MiB; a default check-p, which loads numpy
+    # for a small scan, is the baseline
+    (base_code, base), *scans = own_peaks_kib(
+        ["check-p"], ["check-f", "--M", "1000"], ["zagier-probe", "--H", "60"],
+    )
+    assert (base_code, *(code for code, _ in scans)) == (0, 0, 0)
+    assert all(peak - base <= 4 * 1024 for _, peak in scans)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
