@@ -154,7 +154,9 @@ def cmd_scan(args) -> tuple:
     curve = _parse_curve(args.curve)
     spec = _orbit_spec(args, curve)
     u = UniquenessFunction(_parse_params(args.params), curve)
-    report = args.scan(u, spec, memory_ceiling=_memory_ceiling(args))
+    # only check-f takes --memory-ceiling (see build_parser)
+    ceiling = {"memory_ceiling": _memory_ceiling(args)} if "memory_ceiling" in args else {}
+    report = args.scan(u, spec, **ceiling)
     return report.to_json_dict(), report.exit_code
 
 
@@ -270,17 +272,17 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="ecinj", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scan=False):
+    def common(p, ceiling=False):
         p.add_argument("--out", default=None, help="write the report to this path instead of stdout")
         p.add_argument(
             "-v", dest="verbose", action="store_true",
             help="log progress (primes chosen and skipped, partitions) to stderr; the report is unchanged",
         )
-        if scan:
+        if ceiling:
             p.add_argument(
                 "--memory-ceiling", type=int, default=DEFAULT_MEMORY_CEILING, metavar="BYTES",
-                help="bytes the collision index may hold (default 4 GiB); "
-                "the scan splits its keys into as few key ranges as fit, "
+                help="bytes one partition of the pair index may hold (default 4 GiB); "
+                "the scan splits its pair keys into key ranges that fit, "
                 "and reports are identical for every ceiling that passes",
             )
 
@@ -302,13 +304,15 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_enumerate)
 
     # the scans are looked up here, not at import, so wrappers installed on
-    # this module before the parser is built see every call
-    for name, scan in (("check-p", p_injectivity_scan), ("check-f", f_injectivity_scan)):
+    # this module before the parser is built see every call; check-p takes
+    # no memory ceiling, as the P-scan never splits its keys
+    scans = (("check-p", p_injectivity_scan, False), ("check-f", f_injectivity_scan, True))
+    for name, scan, ceiling in scans:
         p = sub.add_parser(name, help=f"{name.replace('-', ' ')} injectivity scan")
         p.add_argument("--curve", default=DEFAULT_CURVE)
         orbit_args(p, 60)
         p.add_argument("--params", default=DEFAULT_PARAMS)
-        common(p, scan=True)
+        common(p, ceiling)
         p.set_defaults(func=cmd_scan, scan=scan)
 
     p = sub.add_parser("slope-bound", help="certified tangent-slope certificate")
@@ -339,7 +343,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("zagier-probe", help="x^7 + 3 y^7 collision probe over bounded-height rationals")
     p.add_argument("--H", type=int, default=5)
-    common(p, scan=True)
+    common(p, ceiling=True)
     p.set_defaults(func=cmd_zagier_probe)
 
     return parser

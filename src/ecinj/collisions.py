@@ -36,28 +36,27 @@ height, share its pair form (`_pair_classes`) and its one exact formula,
 `pairing.zagier_eval`.  The tests' exact oracle shares only
 `collision_scan` with the product.
 
-The memory ceiling is the only resource setting.  It bounds the
-fingerprint index, one key-range partition at a time, not the arrays of
-one entry per item: the orbit scans hold 4 bytes per orbit point per
-prime and a few walk blocks, then the 8-byte keys, and the pair scans
-about 100 bytes per item of sorted and searched row arrays.  The P-scan
-reads its keys in blocks of at most a quarter of the ceiling and keeps
-the rest for a partition.  When all its keys fit one, the partition is a
-copy of the keys, as the candidate pass reads them again in stream
-order; otherwise a single counting pass over 2**12 equal ranges of the
-key space plans the partitions.  The pair scans never build all k*k
-keys: row i's keys in a key range are one slice of the sorted right
-terms (`_PairKeys`), so one searchsorted per partition edge counts every
-partition exactly (`_pair_plan`), and each is gathered from its slices.
-A pair partition targets max(2**14, 16*k) keys, or fewer if the room the
-ceiling leaves at 24 bytes a key is less, so a pair scan holds O(k)
-memory plus one small partition.  Either way every partition's size is
-exact before it is allocated, and a key range that alone overflows the
-room is refused before any partition is built.  The search for repeated
-sorted keys runs CHUNK_KEYS keys at a time, so no mask covers a
-partition.  Reports are deterministic and do not depend on the ceiling:
-keys inside a class are in stream order, and classes are sorted by value
-before emission.
+The memory ceiling is the only resource setting, and it bounds one
+thing: the pair scans' quadratic index, one key-range partition at a
+time.  Every array of one entry per item stays outside it: the orbit
+scans hold 4 bytes per orbit point per prime and a few walk blocks, then
+the 8-byte keys, and the pair scans about 100 bytes per item of sorted
+and searched row arrays.  The P-scan never splits: it sorts one copy of
+its keys and reads the keys again in stream order for its candidates.
+With the copy it holds 16 bytes a point, as the two primes' residues and
+the keys already did at the CRT, so no split could lower its peak.  The
+pair scans never build all k*k keys: row i's keys in a key range are one
+slice of the sorted right terms (`_PairKeys`), so one searchsorted per
+partition edge counts every partition exactly (`_pair_plan`), and each
+is gathered from its slices.  A pair partition targets max(2**14, 16*k)
+keys, or fewer if the room the ceiling leaves at 24 bytes a key is less,
+so a pair scan holds O(k) memory plus one small partition.  Every
+partition's size is exact before it is allocated, and a key range that
+alone overflows the room is refused before any partition is built.  The
+search for repeated sorted keys and the P-scan's candidate pass run
+CHUNK_KEYS keys at a time, so no mask covers the keys.  Reports are
+deterministic and do not depend on the ceiling: keys inside a class are
+in stream order, and classes are sorted by value before emission.
 
 numpy loads on first use: each function that needs it imports it, so
 importing this module (and with it the CLI) costs no numpy start-up in the
@@ -84,18 +83,10 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_MEMORY_CEILING = 4 * 2**30  # bytes
 
-# Bytes per key of one block of the P-scan's keys at its largest, in the
-# candidate pass: their searchsorted positions (8), the gathered run values
-# (8) and the hit mask (1).  A block is a view of the key array.
-BLOCK_BYTES_PER_KEY = 17
-# Keys per block, at most.
-BLOCK_KEYS = 2**20
 # Keys per chunk of the search for repeated sorted keys, so it holds no
-# mask over a whole partition, and of the CRT of the orbit keys.
+# mask over a whole partition, of the P-scan's candidate pass and of the
+# CRT of the orbit keys.
 CHUNK_KEYS = 2**16
-# The P-scan's partition plan counts its keys in 2**KEY_RANGE_BITS equal
-# ranges of the key space: 32 KB of int64 counters.
-KEY_RANGE_BITS = 12
 
 # Bytes per key of a pair partition at its largest, while it is gathered:
 # the keys (8), the offsets 0, 1, 2, ... (8) and one int64 index or
@@ -170,66 +161,6 @@ def collision_scan(stream: Iterable[tuple]) -> CollisionReport:
     return CollisionReport(total, classes)
 
 
-def _fingerprint_classes(scan, keys, modulus, resolve, *, memory_ceiling):
-    """Collision classes among the stream items whose uint64 keys mod
-    `modulus` are `keys`, in stream order.
-
-    Partition s holds the keys in [edges[s], edges[s + 1]) of
-    `_partition_plan`, copied out of `keys` and then sorted in place.  The
-    items whose key occurs more than once in it are found again by a pass
-    over `keys`, and their indices, in stream order, are handed to
-    `resolve(candidates) -> classes`.  Equal values have equal keys, so a
-    class never spans two partitions.
-    """
-    step, edges, sizes = _partition_plan(scan, keys, modulus, memory_ceiling)
-    return _index_partitions(
-        scan, sizes, lambda s: _partition_keys(keys, step, edges[s], edges[s + 1], sizes[s], modulus),
-        lambda runs: _candidates(keys, step, runs), resolve, _partition_bytes,
-    )
-
-
-def _index_partitions(scan, sizes, fill, candidates, resolve, held):
-    """The classes of every partition, sorted by value: partition s is
-    `fill(s)`, sorted in place, and `resolve` confirms the stream indices
-    `candidates(runs)` of its repeated keys.  `held(size)` is the bytes
-    the partition holds."""
-    classes = []
-    for s, size in enumerate(sizes):
-        part = fill(s)
-        part.sort()
-        runs = _repeated_keys(part)
-        del part
-        found = resolve(candidates(runs))
-        logger.info(
-            "%s partition %d/%d: %d keys, %d candidate runs, %d confirmed classes, %d bytes",
-            scan, s + 1, len(sizes), size, len(runs), len(found), held(size),
-        )
-        classes.extend(found)
-    classes.sort(key=lambda c: c.value)
-    return classes
-
-
-def _partition_keys(keys, step, low, high, size, modulus):
-    """A copy of the `size` keys that lie in [low, high), in stream order,
-    gathered `step` keys at a time.  Every key lies in [0, modulus), so the
-    one partition of an unsplit scan is a plain copy; the candidate pass
-    reads `keys` again in stream order."""
-    import numpy as np
-
-    if low == 0 and high == modulus:
-        return keys.copy()
-    part = np.empty(size, dtype=np.uint64)
-    filled = 0
-    for lo in range(0, len(keys), step):
-        block = keys[lo:lo + step]
-        mask = block >= low
-        mask &= block < high
-        taken = int(np.count_nonzero(mask))
-        np.compress(mask, block, out=part[filled:filled + taken])
-        filled += taken
-    return part
-
-
 def _repeated_keys(part):
     """The keys that occur more than once in the sorted uint64 array
     `part`, each once, in increasing order.  Neighbours are compared
@@ -249,90 +180,19 @@ def _repeated_keys(part):
     return dup[np.concatenate(([True], dup[1:] != dup[:-1]))]
 
 
-def _candidates(keys, step, runs):
+def _candidates(keys, runs):
     """The indices of the `keys` that are one of the sorted `runs`, in
-    stream order, searched `step` keys at a time.  The block temporaries
-    end with this call, before the next partition is built."""
+    stream order, searched CHUNK_KEYS keys at a time."""
     import numpy as np
 
     found = []
     if len(runs):
-        for lo in range(0, len(keys), step):
-            block = keys[lo:lo + step]
+        for lo in range(0, len(keys), CHUNK_KEYS):
+            block = keys[lo:lo + CHUNK_KEYS]
             at = np.searchsorted(runs, block)
             np.minimum(at, len(runs) - 1, out=at)
             found.extend((lo + np.flatnonzero(runs[at] == block)).tolist())
     return found
-
-
-def _partition_bytes(size):
-    """Bytes a P-scan partition of `size` keys holds: the uint64 keys and
-    the bool mask of one chunk of the search for repeated sorted keys; the
-    repeated keys it finds are none unless fingerprints collide."""
-    return 8 * size + min(size, CHUNK_KEYS)
-
-
-def _partition_room(avail):
-    """The most keys of a partition that `avail` bytes hold
-    (`_partition_bytes`): 9 bytes a key up to CHUNK_KEYS keys, 8 above."""
-    above = (avail - CHUNK_KEYS) // 8
-    return above if above > CHUNK_KEYS else avail // 9
-
-
-def _too_small(scan, needed, unit, memory_ceiling):
-    return MemoryCeilingError(
-        f"{scan}: needs at least {needed} bytes for {unit}, over the memory ceiling of {memory_ceiling}"
-    )
-
-
-def _crowded(scan, lo, hi, count, room, memory_ceiling):
-    return MemoryCeilingError(
-        f"{scan}: the key range [{lo}, {hi}) holds {count} keys, over the "
-        f"{room} of one partition under the memory ceiling of {memory_ceiling}"
-    )
-
-
-def _partition_plan(scan, keys, modulus, memory_ceiling):
-    """(step, edges, sizes): blocks of `step` keys, and partition s holding
-    the sizes[s] `keys` in [edges[s], edges[s + 1]), each of which fits
-    `memory_ceiling` together with one block.
-
-    The block comes first: at most BLOCK_KEYS and a quarter of the ceiling,
-    at least one key.  The rest of the ceiling is the room for one
-    partition.  When all n keys fit it, there is one partition and no pass.
-    Otherwise one pass counts the keys in 2**KEY_RANGE_BITS equal ranges of
-    [0, modulus), and each partition is the longest run of consecutive
-    ranges that fits the room.
-    """
-    import numpy as np
-
-    n = len(keys)
-    step = max(1, min(BLOCK_KEYS, memory_ceiling // (4 * BLOCK_BYTES_PER_KEY), n))
-    if n == 0:
-        return step, [0, modulus], [n]
-    room = _partition_room(memory_ceiling - BLOCK_BYTES_PER_KEY * step)
-    if room < 1:
-        needed = BLOCK_BYTES_PER_KEY * step + _partition_bytes(1)
-        raise _too_small(scan, needed, f"one block of {step} keys", memory_ceiling)
-    if n <= room:
-        return step, [0, modulus], [n]
-    shift = max(0, (modulus - 1).bit_length() - KEY_RANGE_BITS)
-    counts = np.zeros(((modulus - 1) >> shift) + 1, dtype=np.int64)
-    for lo in range(0, n, step):
-        # every range index is below 2**KEY_RANGE_BITS, so the int64 view
-        # is exact, and bincount needs no cast from uint64
-        counts += np.bincount((keys[lo:lo + step] >> shift).view(np.int64), minlength=len(counts))
-    crowded = int(np.argmax(counts))
-    if counts[crowded] > room:
-        lo, hi = crowded << shift, min((crowded + 1) << shift, modulus)
-        raise _crowded(scan, lo, hi, counts[crowded], room, memory_ceiling)
-    edges, sizes = [0], [0]
-    for r, count in enumerate(counts.tolist()):
-        if sizes[-1] + count > room:
-            edges.append(r << shift)
-            sizes.append(0)
-        sizes[-1] += count
-    return step, edges + [modulus], sizes
 
 
 def _crt(p, q, rp, rq):
@@ -599,33 +459,39 @@ def _require_valid(u: UniquenessFunction):
         raise ValueError("invalid injection parameters: " + "; ".join(violations))
 
 
-def _p_classes(u, spec, labels, modulus, keys, memory_ceiling):
-    """The classes of P over the orbit `labels`, found from their P keys
-    mod `modulus`.  No two labels name one point, so each candidate's exact
-    point is built once, to evaluate P on it."""
+def _p_classes(u, spec, labels, keys):
+    """The classes of P over the orbit `labels`, found from their uint64 P
+    keys.  The keys are the one partition: a sorted copy of them gives the
+    repeated keys, and is freed before `_candidates` reads `keys` again
+    for their stream indices.  No two labels name one point, so each
+    candidate's exact point is built once, to evaluate P on it."""
+    part = keys.copy()
+    part.sort()
+    runs = _repeated_keys(part)
+    del part
+    candidates = _candidates(keys, runs)
+    classes = collision_scan(
+        (labels[i], u.eval_P(_exact_point(spec, labels[i]))) for i in candidates
+    ).classes
+    # the sorted copy, and the bool mask of one chunk of the search for
+    # repeated keys; the repeated keys are none unless fingerprints collide
+    logger.info(
+        "P-scan partition 1/1: %d keys, %d candidate runs, %d confirmed classes, %d bytes",
+        len(keys), len(runs), len(classes), 8 * len(keys) + min(len(keys), CHUNK_KEYS),
+    )
+    return classes
 
-    def resolve(candidates):
-        return collision_scan(
-            (labels[i], u.eval_P(_exact_point(spec, labels[i]))) for i in candidates
-        ).classes
 
-    return _fingerprint_classes("P-scan", keys, modulus, resolve, memory_ceiling=memory_ceiling)
-
-
-def p_injectivity_scan(
-    u: UniquenessFunction,
-    spec: OrbitSpec,
-    *,
-    memory_ceiling: int = DEFAULT_MEMORY_CEILING,
-) -> CollisionReport:
+def p_injectivity_scan(u: UniquenessFunction, spec: OrbitSpec) -> CollisionReport:
     """Scan eval_P over the orbit for exact value collisions.
 
     Labels whose points coincide are flagged as duplicate points, not value
     collisions, and only the first occurrence stays in the value scan.  A
     finite orbit is scanned exactly (`_finite_orbit`).  On any other only a
     point the torsion list names twice has two labels, so those groups come
-    from the spec, and the rest is walked and scanned in as few key-range
-    partitions as fit `memory_ceiling`.
+    from the spec, and the rest is walked and its keys sorted in one
+    partition (`_p_classes`).  No memory ceiling applies: the peak, 16
+    bytes an orbit point, is reached at the CRT, before the sort.
     """
     _require_valid(u)
     spec.validate()
@@ -635,9 +501,8 @@ def p_injectivity_scan(
         groups, kept = _finite_orbit(u, spec, cycle)
         return CollisionReport(len(kept), collision_scan(kept).classes, groups, config)
     kept, groups = _distinct_translates(spec)
-    labels, modulus, keys = _orbit_p_keys(u, spec, kept)
-    classes = _p_classes(u, spec, labels, modulus, keys, memory_ceiling)
-    return CollisionReport(len(labels), classes, groups, config)
+    labels, _, keys = _orbit_p_keys(u, spec, kept)
+    return CollisionReport(len(labels), _p_classes(u, spec, labels, keys), groups, config)
 
 
 P_NOT_INJECTIVE = "P not injective on scanned set; shrink or exclude collision points"
@@ -655,10 +520,12 @@ def f_injectivity_scan(
     scanned set plays the role of the injective open set.  A torsion list
     that names a point twice fails it from the spec, before any prime is
     chosen, once M >= 1; otherwise it is checked on the scan's own residue
-    systems, with exact confirmation.  For k orbit points the scan holds
-    row arrays of about 100 bytes a point and one key-range partition of
-    at most max(2**14, 16*k) keys at 24 bytes a key, fewer if
-    `memory_ceiling` needs it (`_pair_plan`), never all k^2 keys at once.
+    systems, with exact confirmation (`_p_classes`, which no ceiling
+    bounds).  For k orbit points the pair scan holds row arrays of about
+    100 bytes a point and one key-range partition of at most
+    max(2**14, 16*k) keys at 24 bytes a key, fewer if `memory_ceiling`
+    needs it (`_pair_plan`), never all k^2 keys at once; the ceiling bounds
+    that partition alone.
     A finite orbit passes the precondition only while 2M < d, so its few
     pairs are indexed exactly.
     """
@@ -678,7 +545,7 @@ def f_injectivity_scan(
     if groups:
         raise ValueError(P_NOT_INJECTIVE)
     labels, modulus, keys = _orbit_p_keys(u, spec, kept, gamma)
-    if _p_classes(u, spec, labels, modulus, keys, memory_ceiling):
+    if _p_classes(u, spec, labels, keys):
         raise ValueError(P_NOT_INJECTIVE)
     classes = _pair_classes(
         "f-scan", labels, modulus, keys, n, gamma,
@@ -696,8 +563,10 @@ def _pair_classes(scan, labels, modulus, keys, n, gamma, value, memory_ceiling):
     exact value v_i; gamma must be invertible mod `modulus`.  The key of
     pair (i, j) is (left[i] + right[j]) mod N, at flat index i*k + j, and
     partition s is gathered from `_PairKeys` between edges[s] and
-    edges[s + 1] of `_pair_plan`.  Each edge is searched once more to fill
-    the partition below it and then reused for the one above.
+    edges[s + 1] of `_pair_plan` into one buffer of the largest partition
+    and sorted there; the pairs of its repeated keys are confirmed exactly.
+    Each edge is searched once more to fill the partition below it and
+    then reused for the one above.
     """
     import numpy as np
 
@@ -711,21 +580,23 @@ def _pair_classes(scan, labels, modulus, keys, n, gamma, value, memory_ceiling):
     edges, sizes = _pair_plan(scan, pairs, memory_ceiling)
     value = cache(value)  # an item may sit in many candidate pairs
     part, offsets = np.empty(max(sizes), dtype=np.uint64), np.arange(max(sizes))
-    below = [pairs.below(0)]
-
-    def fill(s):
+    lower, classes = pairs.below(0), []
+    for s, size in enumerate(sizes):
         # the upper edge's counts are the next partition's lower ones
-        lower, below[0] = below[0], pairs.below(edges[s + 1])
-        return pairs.gather(lower, below[0], part, offsets)
-
-    def resolve(candidates):
-        return collision_scan(
-            (x, zagier_eval(value(x // k), value(x % k), n, gamma)) for x in candidates
+        upper = pairs.below(edges[s + 1])
+        partition = pairs.gather(lower, upper, part, offsets)
+        lower = upper
+        partition.sort()
+        runs = _repeated_keys(partition)
+        found = collision_scan(
+            (x, zagier_eval(value(x // k), value(x % k), n, gamma)) for x in pairs.candidates(runs)
         ).classes
-
-    classes = _index_partitions(
-        scan, sizes, fill, pairs.candidates, resolve, lambda size: PAIR_BYTES_PER_KEY * size,
-    )
+        logger.info(
+            "%s partition %d/%d: %d keys, %d candidate runs, %d confirmed classes, %d bytes",
+            scan, s + 1, len(sizes), size, len(runs), len(found), PAIR_BYTES_PER_KEY * size,
+        )
+        classes.extend(found)
+    classes.sort(key=lambda c: c.value)
     for c in classes:
         c.keys = [(labels[x // k], labels[x % k]) for x in c.keys]
     return classes
@@ -830,7 +701,10 @@ def _pair_plan(scan, pairs, memory_ceiling):
         return [0, modulus], [n]
     room = memory_ceiling // PAIR_BYTES_PER_KEY
     if room < 1:
-        raise _too_small(scan, PAIR_BYTES_PER_KEY, "one key of a partition", memory_ceiling)
+        raise MemoryCeilingError(
+            f"{scan}: needs at least {PAIR_BYTES_PER_KEY} bytes for one key of a partition, "
+            f"over the memory ceiling of {memory_ceiling}"
+        )
     target = min(room, max(PAIR_PARTITION_KEYS, PAIR_KEYS_PER_ITEM * k))
     if n <= target:
         return [0, modulus], [n]
@@ -849,7 +723,10 @@ def _pair_plan(scan, pairs, memory_ceiling):
             pending.append(counted((lo + hi) // 2))
             continue
         if size > room:
-            raise _crowded(scan, lo, hi, size, room, memory_ceiling)
+            raise MemoryCeilingError(
+                f"{scan}: the key range [{lo}, {hi}) holds {size} keys, over the "
+                f"{room} of one partition under the memory ceiling of {memory_ceiling}"
+            )
         pending.pop()
         done = at
         if sizes and sizes[-1] + size <= target:

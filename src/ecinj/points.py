@@ -134,10 +134,10 @@ def x_candidates(h_bound: int, squares_only: bool = False) -> Iterator[Fraction]
         for q in range(1, h + 1):
             if squares_only and isqrt(q) ** 2 != q:
                 continue
-            for p in range(-h, h + 1):
-                if max(abs(p), q) != h or gcd(abs(p), q) != 1:
-                    continue
-                level.append(Fraction(p, q))
+            # max(|p|, q) = h: every p when q = h, else p = -h or h
+            for p in range(-h, h + 1) if q == h else (-h, h):
+                if gcd(abs(p), q) == 1:
+                    level.append(Fraction(p, q))
         level.sort(key=lambda r: (abs(r.numerator), r.numerator < 0, r.denominator))
         yield from level
 

@@ -25,30 +25,12 @@ def test_check_f_headline(capsys):
     assert report["version"] and report["config_digest"]
 
 
-def test_check_p_determinism_across_shards(capsys, caplog):
-    caplog.set_level(logging.INFO, logger="ecinj.collisions")
-
-    def partitions():
-        count = sum(r.getMessage().startswith("P-scan partition") for r in caplog.records)
-        caplog.clear()
-        return count
-
-    code1, out1, _ = run(capsys, "check-p", "--M", "400")
-    assert partitions() == 1
-    # 8,000 bytes take blocks of 80 keys (2,000 bytes) and leave room for
-    # 666 of the 800 keys
-    code2, out2, _ = run(capsys, "check-p", "--M", "400", "--memory-ceiling", "8000")
-    assert partitions() >= 2
-    assert code1 == code2 == 0
-    assert out1 == out2
-
-
 # (exit code, sha256 of stdout): reports are byte-identical however the scan is run
 GOLDEN_SHA256 = {
     ("check-p", "--M", "50"): (0, "8ee4c61110345bb9b3599eeeb23318a234434e1db9c71c8452f01d87de963a2d"),
     ("check-p", "--M", "400"): (0, "e28bbdf6173d83f4b449a675e33071506a3e046a04640045a191be725279d6c4"),
     ("check-f", "--M", "10"): (0, "db809208c354bd2da9cfac0fb9ef9ea0b5b098fb38234bd03d5d65dc5163275e"),
-    # blocks of one row (20 keys, 500 bytes) leave room for 22 of the 400 keys
+    # 700 bytes leave room for 700 // 24 = 29 of the 400 pair keys in a partition
     ("check-f", "--M", "10", "--memory-ceiling", "700"): (
         0, "db809208c354bd2da9cfac0fb9ef9ea0b5b098fb38234bd03d5d65dc5163275e"
     ),
@@ -344,7 +326,12 @@ EMPTY_SCANS = [("check-p", "--M", "0"), ("check-f", "--M", "0"), ("zagier-probe"
 @pytest.mark.parametrize("argv", EMPTY_SCANS, ids=" ".join)
 def test_negative_memory_ceiling_exits_one(capsys, argv):
     code, out, err = run(capsys, *argv, "--memory-ceiling", "-1")
-    assert (code, out, err) == (1, "", "error: memory ceiling must be >= 0, got -1\n")
+    if argv[0] == "check-p":
+        # the P-scan never splits its keys, so check-p takes no ceiling
+        expected = "error: unrecognized arguments: --memory-ceiling -1\n"
+    else:
+        expected = "error: memory ceiling must be >= 0, got -1\n"
+    assert (code, out, err) == (1, "", expected)
 
 
 def test_orbit_too_large_for_memory_exits_one(capsys, monkeypatch):
@@ -374,6 +361,10 @@ def test_verbose_logs_the_primes_and_leaves_stdout_alone(capsys):
     # chunked search for repeated keys
     assert "ecinj.collisions: orbit of 120 points: residues 480 + 480 bytes, keys 960 bytes\n" in err
     assert "P-scan partition 1/1: 120 keys, 0 candidate runs, 0 confirmed classes, 1080 bytes\n" in err
+    # the P-scan sorts all its keys in one partition at every size
+    code, out, err = run(capsys, "check-p", "--M", "400", "-v")
+    assert (code, out) == run(capsys, "check-p", "--M", "400")[:2]
+    assert err.count("P-scan partition") == 1 and "P-scan partition 1/1: 800 keys," in err
     code, out, err = run(capsys, "check-f", "-v")
     assert (code, out) == run(capsys, "check-f")[:2]
     # a pair partition: 24 bytes a key while it is gathered

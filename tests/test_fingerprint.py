@@ -33,7 +33,6 @@ from hypothesis import strategies as st
 
 from ecinj import collisions
 from ecinj.collisions import (
-    BLOCK_BYTES_PER_KEY,
     DEFAULT_MEMORY_CEILING,
     PAIR_BYTES_PER_KEY,
     MemoryCeilingError,
@@ -59,14 +58,15 @@ PARTITION = re.compile(
 
 def partitions(caplog, scan):
     """The counts of every `scan` partition record, in order.  Each record's
-    bytes must be those its engine budgets for its keys: `_partition_bytes`
-    in the P-scan, PAIR_BYTES_PER_KEY a key in the pair scans."""
+    bytes must be those its engine holds for its keys: 8 a key and the mask
+    of one chunk of the search for repeated keys in the P-scan,
+    PAIR_BYTES_PER_KEY a key in the pair scans."""
     found = []
     for record in caplog.records:
         match = PARTITION.fullmatch(record.getMessage())
         if match and match["scan"] == scan:
             keys = int(match["keys"])
-            held = collisions._partition_bytes(keys) if scan == "P" else PAIR_BYTES_PER_KEY * keys
+            held = 8 * keys + min(keys, collisions.CHUNK_KEYS) if scan == "P" else PAIR_BYTES_PER_KEY * keys
             assert int(match["bytes"]) == held
             found.append({k: int(match[k]) for k in ("keys", "runs", "classes")})
     return found
@@ -595,13 +595,13 @@ def test_memory_ceiling_is_exact_per_partition(caplog, ufunc248, gen248):
     assert canonical_json(partitioned.to_json_dict()) == canonical_json(whole.to_json_dict())
 
     caplog.clear()
-    # a pair partition of one key needs 24 bytes, and the P precondition's
-    # smallest block more: one key, and its partition of one key
-    needed = BLOCK_BYTES_PER_KEY + collisions._partition_bytes(1)
-    message = f"P-scan: needs at least {needed} bytes for one block of 1 keys"
+    # a pair partition of one key needs 24 bytes; the P precondition has no
+    # ceiling and runs first, in its one partition
+    message = f"f-scan: needs at least {PAIR_BYTES_PER_KEY} bytes for one key of a partition"
     with pytest.raises(MemoryCeilingError, match=message):
-        f_injectivity_scan(ufunc248, spec, memory_ceiling=needed - 1)
-    assert partitions(caplog, "P") == partitions(caplog, "f") == []  # refused before any key was built
+        f_injectivity_scan(ufunc248, spec, memory_ceiling=PAIR_BYTES_PER_KEY - 1)
+    assert partitions(caplog, "P") == [{"keys": 40, "runs": 0, "classes": 0}]
+    assert partitions(caplog, "f") == []  # refused before any pair key was built
 
 
 def test_pair_classes_match_exact_index():
@@ -637,17 +637,6 @@ def test_traced_p_scan_counts_collision_scan():
     # generator's, when it is parsed and when the orbit spec is validated
     assert spans["injection.UniquenessFunction.eval_P"][0] >= 2
     assert spans["curve.on_curve"][0] == 2
-
-
-def test_partition_room_is_the_exact_budget():
-    # 9 bytes a key up to CHUNK_KEYS keys, 8 bytes a key and one chunk mask above
-    chunk = collisions.CHUNK_KEYS
-    assert collisions._partition_bytes(chunk) == 9 * chunk
-    assert collisions._partition_bytes(chunk + 1) == 8 * (chunk + 1) + chunk
-    edges = (0, 9, 9 * chunk, 17 * chunk)
-    for avail in {a + d for a in edges for d in range(-20, 20) if a + d >= 0} | {10**6, 3 * 10**7}:
-        room = collisions._partition_room(avail)
-        assert collisions._partition_bytes(room) <= avail < collisions._partition_bytes(room + 1)
 
 
 def test_zagier_runs_confirmed_against_exact_index(small_primes, caplog, confirmed):
@@ -702,9 +691,10 @@ def test_empty_scan_is_one_empty_partition(caplog, ufunc248, gen248, scan):
     caplog.set_level(logging.INFO, logger="ecinj.collisions")
     if scan == "zagier":
         report = zagier_probe(0, memory_ceiling=-1)
+    elif scan == "f":
+        report = f_injectivity_scan(ufunc248, OrbitSpec(gen248, 0), memory_ceiling=-1)
     else:
-        run = p_injectivity_scan if scan == "P" else f_injectivity_scan
-        report = run(ufunc248, OrbitSpec(gen248, 0), memory_ceiling=-1)
+        report = p_injectivity_scan(ufunc248, OrbitSpec(gen248, 0))
     assert findings(report) == (0, [], [])
     assert partitions(caplog, scan) == [{"keys": 0, "runs": 0, "classes": 0}]
 
@@ -813,46 +803,6 @@ def test_one_partition_fill_equals_the_split_fills():
     assert np.array_equal(np.sort(np.concatenate(split)), np.sort(whole))
 
 
-def test_p_partition_plan_is_exact_and_greedy():
-    modulus, n = 2**20 + 7, 5000
-    rng = np.random.default_rng(1)
-    keys = rng.integers(0, modulus, n, dtype=np.uint64)
-    keys[:300] = rng.integers(0, 2**8, 300)  # small values crowd the first range
-    ceiling = 20_000
-    step, edges, sizes = collisions._partition_plan("P-scan", keys, modulus, ceiling)
-    assert BLOCK_BYTES_PER_KEY * step <= ceiling // 4
-    avail = ceiling - BLOCK_BYTES_PER_KEY * step
-    assert len(sizes) >= 3 and sum(sizes) == n and collisions._partition_bytes(max(sizes)) <= avail
-    assert edges[0] == 0 and edges[-1] == modulus and edges == sorted(set(edges))
-
-    def held(lo, hi):
-        return int(np.count_nonzero((keys >= lo) & (keys < hi)))
-
-    assert sizes == [held(lo, hi) for lo, hi in zip(edges, edges[1:])]
-    width = 2 ** ((modulus - 1).bit_length() - collisions.KEY_RANGE_BITS)
-    for size, edge in zip(sizes, edges[1:-1]):
-        # no partition but the last could take the next range too
-        assert collisions._partition_bytes(size + held(edge, edge + width)) > avail
-
-    plan = collisions._partition_plan("P-scan", keys, modulus, DEFAULT_MEMORY_CEILING)
-    assert plan == (n, [0, modulus], [n])
-
-
-def test_p_partition_fill_equals_the_split_fills():
-    modulus, n = 2**20 + 7, 5000
-    keys = np.random.default_rng(2).integers(0, modulus, n, dtype=np.uint64)
-    step, edges, sizes = collisions._partition_plan("P-scan", keys, modulus, 20_000)
-    assert len(sizes) >= 3
-    split = [
-        collisions._partition_keys(keys, step, lo, hi, size, modulus)
-        for lo, hi, size in zip(edges, edges[1:], sizes)
-    ]
-    whole = collisions._partition_keys(keys, step, 0, modulus, n, modulus)
-    assert np.array_equal(whole, keys) and whole is not keys
-    whole.sort()
-    assert np.array_equal(np.sort(np.concatenate(split)), whole)
-
-
 def test_crowded_key_value_is_one_partition(small_primes, caplog, monkeypatch, confirmed, ufunc248, gen248):
     # a partition target of one key: at 127 * 113 every key value held by
     # two or more of the 144 f pairs is a partition of its own, over the
@@ -913,6 +863,27 @@ def test_repeated_keys_match_unique(monkeypatch):
         assert np.array_equal(runs, np.unique(part[1:][part[1:] == part[:-1]]))
 
 
+def test_candidates_cross_block_edges(monkeypatch):
+    # the candidate pass reads blocks of four keys: [0, 4), [4, 8), ...
+    monkeypatch.setattr(collisions, "CHUNK_KEYS", 4)
+    cases = [
+        [],
+        [5],
+        list(range(10)),  # no runs
+        [0, 1, 2, 7, 7, 3, 4, 5],  # a pair across the first block edge
+        [9, 1, 2, 3, 4, 5, 6, 7, 8, 9],  # a pair two blocks apart
+        [6, 6, 6, 6, 6, 1, 6, 2, 6],  # one run over three blocks
+        [2] * 9,
+    ]
+    rng = np.random.default_rng(4)
+    cases += [rng.integers(0, 12, n).tolist() for n in range(2, 40)]
+    for case in cases:
+        keys = np.asarray(case, dtype=np.uint64)
+        runs = collisions._repeated_keys(np.sort(keys))
+        # every repeated key's stream positions, in stream order
+        assert collisions._candidates(keys, runs) == repeated(case)
+
+
 small_int = st.integers(-4, 4)
 nonzero = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 2)])
 
@@ -960,5 +931,5 @@ def test_residue_matches_exact(a, x0, y0, with_torsion, layout, bound, alpha, be
             return str(exc)
 
     with mock.patch.object(collisions, "PRIME_SEARCH_START", start):
-        for scan, oracle in ((p_injectivity_scan, exact_p_scan), (f_injectivity_scan, exact_f_scan)):
-            assert outcome(scan, memory_ceiling=ceiling) == outcome(oracle)
+        assert outcome(p_injectivity_scan) == outcome(exact_p_scan)
+        assert outcome(f_injectivity_scan, memory_ceiling=ceiling) == outcome(exact_f_scan)

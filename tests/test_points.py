@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 
@@ -8,6 +9,7 @@ from ecinj.points import (
     brute_force_points,
     orbit,
     rationals_by_height,
+    x_candidates,
 )
 from ecinj.rational import height
 from exact_oracle import pair_stream
@@ -137,3 +139,23 @@ def test_rationals_by_height_h5_count():
     assert len(rats) == 39
     assert len(set(rats)) == 39
     assert all(height(r) <= 5 for r in rats)
+
+
+def test_x_candidates_match_the_full_square_scan():
+    # the reference loops over every (p, q) with |p|, q <= h at each height
+    # h and keeps those of height exactly h, in the same sort order
+    def reference(h_bound, squares_only):
+        for h in range(1, h_bound + 1):
+            level = [
+                Fraction(p, q)
+                for q in range(1, h + 1)
+                if not squares_only or isqrt(q) ** 2 == q
+                for p in range(-h, h + 1)
+                if max(abs(p), q) == h and gcd(abs(p), q) == 1
+            ]
+            level.sort(key=lambda r: (abs(r.numerator), r.numerator < 0, r.denominator))
+            yield from level
+
+    for h_bound in range(26):
+        for squares_only in (False, True):
+            assert list(x_candidates(h_bound, squares_only)) == list(reference(h_bound, squares_only))
