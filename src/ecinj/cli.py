@@ -14,12 +14,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .collisions import (
-    DEFAULT_MEMORY_CEILING,
-    f_injectivity_scan,
-    p_injectivity_scan,
-    zagier_probe,
-)
+from .collisions import f_injectivity_scan, p_injectivity_scan, zagier_probe
 from .curve import INFINITY, Curve, Point
 from .injection import InjectionParams, UniquenessFunction
 from .pairing import cantor_pair, cantor_unpair
@@ -94,13 +89,6 @@ def _parse_torsion(text: str, curve: Curve):
     return tuple(pts)
 
 
-def _memory_ceiling(args) -> int:
-    ceiling = args.memory_ceiling
-    if ceiling < 0:
-        raise CliError(f"memory ceiling must be >= 0, got {ceiling}")
-    return ceiling
-
-
 def _orbit_spec(args, curve: Curve) -> OrbitSpec:
     return OrbitSpec(_parse_point(args.gen, curve), args.M, _parse_torsion(args.torsion, curve))
 
@@ -154,9 +142,7 @@ def cmd_scan(args) -> tuple:
     curve = _parse_curve(args.curve)
     spec = _orbit_spec(args, curve)
     u = UniquenessFunction(_parse_params(args.params), curve)
-    # only check-f takes --memory-ceiling (see build_parser)
-    ceiling = {"memory_ceiling": _memory_ceiling(args)} if "memory_ceiling" in args else {}
-    report = args.scan(u, spec, **ceiling)
+    report = args.scan(u, spec)
     return report.to_json_dict(), report.exit_code
 
 
@@ -264,7 +250,7 @@ def cmd_cantor(args) -> tuple:
 
 
 def cmd_zagier_probe(args) -> tuple:
-    report = zagier_probe(args.H, memory_ceiling=_memory_ceiling(args))
+    report = zagier_probe(args.H)
     return report.to_json_dict(), report.exit_code
 
 
@@ -272,19 +258,12 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="ecinj", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, ceiling=False):
+    def common(p):
         p.add_argument("--out", default=None, help="write the report to this path instead of stdout")
         p.add_argument(
             "-v", dest="verbose", action="store_true",
             help="log progress (primes chosen and skipped, partitions) to stderr; the report is unchanged",
         )
-        if ceiling:
-            p.add_argument(
-                "--memory-ceiling", type=int, default=DEFAULT_MEMORY_CEILING, metavar="BYTES",
-                help="bytes one partition of the pair index may hold (default 4 GiB); "
-                "the scan splits its pair keys into key ranges that fit, "
-                "and reports are identical for every ceiling that passes",
-            )
 
     def orbit_args(p, bound):
         p.add_argument("--gen", default=DEFAULT_GEN)
@@ -304,15 +283,14 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_enumerate)
 
     # the scans are looked up here, not at import, so wrappers installed on
-    # this module before the parser is built see every call; check-p takes
-    # no memory ceiling, as the P-scan never splits its keys
-    scans = (("check-p", p_injectivity_scan, False), ("check-f", f_injectivity_scan, True))
-    for name, scan, ceiling in scans:
+    # this module before the parser is built see every call
+    scans = (("check-p", p_injectivity_scan), ("check-f", f_injectivity_scan))
+    for name, scan in scans:
         p = sub.add_parser(name, help=f"{name.replace('-', ' ')} injectivity scan")
         p.add_argument("--curve", default=DEFAULT_CURVE)
         orbit_args(p, 60)
         p.add_argument("--params", default=DEFAULT_PARAMS)
-        common(p, ceiling)
+        common(p)
         p.set_defaults(func=cmd_scan, scan=scan)
 
     p = sub.add_parser("slope-bound", help="certified tangent-slope certificate")
@@ -343,7 +321,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("zagier-probe", help="x^7 + 3 y^7 collision probe over bounded-height rationals")
     p.add_argument("--H", type=int, default=5)
-    common(p, ceiling=True)
+    common(p)
     p.set_defaults(func=cmd_zagier_probe)
 
     return parser

@@ -36,27 +36,23 @@ height, share its pair form (`_pair_classes`) and its one exact formula,
 `pairing.zagier_eval`.  The tests' exact oracle shares only
 `collision_scan` with the product.
 
-The memory ceiling is the only resource setting, and it bounds one
-thing: the pair scans' quadratic index, one key-range partition at a
-time.  Every array of one entry per item stays outside it: the orbit
-scans hold 4 bytes per orbit point per prime and a few walk blocks, then
-the 8-byte keys, and the pair scans about 100 bytes per item of sorted
-and searched row arrays.  The P-scan never splits: it sorts one copy of
-its keys and reads the keys again in stream order for its candidates.
-With the copy it holds 16 bytes a point, as the two primes' residues and
-the keys already did at the CRT, so no split could lower its peak.  The
-pair scans never build all k*k keys: row i's keys in a key range are one
-slice of the sorted right terms (`_PairKeys`), so one searchsorted per
-partition edge counts every partition exactly (`_pair_plan`), and each
-is gathered from its slices.  A pair partition targets max(2**14, 16*k)
-keys, or fewer if the room the ceiling leaves at 24 bytes a key is less,
-so a pair scan holds O(k) memory plus one small partition.  Every
-partition's size is exact before it is allocated, and a key range that
-alone overflows the room is refused before any partition is built.  The
-search for repeated sorted keys and the P-scan's candidate pass run
-CHUNK_KEYS keys at a time, so no mask covers the keys.  Reports are
-deterministic and do not depend on the ceiling: keys inside a class are
-in stream order, and classes are sorted by value before emission.
+No scan takes a resource setting.  The orbit scans hold 4 bytes per
+orbit point per prime and a few walk blocks, then the 8-byte keys, and
+the pair scans about 100 bytes per item of sorted and searched row
+arrays.  The P-scan never splits: it sorts one copy of its keys and reads
+the keys again in stream order for its candidates.  With the copy it
+holds 16 bytes a point, as the two primes' residues and the keys already
+did at the CRT, so no split could lower its peak.  The pair scans never
+build all k*k keys: row i's keys in a key range are one slice of the
+sorted right terms (`_PairKeys`), so one searchsorted per partition edge
+counts every partition exactly (`_pair_plan`), and each is gathered from
+its slices.  A pair partition targets max(2**14, 16*k) keys at 24 bytes a
+key, so a pair scan holds O(k) memory plus one small partition, and a
+single key value held by more pairs is one partition.  The search for
+repeated sorted keys and the P-scan's candidate pass run CHUNK_KEYS keys
+at a time, so no mask covers the keys.  Reports are deterministic and do
+not depend on the partitions: keys inside a class are in stream order,
+and classes are sorted by value before emission.
 
 numpy loads on first use: each function that needs it imports it, so
 importing this module (and with it the CLI) costs no numpy start-up in the
@@ -80,8 +76,6 @@ from .rational import format_rational
 from .reporting import envelope
 
 logger = logging.getLogger(__name__)
-
-DEFAULT_MEMORY_CEILING = 4 * 2**30  # bytes
 
 # Keys per chunk of the search for repeated sorted keys, so it holds no
 # mask over a whole partition, of the P-scan's candidate pass and of the
@@ -107,10 +101,6 @@ EXACT_F_SCAN_BOUND = 60
 PRIME_SEARCH_START = 2**31
 # The orbit walk's blocks double up to this many points, then stay (see _walk).
 WALK_BLOCK = 2**14
-
-
-class MemoryCeilingError(RuntimeError):
-    pass
 
 
 @dataclass
@@ -490,8 +480,8 @@ def p_injectivity_scan(u: UniquenessFunction, spec: OrbitSpec) -> CollisionRepor
     finite orbit is scanned exactly (`_finite_orbit`).  On any other only a
     point the torsion list names twice has two labels, so those groups come
     from the spec, and the rest is walked and its keys sorted in one
-    partition (`_p_classes`).  No memory ceiling applies: the peak, 16
-    bytes an orbit point, is reached at the CRT, before the sort.
+    partition (`_p_classes`).  Its peak, 16 bytes an orbit point, is
+    reached at the CRT, before the sort.
     """
     _require_valid(u)
     spec.validate()
@@ -508,24 +498,18 @@ def p_injectivity_scan(u: UniquenessFunction, spec: OrbitSpec) -> CollisionRepor
 P_NOT_INJECTIVE = "P not injective on scanned set; shrink or exclude collision points"
 
 
-def f_injectivity_scan(
-    u: UniquenessFunction,
-    spec: OrbitSpec,
-    *,
-    memory_ceiling: int = DEFAULT_MEMORY_CEILING,
-) -> CollisionReport:
+def f_injectivity_scan(u: UniquenessFunction, spec: OrbitSpec) -> CollisionReport:
     """Scan eval_f over all ordered orbit-point pairs; keys are (m1, m2).
 
     Precondition: eval_P must be collision-free on the same orbit, so the
     scanned set plays the role of the injective open set.  A torsion list
     that names a point twice fails it from the spec, before any prime is
     chosen, once M >= 1; otherwise it is checked on the scan's own residue
-    systems, with exact confirmation (`_p_classes`, which no ceiling
-    bounds).  For k orbit points the pair scan holds row arrays of about
-    100 bytes a point and one key-range partition of at most
-    max(2**14, 16*k) keys at 24 bytes a key, fewer if `memory_ceiling`
-    needs it (`_pair_plan`), never all k^2 keys at once; the ceiling bounds
-    that partition alone.
+    systems, with exact confirmation (`_p_classes`).  For k orbit points
+    the pair scan holds row arrays of about 100 bytes a point and one
+    key-range partition of max(2**14, 16*k) keys at 24 bytes a key, or of
+    one key value held by more pairs (`_pair_plan`), never all k^2 keys at
+    once.
     A finite orbit passes the precondition only while 2M < d, so its few
     pairs are indexed exactly.
     """
@@ -549,12 +533,12 @@ def f_injectivity_scan(
         raise ValueError(P_NOT_INJECTIVE)
     classes = _pair_classes(
         "f-scan", labels, modulus, keys, n, gamma,
-        lambda i: u.eval_P(_exact_point(spec, labels[i])), memory_ceiling,
+        lambda i: u.eval_P(_exact_point(spec, labels[i])),
     )
     return CollisionReport(len(labels) ** 2, classes, [], config)
 
 
-def _pair_classes(scan, labels, modulus, keys, n, gamma, value, memory_ceiling):
+def _pair_classes(scan, labels, modulus, keys, n, gamma, value):
     """Collision classes of v_i**n + gamma*v_j**n over all ordered pairs
     (i, j) of the k items `labels`, keys (labels[i], labels[j]) in
     row-major order.
@@ -563,10 +547,10 @@ def _pair_classes(scan, labels, modulus, keys, n, gamma, value, memory_ceiling):
     exact value v_i; gamma must be invertible mod `modulus`.  The key of
     pair (i, j) is (left[i] + right[j]) mod N, at flat index i*k + j, and
     partition s is gathered from `_PairKeys` between edges[s] and
-    edges[s + 1] of `_pair_plan` into one buffer of the largest partition
-    and sorted there; the pairs of its repeated keys are confirmed exactly.
-    Each edge is searched once more to fill the partition below it and
-    then reused for the one above.
+    edges[s + 1] of `_pair_plan`, whose sizes follow from k alone, into one
+    buffer of the largest partition and sorted there; the pairs of its
+    repeated keys are confirmed exactly.  Each edge is searched once more
+    to fill the partition below it and then reused for the one above.
     """
     import numpy as np
 
@@ -577,7 +561,7 @@ def _pair_classes(scan, labels, modulus, keys, n, gamma, value, memory_ceiling):
         np.array(w, dtype=np.uint64), np.array([g * v % modulus for v in w], dtype=np.uint64), modulus,
     )
     del w
-    edges, sizes = _pair_plan(scan, pairs, memory_ceiling)
+    edges, sizes = _pair_plan(pairs)
     value = cache(value)  # an item may sit in many candidate pairs
     part, offsets = np.empty(max(sizes), dtype=np.uint64), np.arange(max(sizes))
     lower, classes = pairs.below(0), []
@@ -679,33 +663,22 @@ class _PairKeys:
         return found
 
 
-def _pair_plan(scan, pairs, memory_ceiling):
+def _pair_plan(pairs):
     """(edges, sizes): partition s holds the sizes[s] pair keys in
     [edges[s], edges[s + 1]), counted exactly by `pairs.below` before any
     key is built.
 
-    The ceiling is the room for one partition, PAIR_BYTES_PER_KEY a key;
-    the row arrays of `pairs` are outside it, as the orbit keys are.  A
-    partition targets max(PAIR_PARTITION_KEYS, PAIR_KEYS_PER_ITEM * k)
-    keys, or the room if less: when all k*k keys fit, there is one.
+    A partition targets max(PAIR_PARTITION_KEYS, PAIR_KEYS_PER_ITEM * k)
+    keys, a bound on k alone: when all k*k keys fit, there is one.
     Otherwise [0, N) is cut into equal ranges expected to hold the target
     less four standard deviations.  A range that holds more than the
     target is bisected until it fits, and one that fits beside the
     partition before it joins it, so no two neighbours would fit together.
-    A single key value held by more pairs is one partition if the room
-    takes it, and refused if not.
+    A single key value held by more pairs is one partition.
     """
     k, modulus = pairs.k, pairs.modulus
     n = k * k
-    if n == 0:
-        return [0, modulus], [n]
-    room = memory_ceiling // PAIR_BYTES_PER_KEY
-    if room < 1:
-        raise MemoryCeilingError(
-            f"{scan}: needs at least {PAIR_BYTES_PER_KEY} bytes for one key of a partition, "
-            f"over the memory ceiling of {memory_ceiling}"
-        )
-    target = min(room, max(PAIR_PARTITION_KEYS, PAIR_KEYS_PER_ITEM * k))
+    target = max(PAIR_PARTITION_KEYS, PAIR_KEYS_PER_ITEM * k)
     if n <= target:
         return [0, modulus], [n]
 
@@ -722,11 +695,6 @@ def _pair_plan(scan, pairs, memory_ceiling):
         if size > target and hi - lo > 1:
             pending.append(counted((lo + hi) // 2))
             continue
-        if size > room:
-            raise MemoryCeilingError(
-                f"{scan}: the key range [{lo}, {hi}) holds {size} keys, over the "
-                f"{room} of one partition under the memory ceiling of {memory_ceiling}"
-            )
         pending.pop()
         done = at
         if sizes and sizes[-1] + size <= target:
@@ -739,14 +707,11 @@ def _pair_plan(scan, pairs, memory_ceiling):
     return edges, sizes
 
 
-def zagier_probe(
-    h_bound: int,
-    *,
-    memory_ceiling: int = DEFAULT_MEMORY_CEILING,
-) -> CollisionReport:
+def zagier_probe(h_bound: int) -> CollisionReport:
     """Exact collision scan of r1^7 + 3*r2^7 over all ordered pairs of
-    rationals of height <= h_bound, keys (r1, r2) in text form.  A nonempty
-    class would be a finding to surface, never to suppress."""
+    rationals of height <= h_bound, keys (r1, r2) in text form, in the
+    f-scan's pair partitions (`_pair_classes`).  A nonempty class would be
+    a finding to surface, never to suppress."""
     rats = list(rationals_by_height(h_bound))
     config = {"op": "zagier_probe", "height_bound": h_bound, "n": 7, "gamma": "3"}
 
@@ -754,6 +719,5 @@ def zagier_probe(
     labels = [format_rational(r) for r in rats]
     classes = _pair_classes(
         "zagier-scan", labels, p * q, _crt(p, q, rp, rq), 7, Fraction(3), rats.__getitem__,
-        memory_ceiling,
     )
     return CollisionReport(len(rats) ** 2, classes, [], config)

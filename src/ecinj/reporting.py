@@ -4,10 +4,9 @@ producers.
 Reports must be byte-identical for identical semantic configuration, so the
 CLI renders every JSON report with `canonical_json`, and every report carries
 the same envelope: the artifact version and the digest of its configuration.
-The memory ceiling, the one execution setting, is deliberately excluded from
-digests.  The scans' "method" and "strategy" entries are frozen digest
-inputs: they name choices the scans no longer have, and stay so that digests
-do not change.
+The scans' "method" and "strategy" entries are frozen digest inputs: they
+name choices the scans no longer have, and stay so that digests do not
+change.
 """
 
 import hashlib

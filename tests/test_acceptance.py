@@ -7,6 +7,7 @@ import random
 import time
 from fractions import Fraction
 
+from ecinj import collisions
 from ecinj.collisions import f_injectivity_scan, p_injectivity_scan, zagier_probe
 from ecinj.curve import INFINITY, add, negate, on_curve, scalar_mul
 from ecinj.injection import InjectionParams, validate_params
@@ -100,15 +101,17 @@ def test_criterion_3_p_injectivity_desk_scan(ufunc248, gen248):
         assert report.duplicate_points == []
 
 
-def test_criterion_4_f_injectivity_desk_scan(ufunc248, gen248, caplog):
+def test_criterion_4_f_injectivity_desk_scan(ufunc248, gen248, caplog, monkeypatch):
     caplog.set_level(logging.INFO, logger="ecinj.collisions")
     with Budget(4, 600, "f = P^9 + 2 P^9 collision-free over 160000 pairs; partition-invariant"):
         spec = OrbitSpec(gen248, 200)
         report = f_injectivity_scan(ufunc248, spec)
         caplog.clear()
-        # 150 kB leave room for 6,250 keys, a twenty-sixth of the 160000;
-        # the default ceiling's partitions target 2**14 keys
-        partitioned = f_injectivity_scan(ufunc248, spec, memory_ceiling=150_000)
+        # a target of 6,250 keys, a twenty-sixth of the 160000; the
+        # default partitions target 2**14 keys
+        monkeypatch.setattr(collisions, "PAIR_PARTITION_KEYS", 6250)
+        monkeypatch.setattr(collisions, "PAIR_KEYS_PER_ITEM", 0)
+        partitioned = f_injectivity_scan(ufunc248, spec)
         assert sum(r.getMessage().startswith("f-scan partition") for r in caplog.records) >= 26
         assert canonical_json(report.to_json_dict()) == canonical_json(partitioned.to_json_dict())
         assert report.total_scanned == 160_000

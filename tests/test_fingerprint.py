@@ -1,5 +1,5 @@
 """The residue engine at small primes, where its branches really fire, and
-its exact memory bound.
+its exact partition sizes.
 
 At the default primes below 2**31 (keys mod N = p*q near 2**62) no
 fingerprint coincidence ever happens, so these tests lower
@@ -33,9 +33,7 @@ from hypothesis import strategies as st
 
 from ecinj import collisions
 from ecinj.collisions import (
-    DEFAULT_MEMORY_CEILING,
     PAIR_BYTES_PER_KEY,
-    MemoryCeilingError,
     collision_scan,
     f_injectivity_scan,
     p_injectivity_scan,
@@ -581,27 +579,26 @@ def test_translate_at_identity_skips_prime(small_primes, caplog):
     assert findings(residue) == findings(exact_p_scan(u, spec))
 
 
-def test_memory_ceiling_is_exact_per_partition(caplog, ufunc248, gen248):
+def split_partitions(monkeypatch, target):
+    """Make every pair partition target `target` keys, whatever k is."""
+    monkeypatch.setattr(collisions, "PAIR_PARTITION_KEYS", target)
+    monkeypatch.setattr(collisions, "PAIR_KEYS_PER_ITEM", 0)
+
+
+def test_f_scan_is_exact_per_partition(caplog, monkeypatch, ufunc248, gen248):
     caplog.set_level(logging.INFO, logger="ecinj.collisions")
     spec = OrbitSpec(gen248, 20)
     pairs = 40 * 40
-    # 6,000 bytes leave room for 250 keys, under a sixth of the pairs
-    partitioned = f_injectivity_scan(ufunc248, spec, memory_ceiling=6000)
+    whole = f_injectivity_scan(ufunc248, spec)
+    caplog.clear()
+    # a target of 250 keys, under a sixth of the pairs
+    split_partitions(monkeypatch, 250)
+    partitioned = f_injectivity_scan(ufunc248, spec)
     counted = partitions(caplog, "f")
     assert len(counted) >= 7
     assert all(part["keys"] <= 250 for part in counted)
     assert sum(part["keys"] for part in counted) == pairs
-    whole = f_injectivity_scan(ufunc248, spec, memory_ceiling=DEFAULT_MEMORY_CEILING)
     assert canonical_json(partitioned.to_json_dict()) == canonical_json(whole.to_json_dict())
-
-    caplog.clear()
-    # a pair partition of one key needs 24 bytes; the P precondition has no
-    # ceiling and runs first, in its one partition
-    message = f"f-scan: needs at least {PAIR_BYTES_PER_KEY} bytes for one key of a partition"
-    with pytest.raises(MemoryCeilingError, match=message):
-        f_injectivity_scan(ufunc248, spec, memory_ceiling=PAIR_BYTES_PER_KEY - 1)
-    assert partitions(caplog, "P") == [{"keys": 40, "runs": 0, "classes": 0}]
-    assert partitions(caplog, "f") == []  # refused before any pair key was built
 
 
 def test_pair_classes_match_exact_index():
@@ -610,7 +607,6 @@ def test_pair_classes_match_exact_index():
     labels = list("abcde")
     classes = collisions._pair_classes(
         "f-scan", labels, 61 * 59, np.arange(5, dtype=np.uint64), 1, Fraction(1), Fraction,
-        DEFAULT_MEMORY_CEILING,
     )
     stream = (((a, b), Fraction(i + j)) for i, a in enumerate(labels) for j, b in enumerate(labels))
     assert classes == collision_scan(stream).classes
@@ -666,58 +662,33 @@ def test_zagier_runs_confirmed_against_exact_index(small_primes, caplog, confirm
     assert canonical_json(report.to_json_dict()) == canonical_json(exact.to_json_dict())
 
 
-def test_zagier_memory_ceiling_is_exact_per_partition(caplog):
+def test_zagier_probe_is_exact_per_partition(caplog, monkeypatch):
     caplog.set_level(logging.INFO, logger="ecinj.collisions")
     row = len(list(rationals_by_height(10)))  # 127 rationals
     pairs = row * row
-    # 100,000 bytes leave room for 4,166 keys, about a quarter of the pairs
-    partitioned = zagier_probe(10, memory_ceiling=100_000)
+    whole = zagier_probe(10)
+    caplog.clear()
+    # a target of 4,166 keys, about a quarter of the pairs
+    split_partitions(monkeypatch, 4166)
+    partitioned = zagier_probe(10)
     counted = partitions(caplog, "zagier")
     assert len(counted) >= 4
     assert all(part["keys"] <= 4166 for part in counted)
     assert sum(part["keys"] for part in counted) == pairs
-    whole = zagier_probe(10, memory_ceiling=DEFAULT_MEMORY_CEILING)
     assert canonical_json(partitioned.to_json_dict()) == canonical_json(whole.to_json_dict())
-
-    caplog.clear()
-    message = f"zagier-scan: needs at least {PAIR_BYTES_PER_KEY} bytes for one key of a partition"
-    with pytest.raises(MemoryCeilingError, match=message):
-        zagier_probe(10, memory_ceiling=PAIR_BYTES_PER_KEY - 1)
-    assert partitions(caplog, "zagier") == []
 
 
 @pytest.mark.parametrize("scan", ["P", "f", "zagier"])
 def test_empty_scan_is_one_empty_partition(caplog, ufunc248, gen248, scan):
     caplog.set_level(logging.INFO, logger="ecinj.collisions")
     if scan == "zagier":
-        report = zagier_probe(0, memory_ceiling=-1)
+        report = zagier_probe(0)
     elif scan == "f":
-        report = f_injectivity_scan(ufunc248, OrbitSpec(gen248, 0), memory_ceiling=-1)
+        report = f_injectivity_scan(ufunc248, OrbitSpec(gen248, 0))
     else:
         report = p_injectivity_scan(ufunc248, OrbitSpec(gen248, 0))
     assert findings(report) == (0, [], [])
     assert partitions(caplog, scan) == [{"keys": 0, "runs": 0, "classes": 0}]
-
-
-def test_crowded_key_range_is_refused(small_primes, caplog, ufunc248, gen248):
-    small_primes(2**7)  # 144 f keys mod 127 * 113 = 14,351
-    spec = OrbitSpec(gen248, 6)
-    # room for three keys: ranges that hold more are bisected down to one
-    # key value, which four pairs share
-    ceiling = PAIR_BYTES_PER_KEY * 3
-    message = (
-        "f-scan: the key range [4294, 4295) holds 4 keys, over the 3 of one partition "
-        "under the memory ceiling of 72"
-    )
-    with pytest.raises(MemoryCeilingError, match=re.escape(message)):
-        f_injectivity_scan(ufunc248, spec, memory_ceiling=ceiling)
-    assert partitions(caplog, "f") == []  # refused before any key was built
-    n, gamma = ufunc248.params.n, ufunc248.params.gamma
-    _, modulus, keys = collisions._orbit_p_keys(ufunc248, spec, (), gamma)
-    assert Counter(pair_keys(keys.tolist(), n, gamma, modulus)).most_common(1) == [(4294, 4)]
-    # room for four keys takes that value as one partition
-    report = f_injectivity_scan(ufunc248, spec, memory_ceiling=ceiling + PAIR_BYTES_PER_KEY)
-    assert findings(report) == findings(exact_f_scan(ufunc248, spec))
 
 
 def random_pairs(k, modulus, zeros):
@@ -731,17 +702,17 @@ def random_pairs(k, modulus, zeros):
     return collisions._PairKeys(left, right, modulus), keys
 
 
-# (modulus, items, zeros on each side, memory ceiling, and the partition
-# target's floor and keys per item, or None to keep them)
+# (modulus, items, zeros on each side, and the partition target's floor
+# and keys per item)
 PAIR_PLANS = {
-    # room for 700 keys, the target; 400 pairs share the key 0
-    "under a ceiling": (2**20 + 7, 100, 20, PAIR_BYTES_PER_KEY * 700, None),
-    # a target of 16*k = 1,600 keys; the room takes the 2,025 pairs of the
-    # key 0, so they are one partition
-    "crowded key value": (2**20 + 7, 100, 45, DEFAULT_MEMORY_CEILING, (1, 16)),
+    # a target of 700 keys; 400 pairs share the key 0
+    "target of 700": (2**20 + 7, 100, 20, (700, 0)),
+    # a target of 16*k = 1,600 keys; the 2,025 pairs of the key 0 are one
+    # partition
+    "crowded key value": (2**20 + 7, 100, 45, (1, 16)),
     # 40,000 keys on 3,599 values and a target of 16 keys: each first range
     # is one key value, and the values held by more pairs stay whole
-    "tiny modulus": (61 * 59, 200, 0, DEFAULT_MEMORY_CEILING, (16, 0)),
+    "tiny modulus": (61 * 59, 200, 0, (16, 0)),
 }
 
 
@@ -749,24 +720,21 @@ def test_partition_plan_is_exact_and_greedy(monkeypatch):
     def unused(*args):
         raise AssertionError("a key was built to plan the partitions")
 
-    for name, (modulus, k, zeros, ceiling, rule) in PAIR_PLANS.items():
+    for name, (modulus, k, zeros, rule) in PAIR_PLANS.items():
         monkeypatch.undo()
         monkeypatch.setattr(collisions._PairKeys, "gather", unused)
-        if rule:
-            monkeypatch.setattr(collisions, "PAIR_PARTITION_KEYS", rule[0])
-            monkeypatch.setattr(collisions, "PAIR_KEYS_PER_ITEM", rule[1])
+        monkeypatch.setattr(collisions, "PAIR_PARTITION_KEYS", rule[0])
+        monkeypatch.setattr(collisions, "PAIR_KEYS_PER_ITEM", rule[1])
         pairs, keys = random_pairs(k, modulus, zeros)
-        edges, sizes = collisions._pair_plan("f-scan", pairs, ceiling)
-        rule_target = max(collisions.PAIR_PARTITION_KEYS, collisions.PAIR_KEYS_PER_ITEM * k)
-        target = min(ceiling // PAIR_BYTES_PER_KEY, rule_target)
+        edges, sizes = collisions._pair_plan(pairs)
+        target = max(collisions.PAIR_PARTITION_KEYS, collisions.PAIR_KEYS_PER_ITEM * k)
         assert edges[0] == 0 and edges[-1] == modulus and all(a < b for a, b in zip(edges, edges[1:])), name
         # exact sizes, counted with no key built, that sum to k*k
         ordered = sorted(keys)
         held = [bisect_left(ordered, hi) - bisect_left(ordered, lo) for lo, hi in zip(edges, edges[1:])]
         assert sizes == held, name
         assert sum(sizes) == k * k and len(sizes) >= 3, name
-        # every partition fits the room, and only one key value passes the target
-        assert all(PAIR_BYTES_PER_KEY * size <= ceiling for size in sizes), name
+        # only one key value passes the target
         assert all(size <= target or hi - lo == 1 for size, lo, hi in zip(sizes, edges, edges[1:])), name
         # greedy: no two neighbours would fit one partition
         assert all(a + b > target for a, b in zip(sizes, sizes[1:])), name
@@ -777,15 +745,16 @@ def test_partition_plan_is_exact_and_greedy(monkeypatch):
 
     monkeypatch.undo()
     pairs, _ = random_pairs(100, 2**20 + 7, 20)
-    assert collisions._pair_plan("f-scan", pairs, DEFAULT_MEMORY_CEILING) == ([0, 2**20 + 7], [100 * 100])
+    assert collisions._pair_plan(pairs) == ([0, 2**20 + 7], [100 * 100])
 
 
-def test_one_partition_fill_equals_the_split_fills():
+def test_one_partition_fill_equals_the_split_fills(monkeypatch):
     # each split fill holds the keys of its range; together they are the
     # one fill of [0, N), which is every pair key
     modulus, k = 2**20 + 7, 100
     pairs, keys = random_pairs(k, modulus, 20)
-    edges, sizes = collisions._pair_plan("f-scan", pairs, PAIR_BYTES_PER_KEY * 700)
+    split_partitions(monkeypatch, 700)
+    edges, sizes = collisions._pair_plan(pairs)
     assert len(sizes) >= 3
 
     def gather(lower, upper):
@@ -806,7 +775,7 @@ def test_one_partition_fill_equals_the_split_fills():
 def test_crowded_key_value_is_one_partition(small_primes, caplog, monkeypatch, confirmed, ufunc248, gen248):
     # a partition target of one key: at 127 * 113 every key value held by
     # two or more of the 144 f pairs is a partition of its own, over the
-    # target, at the default ceiling, and the findings are the oracle's
+    # target, and the findings are the oracle's
     small_primes(2**7)
     monkeypatch.setattr(collisions, "PAIR_PARTITION_KEYS", 1)
     monkeypatch.setattr(collisions, "PAIR_KEYS_PER_ITEM", 0)
@@ -827,14 +796,13 @@ def test_crowded_key_value_is_one_partition(small_primes, caplog, monkeypatch, c
 
 def test_pair_classes_crowded_value_over_the_target(caplog):
     # 130 items with the key 0: their 16,900 pairs share one key value,
-    # more than the partition target of 2**14, and are one partition at
-    # the default ceiling; each class keeps its pairs in stream order
+    # more than the partition target of 2**14, and are one partition;
+    # each class keeps its pairs in stream order
     caplog.set_level(logging.INFO, logger="ecinj.collisions")
     k = 130
     labels = list(range(k))
     classes = collisions._pair_classes(
         "f-scan", labels, 61 * 59, np.zeros(k, dtype=np.uint64), 1, Fraction(1), Fraction,
-        DEFAULT_MEMORY_CEILING,
     )
     stream = (((a, b), Fraction(a + b)) for a in labels for b in labels)
     assert classes == collision_scan(stream).classes
@@ -901,14 +869,14 @@ nonzero = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2
     alpha=nonzero,
     beta=nonzero,
     gamma=st.sampled_from([Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(3, 2)]),
-    # 960 and 240 bytes leave room for 40 and 10 keys of an f-scan
-    # partition, which split its k*k keys from k = 8 and k = 4 orbit points on
-    ceiling=st.sampled_from([DEFAULT_MEMORY_CEILING, 960, 240]),
+    # f-scan partitions of the default target, or of 40 or 10 keys, which
+    # split its k*k keys from k = 8 and k = 4 orbit points on
+    target=st.sampled_from([None, 40, 10]),
     start=st.integers(2**6, 2**16),
 )
 @example(a=-2, x0=0, y0=1, with_torsion=False, layout=(1, 0), bound=2, alpha=Fraction(1), beta=Fraction(1),
-         gamma=Fraction(2), ceiling=DEFAULT_MEMORY_CEILING, start=2**6)  # order-4 generator: planted findings
-def test_residue_matches_exact(a, x0, y0, with_torsion, layout, bound, alpha, beta, gamma, ceiling, start):
+         gamma=Fraction(2), target=None, start=2**6)  # order-4 generator: planted findings
+def test_residue_matches_exact(a, x0, y0, with_torsion, layout, bound, alpha, beta, gamma, target, start):
     b = y0 * y0 - x0**3 - a * x0  # puts (x0, y0) on the curve
     assume(4 * a**3 + 27 * b**2 != 0)
     c = Curve(a, b)
@@ -924,12 +892,13 @@ def test_residue_matches_exact(a, x0, y0, with_torsion, layout, bound, alpha, be
     spec = OrbitSpec(c.point(x0, y0), bound, torsion)
     u = UniquenessFunction(InjectionParams(alpha, beta, gamma, 9), c)
 
-    def outcome(scan, **kwargs):
+    def outcome(scan):
         try:
-            return findings(scan(u, spec, **kwargs))
+            return findings(scan(u, spec))
         except ValueError as exc:
             return str(exc)
 
-    with mock.patch.object(collisions, "PRIME_SEARCH_START", start):
+    split = {"PAIR_PARTITION_KEYS": target, "PAIR_KEYS_PER_ITEM": 0} if target else {}
+    with mock.patch.multiple(collisions, PRIME_SEARCH_START=start, **split):
         assert outcome(p_injectivity_scan) == outcome(exact_p_scan)
-        assert outcome(f_injectivity_scan, memory_ceiling=ceiling) == outcome(exact_f_scan)
+        assert outcome(f_injectivity_scan) == outcome(exact_f_scan)
