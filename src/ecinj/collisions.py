@@ -45,10 +45,11 @@ holds 16 bytes a point, as the two primes' residues and the keys already
 did at the CRT, so no split could lower its peak.  The pair scans never
 build all k*k keys: row i's keys in a key range are one slice of the
 sorted right terms (`_PairKeys`), so one searchsorted per partition edge
-counts every partition exactly (`_pair_plan`), and each is gathered from
-its slices.  A pair partition targets max(2**14, 16*k) keys at 24 bytes a
-key, so a pair scan holds O(k) memory plus one small partition, and a
-single key value held by more pairs is one partition.  The search for
+counts the ranges on both sides of it, and each range is gathered from
+its slices.  The partitions are equal key ranges expected to hold a
+little under max(2**14, 16*k) keys at 24 bytes a key, so a pair scan
+holds O(k) memory plus one small partition; a crowded key value, or
+items whose keys cluster, can make a range hold more.  The search for
 repeated sorted keys and the P-scan's candidate pass run CHUNK_KEYS keys
 at a time, so no mask covers the keys.  Reports are deterministic and do
 not depend on the partitions: keys inside a class are in stream order,
@@ -84,12 +85,12 @@ CHUNK_KEYS = 2**16
 
 # Bytes per key of a pair partition at its largest, while it is gathered:
 # the keys (8), the offsets 0, 1, 2, ... (8) and one int64 index or
-# left-term array (8).  The keys and the offsets are two buffers of the
-# largest partition, which every partition reuses.
+# left-term array (8).  The keys and the offsets are two buffers that every
+# partition reuses, grown only by a partition that outgrows them.
 PAIR_BYTES_PER_KEY = 24
 # A pair partition of k items targets max(PAIR_PARTITION_KEYS,
 # PAIR_KEYS_PER_ITEM * k) keys, so the k searches of each of its edges cost
-# at most a sixteenth of its keys.
+# about a sixteenth of its keys.
 PAIR_PARTITION_KEYS = 2**14
 PAIR_KEYS_PER_ITEM = 16
 
@@ -507,9 +508,8 @@ def f_injectivity_scan(u: UniquenessFunction, spec: OrbitSpec) -> CollisionRepor
     chosen, once M >= 1; otherwise it is checked on the scan's own residue
     systems, with exact confirmation (`_p_classes`).  For k orbit points
     the pair scan holds row arrays of about 100 bytes a point and one
-    key-range partition of max(2**14, 16*k) keys at 24 bytes a key, or of
-    one key value held by more pairs (`_pair_plan`), never all k^2 keys at
-    once.
+    equal key range of about max(2**14, 16*k) keys at 24 bytes a key
+    (`_pair_classes`), never all k^2 keys at once.
     A finite orbit passes the precondition only while 2M < d, so its few
     pairs are indexed exactly.
     """
@@ -532,57 +532,71 @@ def f_injectivity_scan(u: UniquenessFunction, spec: OrbitSpec) -> CollisionRepor
     if _p_classes(u, spec, labels, keys):
         raise ValueError(P_NOT_INJECTIVE)
     classes = _pair_classes(
-        "f-scan", labels, modulus, keys, n, gamma,
-        lambda i: u.eval_P(_exact_point(spec, labels[i])),
+        "f-scan", modulus, keys, n, gamma,
+        lambda i: u.eval_P(_exact_point(spec, labels[i])), labels.__getitem__,
     )
     return CollisionReport(len(labels) ** 2, classes, [], config)
 
 
-def _pair_classes(scan, labels, modulus, keys, n, gamma, value):
+def _pair_classes(scan, modulus, keys, n, gamma, value, label):
     """Collision classes of v_i**n + gamma*v_j**n over all ordered pairs
-    (i, j) of the k items `labels`, keys (labels[i], labels[j]) in
+    (i, j) of the k = len(keys) items, keys (label(i), label(j)) in
     row-major order.
 
-    `keys` holds each item's uint64 key mod `modulus` and `value(i)` its
-    exact value v_i; gamma must be invertible mod `modulus`.  The key of
-    pair (i, j) is (left[i] + right[j]) mod N, at flat index i*k + j, and
-    partition s is gathered from `_PairKeys` between edges[s] and
-    edges[s + 1] of `_pair_plan`, whose sizes follow from k alone, into one
-    buffer of the largest partition and sorted there; the pairs of its
-    repeated keys are confirmed exactly.  Each edge is searched once more
-    to fill the partition below it and then reused for the one above.
+    `keys` holds each item's uint64 key mod `modulus`, `value(i)` its exact
+    value v_i and `label(i)` its report key, which only a class member
+    needs; gamma must be invertible mod `modulus`.  The key of pair (i, j)
+    is (left[i] + right[j]) mod N, at flat index i*k + j.  A partition
+    targets max(PAIR_PARTITION_KEYS, PAIR_KEYS_PER_ITEM * k) keys, a bound
+    on k alone: when all k*k keys fit, there is one.  Otherwise [0, N) is
+    cut into equal key ranges expected to hold the target less four
+    standard deviations.  Each edge is searched once (`_PairKeys.below`),
+    and its row counts close the range below it and open the one above.
+    A range is gathered into two reused buffers of min(k*k, target) keys,
+    which a range holding more keys (a crowded key value, or skewed
+    items) grows, and sorted there; the pairs of its repeated keys are
+    confirmed exactly.
     """
     import numpy as np
 
-    k = len(labels)
+    k = len(keys)
     w = [pow(v, n, modulus) for v in keys.tolist()]
     g = fraction_mod(gamma, modulus)
     pairs = _PairKeys(
         np.array(w, dtype=np.uint64), np.array([g * v % modulus for v in w], dtype=np.uint64), modulus,
     )
     del w
-    edges, sizes = _pair_plan(pairs)
+    target = max(PAIR_PARTITION_KEYS, PAIR_KEYS_PER_ITEM * k)
+    expected = max(target - 4 * isqrt(target), (target + 1) // 2)
+    ranges = 1 if k * k <= target else min(modulus, -(-k * k // expected))
     value = cache(value)  # an item may sit in many candidate pairs
-    part, offsets = np.empty(max(sizes), dtype=np.uint64), np.arange(max(sizes))
+    held = min(k * k, target)
+    part, offsets = np.empty(held, dtype=np.uint64), np.arange(held)
     lower, classes = pairs.below(0), []
-    for s, size in enumerate(sizes):
-        # the upper edge's counts are the next partition's lower ones
-        upper = pairs.below(edges[s + 1])
-        partition = pairs.gather(lower, upper, part, offsets)
+    for s in range(1, ranges + 1):
+        upper = pairs.below(s * modulus // ranges)
+        count = upper - lower
+        size = int(count.sum())
+        if size > len(part):
+            # free the old buffers before the larger ones are allocated
+            del part, offsets
+            part, offsets = np.empty(size, dtype=np.uint64), np.arange(size)
+        partition = pairs.gather(lower, count, part, offsets)
         lower = upper
         partition.sort()
         runs = _repeated_keys(partition)
+        del partition
         found = collision_scan(
             (x, zagier_eval(value(x // k), value(x % k), n, gamma)) for x in pairs.candidates(runs)
         ).classes
         logger.info(
             "%s partition %d/%d: %d keys, %d candidate runs, %d confirmed classes, %d bytes",
-            scan, s + 1, len(sizes), size, len(runs), len(found), PAIR_BYTES_PER_KEY * size,
+            scan, s, ranges, size, len(runs), len(found), PAIR_BYTES_PER_KEY * size,
         )
         classes.extend(found)
     classes.sort(key=lambda c: c.value)
     for c in classes:
-        c.keys = [(labels[x // k], labels[x % k]) for x in c.keys]
+        c.keys = [(label(x // k), label(x % k)) for x in c.keys]
     return classes
 
 
@@ -604,7 +618,7 @@ class _PairKeys:
     def __init__(self, left, right, modulus):
         import numpy as np
 
-        self.k, self.modulus = len(left), modulus
+        self.k = len(left)
         self.lorder = np.argsort(left)
         self.rorder = np.argsort(right)
         rs = right[self.rorder]
@@ -624,13 +638,13 @@ class _PairKeys:
         count -= self.base
         return count
 
-    def gather(self, lower, upper, part, offsets):
-        """The uint64 keys of each row's slice between the counts `lower`
-        and `upper` of `below`, row by row, written to the front of the
-        uint64 buffer `part`; `offsets` is np.arange of its length."""
+    def gather(self, lower, count, part, offsets):
+        """The uint64 keys of each row's `count` keys from its count `lower`
+        of `below` on, row by row, written to the front of the uint64 buffer
+        `part`, which must hold them all; `offsets` is np.arange of its
+        length."""
         import numpy as np
 
-        count = upper - lower
         size = int(count.sum())
         # a key's place in rs2 is its row's first place plus its offset in
         # the row, which is its index less the row's start in the partition
@@ -663,61 +677,23 @@ class _PairKeys:
         return found
 
 
-def _pair_plan(pairs):
-    """(edges, sizes): partition s holds the sizes[s] pair keys in
-    [edges[s], edges[s + 1]), counted exactly by `pairs.below` before any
-    key is built.
-
-    A partition targets max(PAIR_PARTITION_KEYS, PAIR_KEYS_PER_ITEM * k)
-    keys, a bound on k alone: when all k*k keys fit, there is one.
-    Otherwise [0, N) is cut into equal ranges expected to hold the target
-    less four standard deviations.  A range that holds more than the
-    target is bisected until it fits, and one that fits beside the
-    partition before it joins it, so no two neighbours would fit together.
-    A single key value held by more pairs is one partition.
-    """
-    k, modulus = pairs.k, pairs.modulus
-    n = k * k
-    target = max(PAIR_PARTITION_KEYS, PAIR_KEYS_PER_ITEM * k)
-    if n <= target:
-        return [0, modulus], [n]
-
-    def counted(e):
-        return e, int(pairs.below(e).sum())
-
-    expected = max(target - 4 * isqrt(target), (target + 1) // 2)
-    ranges = min(modulus, -(-n // expected))
-    pending = [counted(r * modulus // ranges) for r in range(ranges, 0, -1)]
-    edges, sizes, done = [0], [], 0
-    while pending:
-        hi, at = pending[-1]
-        lo, size = edges[-1], at - done
-        if size > target and hi - lo > 1:
-            pending.append(counted((lo + hi) // 2))
-            continue
-        pending.pop()
-        done = at
-        if sizes and sizes[-1] + size <= target:
-            # a range that fits beside the partition before it joins it
-            edges[-1] = hi
-            sizes[-1] += size
-        else:
-            edges.append(hi)
-            sizes.append(size)
-    return edges, sizes
-
-
 def zagier_probe(h_bound: int) -> CollisionReport:
     """Exact collision scan of r1^7 + 3*r2^7 over all ordered pairs of
     rationals of height <= h_bound, keys (r1, r2) in text form, in the
     f-scan's pair partitions (`_pair_classes`).  A nonempty class would be
     a finding to surface, never to suppress."""
+    import numpy as np
+
     rats = list(rationals_by_height(h_bound))
     config = {"op": "zagier_probe", "height_bound": h_bound, "n": 7, "gamma": "3"}
 
-    (p, rp), (q, rq) = _choose_primes(lambda p: [fraction_mod(r, p) for r in rats])
-    labels = [format_rational(r) for r in rats]
+    def build(p):
+        return np.fromiter((fraction_mod(r, p) for r in rats), dtype=np.uint32, count=len(rats))
+
+    (p, rp), (q, rq) = _choose_primes(build)
+    keys = _crt(p, q, rp, rq)
+    del rp, rq
     classes = _pair_classes(
-        "zagier-scan", labels, p * q, _crt(p, q, rp, rq), 7, Fraction(3), rats.__getitem__,
+        "zagier-scan", p * q, keys, 7, Fraction(3), rats.__getitem__, lambda i: format_rational(rats[i]),
     )
     return CollisionReport(len(rats) ** 2, classes, [], config)

@@ -606,7 +606,7 @@ def test_pair_classes_match_exact_index():
     # several ordered pairs, and each class keeps its pairs in stream order
     labels = list("abcde")
     classes = collisions._pair_classes(
-        "f-scan", labels, 61 * 59, np.arange(5, dtype=np.uint64), 1, Fraction(1), Fraction,
+        "f-scan", 61 * 59, np.arange(5, dtype=np.uint64), 1, Fraction(1), Fraction, labels.__getitem__,
     )
     stream = (((a, b), Fraction(i + j)) for i, a in enumerate(labels) for j, b in enumerate(labels))
     assert classes == collision_scan(stream).classes
@@ -691,91 +691,102 @@ def test_empty_scan_is_one_empty_partition(caplog, ufunc248, gen248, scan):
     assert partitions(caplog, scan) == [{"keys": 0, "runs": 0, "classes": 0}]
 
 
-def random_pairs(k, modulus, zeros):
-    """A `_PairKeys` over k random left and right keys mod `modulus`, the
-    first `zeros` of each 0, and its k*k pair keys in plain integers,
-    row-major."""
-    rng = np.random.default_rng(k)
-    left, right = (rng.integers(0, modulus, k, dtype=np.uint64) for _ in range(2))
-    left[:zeros] = right[:zeros] = 0
-    keys = [(a + b) % modulus for a in left.tolist() for b in right.tolist()]
-    return collisions._PairKeys(left, right, modulus), keys
+def random_items(k, modulus, zeros):
+    """k random uint64 item keys mod `modulus`, the first `zeros` of them 0,
+    and the k*k keys a + b mod `modulus` of their ordered pairs in plain
+    integers, row-major: the pair keys of n = 1 and gamma = 1."""
+    items = np.random.default_rng(k).integers(0, modulus, k, dtype=np.uint64)
+    items[:zeros] = 0
+    keys = [(a + b) % modulus for a in items.tolist() for b in items.tolist()]
+    return items, keys
 
 
-# (modulus, items, zeros on each side, and the partition target's floor
-# and keys per item)
+# (modulus, items, zeros, and the partition target's floor and keys per
+# item)
 PAIR_PLANS = {
     # a target of 700 keys; 400 pairs share the key 0
     "target of 700": (2**20 + 7, 100, 20, (700, 0)),
-    # a target of 16*k = 1,600 keys; the 2,025 pairs of the key 0 are one
-    # partition
+    # a target of 16*k = 1,600 keys; the 2,025 pairs of the key 0 lie in
+    # the first range, over the target
     "crowded key value": (2**20 + 7, 100, 45, (1, 16)),
-    # 40,000 keys on 3,599 values and a target of 16 keys: each first range
-    # is one key value, and the values held by more pairs stay whole
+    # 40,000 keys on 3,599 values and a target of 16 keys: each range is
+    # one key value, and the values held by more pairs stay whole
     "tiny modulus": (61 * 59, 200, 0, (16, 0)),
 }
 
 
-def test_partition_plan_is_exact_and_greedy(monkeypatch):
-    def unused(*args):
-        raise AssertionError("a key was built to plan the partitions")
-
+def test_one_partition_fill_equals_the_split_fills(monkeypatch):
+    # each equal-range fill of the pair scan holds exactly the keys of its
+    # range, also where a range outgrows the buffers; together they are the
+    # one fill of [0, N), which is every pair key
     for name, (modulus, k, zeros, rule) in PAIR_PLANS.items():
-        monkeypatch.undo()
-        monkeypatch.setattr(collisions._PairKeys, "gather", unused)
+        items, keys = random_items(k, modulus, zeros)
+        edges, fills = [], []
+        below, gather = collisions._PairKeys.below, collisions._PairKeys.gather
+
+        def counted(self, e):
+            edges.append(e)
+            return below(self, e)
+
+        def copied(self, *args):
+            part = gather(self, *args)
+            fills.append(part.copy())
+            return part
+
+        monkeypatch.setattr(collisions._PairKeys, "below", counted)
+        monkeypatch.setattr(collisions._PairKeys, "gather", copied)
         monkeypatch.setattr(collisions, "PAIR_PARTITION_KEYS", rule[0])
         monkeypatch.setattr(collisions, "PAIR_KEYS_PER_ITEM", rule[1])
-        pairs, keys = random_pairs(k, modulus, zeros)
-        edges, sizes = collisions._pair_plan(pairs)
-        target = max(collisions.PAIR_PARTITION_KEYS, collisions.PAIR_KEYS_PER_ITEM * k)
-        assert edges[0] == 0 and edges[-1] == modulus and all(a < b for a, b in zip(edges, edges[1:])), name
-        # exact sizes, counted with no key built, that sum to k*k
+        classes = collisions._pair_classes(
+            "f-scan", modulus, items, 1, Fraction(1), lambda i: Fraction(int(items[i])), int,
+        )
+        target = max(rule[0], rule[1] * k)
+        ranges = len(fills)
+        assert ranges >= 3 and edges == [r * modulus // ranges for r in range(ranges + 1)], name
         ordered = sorted(keys)
-        held = [bisect_left(ordered, hi) - bisect_left(ordered, lo) for lo, hi in zip(edges, edges[1:])]
-        assert sizes == held, name
-        assert sum(sizes) == k * k and len(sizes) >= 3, name
-        # only one key value passes the target
-        assert all(size <= target or hi - lo == 1 for size, lo, hi in zip(sizes, edges, edges[1:])), name
-        # greedy: no two neighbours would fit one partition
-        assert all(a + b > target for a, b in zip(sizes, sizes[1:])), name
-        if name == "crowded key value":
-            assert edges[:2] == [0, 1] and sizes[0] == keys.count(0) > target
-        if name == "tiny modulus":
-            assert max(sizes) > target
-
-    monkeypatch.undo()
-    pairs, _ = random_pairs(100, 2**20 + 7, 20)
-    assert collisions._pair_plan(pairs) == ([0, 2**20 + 7], [100 * 100])
+        for fill, lo, hi in zip(fills, edges, edges[1:]):
+            assert fill.dtype == np.uint64, name
+            assert sorted(fill.tolist()) == ordered[bisect_left(ordered, lo):bisect_left(ordered, hi)], name
+        # in each plan some range outgrows the target, and so the buffers
+        assert max(len(fill) for fill in fills) > target, name
+        monkeypatch.undo()
+        pairs = collisions._PairKeys(items, items, modulus)
+        lower = pairs.below(0)
+        whole = pairs.gather(lower, pairs.below(modulus) - lower, np.empty(k * k, dtype=np.uint64), np.arange(k * k))
+        assert sorted(whole.tolist()) == ordered, name
+        assert np.array_equal(np.sort(np.concatenate(fills)), np.sort(whole)), name
+        exact = (((a, b), Fraction(int(items[a]) + int(items[b]))) for a in range(k) for b in range(k))
+        assert classes == collision_scan(exact).classes, name
 
 
-def test_one_partition_fill_equals_the_split_fills(monkeypatch):
-    # each split fill holds the keys of its range; together they are the
-    # one fill of [0, N), which is every pair key
-    modulus, k = 2**20 + 7, 100
-    pairs, keys = random_pairs(k, modulus, 20)
-    split_partitions(monkeypatch, 700)
-    edges, sizes = collisions._pair_plan(pairs)
-    assert len(sizes) >= 3
+def test_each_partition_edge_is_searched_once(caplog, monkeypatch, ufunc248, gen248):
+    # ranges + 1 searches per pair scan: each inner edge's row counts close
+    # the range below it and open the one above
+    caplog.set_level(logging.INFO, logger="ecinj.collisions")
+    calls = []
+    below = collisions._PairKeys.below
 
-    def gather(lower, upper):
-        # fresh buffers of exactly the partition's size
-        size = int((upper - lower).sum())
-        return pairs.gather(lower, upper, np.empty(size, dtype=np.uint64), np.arange(size))
+    def counted(self, e):
+        calls.append(e)
+        return below(self, e)
 
-    below = [pairs.below(e) for e in edges]
-    split = [gather(lo, hi) for lo, hi in zip(below, below[1:])]
-    assert [len(part) for part in split] == sizes
-    for part, lo, hi in zip(split, edges, edges[1:]):
-        assert part.dtype == np.uint64 and np.all((part >= lo) & (part < hi))
-    whole = gather(pairs.below(0), pairs.below(modulus))
-    assert sorted(whole.tolist()) == sorted(keys)
-    assert np.array_equal(np.sort(np.concatenate(split)), np.sort(whole))
+    monkeypatch.setattr(collisions._PairKeys, "below", counted)
+    split_partitions(monkeypatch, 250)
+    for scan, run in (
+        ("f", lambda: f_injectivity_scan(ufunc248, OrbitSpec(gen248, 20))),
+        ("zagier", lambda: zagier_probe(6)),
+    ):
+        calls.clear()
+        caplog.clear()
+        run()
+        ranges = len(partitions(caplog, scan))
+        assert ranges >= 3 and len(calls) == ranges + 1, scan
 
 
-def test_crowded_key_value_is_one_partition(small_primes, caplog, monkeypatch, confirmed, ufunc248, gen248):
-    # a partition target of one key: at 127 * 113 every key value held by
-    # two or more of the 144 f pairs is a partition of its own, over the
-    # target, and the findings are the oracle's
+def test_crowded_key_values_over_a_one_key_target(small_primes, caplog, monkeypatch, confirmed, ufunc248, gen248):
+    # a partition target of one key: at 127 * 113 the 144 f pairs are cut
+    # into 144 equal key ranges, some holding the pairs of a key value held
+    # by two or more pairs, and the findings are the oracle's
     small_primes(2**7)
     monkeypatch.setattr(collisions, "PAIR_PARTITION_KEYS", 1)
     monkeypatch.setattr(collisions, "PAIR_KEYS_PER_ITEM", 0)
@@ -784,14 +795,18 @@ def test_crowded_key_value_is_one_partition(small_primes, caplog, monkeypatch, c
     assert findings(report) == findings(exact_f_scan(ufunc248, spec))
     n, gamma = ufunc248.params.n, ufunc248.params.gamma
     _, modulus, keys = collisions._orbit_p_keys(ufunc248, spec, (), gamma)
-    crowded = sorted(c for c in Counter(pair_keys(keys.tolist(), n, gamma, modulus)).values() if c > 1)
+    keys = pair_keys(keys.tolist(), n, gamma, modulus)
     counted = partitions(caplog, "f")
-    assert len(crowded) == 21
-    assert sorted(part["keys"] for part in counted if part["runs"]) == crowded
-    assert all(part["runs"] == 1 or part["keys"] <= 1 for part in counted)
-    # after the P precondition's stream, one a partition: all the pairs of
-    # a crowded key value, or none
-    assert [len(stream) for stream in confirmed[1:]] == [part["keys"] * part["runs"] for part in counted]
+    assert len(counted) == 144 and sum(part["keys"] for part in counted) == 144
+    assert sum(part["runs"] for part in counted) == 21
+    # after the P precondition's stream, one a partition, in stream order:
+    # the pairs of its crowded key values, which joined are every pair of
+    # a crowded key value
+    streams = confirmed[1:]
+    assert len(streams) == len(counted)
+    assert all(stream == sorted(stream) for stream in streams)
+    assert all(bool(stream) == bool(part["runs"]) for stream, part in zip(streams, counted))
+    assert sorted(sum(streams, [])) == repeated(keys)
 
 
 def test_pair_classes_crowded_value_over_the_target(caplog):
@@ -802,7 +817,7 @@ def test_pair_classes_crowded_value_over_the_target(caplog):
     k = 130
     labels = list(range(k))
     classes = collisions._pair_classes(
-        "f-scan", labels, 61 * 59, np.zeros(k, dtype=np.uint64), 1, Fraction(1), Fraction,
+        "f-scan", 61 * 59, np.zeros(k, dtype=np.uint64), 1, Fraction(1), Fraction, labels.__getitem__,
     )
     stream = (((a, b), Fraction(a + b)) for a in labels for b in labels)
     assert classes == collision_scan(stream).classes

@@ -42,10 +42,14 @@ def own_peaks_kib(*commands):
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
 def test_f_scan_peak_is_its_keys():
     # check-f --M 1000 (4 * 10**6 pairs, 30.5 MiB of uint64 keys) and
-    # zagier-probe --H 60 (1.9 * 10**7 pairs) hold their row arrays and one
-    # partition of about 16 keys a row at a time, 24 bytes a key while it
-    # is gathered: 0.7 and 1.6 MiB; a default check-p, which loads numpy
-    # for a small scan, is the baseline
+    # zagier-probe --H 60 (1.9 * 10**7 pairs) hold their items, their row
+    # arrays and one partition at a time, 24 bytes a key while it is
+    # gathered; a default check-p, which loads numpy for a small scan, is
+    # the baseline.  Measured over it (2-vCPU host, 4 runs): the f-scan
+    # 1.3-1.4 MiB, and the probe 3.0-3.1 MiB, of which tracemalloc sees
+    # 0.35 MiB of items (the rationals and their keys) and 2.1 MiB in the
+    # pair scan, 1.7 MiB of it the largest partition (76,181 keys); the
+    # rest of the allowance, about 0.9 MiB, is the allocator's slack
     (base_code, base), *scans = own_peaks_kib(
         ["check-p"], ["check-f", "--M", "1000"], ["zagier-probe", "--H", "60"],
     )
