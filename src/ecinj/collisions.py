@@ -2,17 +2,19 @@
 probe.
 
 All three scans run one engine on every orbit of infinite order and on
-the rationals.  It fingerprints each value by its
-residue modulo N = p*q, for the first two suitable primes p, q below 2**31,
-so every key fits a uint64 (N < 2**62).  Equal exact values always produce
-equal keys at suitable primes, so no true collision can be missed.  Orbit
-values grow quadratically in digit count and are far too large to store
-exactly (measured: the |m| <= 2000 orbit would need hours and gigabytes),
-while residues are constant-size.  The keys are sorted in place, and only
-items whose key occurs more than once become candidates.  A run of equal
-keys is a full two-prime fingerprint match, and every scan groups a
-partition's candidates by exact value in `collision_scan`'s dict before
-they may enter the report.
+the rationals, and each hands it the same three things about its items:
+their uint64 `keys`, `value(i)`, the exact value of item i, built only
+when asked, and `label(i)`, its key in the report.  `_fingerprints` makes
+the keys: each value's residue modulo N = p*q, for the first two suitable
+primes p, q below 2**31, so every key fits a uint64 (N < 2**62).  Equal
+exact values always produce equal keys at suitable primes, so no true
+collision can be missed.  Orbit values grow quadratically in digit count
+and are far too large to store exactly (measured: the |m| <= 2000 orbit
+would need hours and gigabytes), while residues are constant-size.  The
+keys are sorted in place, and only items whose key occurs more than once
+become candidates.  A run of equal keys is a full two-prime fingerprint
+match, and every scan groups a partition's candidates by exact value in
+`collision_scan`'s dict before they may enter the report.
 
 The orbit scans decide once, exactly, whether the generator G has finite
 order.  A G of finite order d never enters the engine: its orbit holds
@@ -30,6 +32,8 @@ plus a fixed stride.  No point of its orbit is exactly the identity, so
 any that reduces to the identity mod p makes the prime unsuitable, and
 the first one met ends the prime.  The walk is streamed: each block's P
 residues go into one uint32 array per prime, and only the keys are uint64.
+An orbit's items (`_orbit_items`) are labelled by index arithmetic, and
+value(i) builds item i's exact point, at most once.
 
 The f-scan and `zagier_probe`, whose items are the rationals of bounded
 height, share its pair form (`_pair_classes`) and its one exact formula,
@@ -61,14 +65,13 @@ commands that run no scan, nor in a scan of a finite orbit.
 """
 
 import logging
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import isqrt
 from typing import Iterable
 
-from .curve import INFINITY, Point, add, scalar_mul
+from .curve import INFINITY, add, scalar_mul
 from .injection import UniquenessFunction, validate_params
 from .modular import CurveModP, UnsuitablePrimeError, fraction_mod, primes_descending
 from .pairing import zagier_eval
@@ -287,9 +290,8 @@ def _walk(cm: CurveModP, g: tuple, bound: int):
             x, y = bx, by
 
 
-@dataclass(frozen=True)
-class _OrbitLabels(Sequence):
-    """The orbit() labels of the walk's positions, by index arithmetic.
+def _orbit_label(translates: tuple):
+    """label(i): the orbit() label of walk position i, by index arithmetic.
 
     `translates` holds the index k of each distinct torsion point, in
     order, and is empty without a torsion list; width = max(its length, 1).
@@ -297,20 +299,15 @@ class _OrbitLabels(Sequence):
     -m*G + T_k for s = 1, with k = translates[j].  Its label is m or -m,
     paired with k when the spec has a torsion list.
     """
+    width = max(len(translates), 1)
 
-    bound: int
-    translates: tuple
-
-    def __len__(self):
-        return 2 * self.bound * max(len(self.translates), 1)
-
-    def __getitem__(self, i):
-        if not 0 <= i < len(self):
-            raise IndexError(i)
-        m, j = divmod(i, max(len(self.translates), 1))
+    def label(i):
+        m, j = divmod(i, width)
         m, s = divmod(m, 2)
-        label = -(m + 1) if s else m + 1
-        return (label, self.translates[j]) if self.translates else label
+        m = -(m + 1) if s else m + 1
+        return (m, translates[j]) if translates else m
+
+    return label
 
 
 def _distinct_translates(spec: OrbitSpec):
@@ -331,7 +328,7 @@ def _distinct_translates(spec: OrbitSpec):
 def _walked_residues(spec: OrbitSpec, kept: tuple, cm: CurveModP, ar: int, br: int):
     """The P residues alpha*x + beta*y mod p (`ar` and `br` are alpha and
     beta mod p) of the orbit of a G of infinite order on the translates
-    `kept` (`_OrbitLabels`), a uint32 array in emission order (p < 2**31),
+    `kept`, a uint32 array in item order (`_orbit_label`, p < 2**31),
     written one walk block at a time.
 
     No such orbit point is exactly the identity, so one that reduces to the
@@ -363,12 +360,6 @@ def _walked_residues(spec: OrbitSpec, kept: tuple, cm: CurveModP, ar: int, br: i
     return residues.reshape(-1)
 
 
-def _exact_point(spec: OrbitSpec, label) -> Point:
-    """The exact orbit point at an orbit() label."""
-    m, k = label if spec.torsion else (label, 0)
-    return add(scalar_mul(m, spec.generator), (spec.torsion or (INFINITY,))[k])
-
-
 def _choose_primes(build):
     """[(p, build(p)), (q, build(q))] at the first two primes below
     PRIME_SEARCH_START at which `build` raises no UnsuitablePrimeError."""
@@ -386,13 +377,26 @@ def _choose_primes(build):
     raise RuntimeError("prime search exhausted")
 
 
-def _orbit_p_keys(u: UniquenessFunction, spec: OrbitSpec, kept: tuple, *also_invert):
-    """(labels, N, keys): the orbit labels of a G of infinite order on the
-    distinct translates `kept` (`_distinct_translates`), in emission order,
-    and the uint64 keys mod N = p*q of their P values, walked mod each of
-    the primes `_choose_primes` picks (`_walked_residues`).  The
-    denominators of `also_invert` must not vanish mod p either.
-    """
+def _fingerprints(build):
+    """(N, keys): the uint64 keys mod N = p*q of the items whose uint32
+    residues mod p `build(p)` returns, in item order, at the two primes
+    `_choose_primes` picks (`_crt`)."""
+    (p, rp), (q, rq) = _choose_primes(build)
+    keys = _crt(p, q, rp, rq)
+    logger.info(
+        "fingerprints of %d items: residues %d + %d bytes, keys %d bytes",
+        len(keys), rp.nbytes, rq.nbytes, keys.nbytes,
+    )
+    return p * q, keys
+
+
+def _orbit_items(u: UniquenessFunction, spec: OrbitSpec, kept: tuple, *also_invert):
+    """(N, keys, value, label): the items of the orbit of a G of infinite
+    order on the distinct translates `kept` (`_distinct_translates`), in
+    emission order: the keys of their P values, walked mod each prime
+    (`_walked_residues`), P at item i's exact point, built once and only
+    when asked, and its orbit() label (`_orbit_label`).  The
+    denominators of `also_invert` must not vanish mod p either."""
 
     def build(p):
         ar, br = fraction_mod(u.params.alpha, p), fraction_mod(u.params.beta, p)
@@ -400,13 +404,15 @@ def _orbit_p_keys(u: UniquenessFunction, spec: OrbitSpec, kept: tuple, *also_inv
             fraction_mod(c, p)
         return _walked_residues(spec, kept, CurveModP(spec.generator.curve, p), ar, br)
 
-    (p, rp), (q, rq) = _choose_primes(build)
-    keys = _crt(p, q, rp, rq)
-    logger.info(
-        "orbit of %d points: residues %d + %d bytes, keys %d bytes",
-        len(keys), rp.nbytes, rq.nbytes, keys.nbytes,
-    )
-    return _OrbitLabels(spec.bound, kept), p * q, keys
+    modulus, keys = _fingerprints(build)
+    label = _orbit_label(kept)
+
+    @cache
+    def value(i):
+        m, k = label(i) if spec.torsion else (label(i), 0)
+        return u.eval_P(add(scalar_mul(m, spec.generator), (spec.torsion or (INFINITY,))[k]))
+
+    return modulus, keys, value, label
 
 
 def _finite_orbit(u: UniquenessFunction, spec: OrbitSpec, cycle):
@@ -450,20 +456,18 @@ def _require_valid(u: UniquenessFunction):
         raise ValueError("invalid injection parameters: " + "; ".join(violations))
 
 
-def _p_classes(u, spec, labels, keys):
-    """The classes of P over the orbit `labels`, found from their uint64 P
-    keys.  The keys are the one partition: a sorted copy of them gives the
-    repeated keys, and is freed before `_candidates` reads `keys` again
-    for their stream indices.  No two labels name one point, so each
-    candidate's exact point is built once, to evaluate P on it."""
+def _p_classes(keys, value, label):
+    """The classes of the items' exact values `value(i)`, keyed by
+    `label(i)`, found from their uint64 keys.  The keys are the one
+    partition: a sorted copy of them gives the repeated keys, and is freed
+    before `_candidates` reads `keys` again for their stream indices, so
+    only a candidate's value is built."""
     part = keys.copy()
     part.sort()
     runs = _repeated_keys(part)
     del part
     candidates = _candidates(keys, runs)
-    classes = collision_scan(
-        (labels[i], u.eval_P(_exact_point(spec, labels[i]))) for i in candidates
-    ).classes
+    classes = collision_scan((label(i), value(i)) for i in candidates).classes
     # the sorted copy, and the bool mask of one chunk of the search for
     # repeated keys; the repeated keys are none unless fingerprints collide
     logger.info(
@@ -492,8 +496,8 @@ def p_injectivity_scan(u: UniquenessFunction, spec: OrbitSpec) -> CollisionRepor
         groups, kept = _finite_orbit(u, spec, cycle)
         return CollisionReport(len(kept), collision_scan(kept).classes, groups, config)
     kept, groups = _distinct_translates(spec)
-    labels, _, keys = _orbit_p_keys(u, spec, kept)
-    return CollisionReport(len(labels), _p_classes(u, spec, labels, keys), groups, config)
+    _, keys, value, label = _orbit_items(u, spec, kept)
+    return CollisionReport(len(keys), _p_classes(keys, value, label), groups, config)
 
 
 P_NOT_INJECTIVE = "P not injective on scanned set; shrink or exclude collision points"
@@ -528,14 +532,11 @@ def f_injectivity_scan(u: UniquenessFunction, spec: OrbitSpec) -> CollisionRepor
     kept, groups = _distinct_translates(spec)
     if groups:
         raise ValueError(P_NOT_INJECTIVE)
-    labels, modulus, keys = _orbit_p_keys(u, spec, kept, gamma)
-    if _p_classes(u, spec, labels, keys):
+    modulus, keys, value, label = _orbit_items(u, spec, kept, gamma)
+    if _p_classes(keys, value, label):
         raise ValueError(P_NOT_INJECTIVE)
-    classes = _pair_classes(
-        "f-scan", modulus, keys, n, gamma,
-        lambda i: u.eval_P(_exact_point(spec, labels[i])), labels.__getitem__,
-    )
-    return CollisionReport(len(labels) ** 2, classes, [], config)
+    classes = _pair_classes("f-scan", modulus, keys, n, gamma, value, label)
+    return CollisionReport(len(keys) ** 2, classes, [], config)
 
 
 def _pair_classes(scan, modulus, keys, n, gamma, value, label):
@@ -543,19 +544,19 @@ def _pair_classes(scan, modulus, keys, n, gamma, value, label):
     (i, j) of the k = len(keys) items, keys (label(i), label(j)) in
     row-major order.
 
-    `keys` holds each item's uint64 key mod `modulus`, `value(i)` its exact
-    value v_i and `label(i)` its report key, which only a class member
-    needs; gamma must be invertible mod `modulus`.  The key of pair (i, j)
-    is (left[i] + right[j]) mod N, at flat index i*k + j.  A partition
-    targets max(PAIR_PARTITION_KEYS, PAIR_KEYS_PER_ITEM * k) keys, a bound
-    on k alone: when all k*k keys fit, there is one.  Otherwise [0, N) is
-    cut into equal key ranges expected to hold the target less four
-    standard deviations.  Each edge is searched once (`_PairKeys.below`),
-    and its row counts close the range below it and open the one above.
-    A range is gathered into two reused buffers of min(k*k, target) keys,
-    which a range holding more keys (a crowded key value, or skewed
-    items) grows, and sorted there; the pairs of its repeated keys are
-    confirmed exactly.
+    The items come as in `_p_classes`, keyed mod `modulus`; `value(i)`,
+    v_i, is asked for both items of each candidate pair, so a costly one
+    must cache, and gamma must be invertible mod `modulus`.  The key of
+    pair (i, j) is (left[i] + right[j]) mod N, at flat index i*k + j.  A
+    partition targets max(PAIR_PARTITION_KEYS, PAIR_KEYS_PER_ITEM * k)
+    keys, a bound on k alone: when all k*k keys fit, there is one.
+    Otherwise [0, N) is cut into equal key ranges expected to hold the
+    target less four standard deviations.  Each edge is searched once
+    (`_PairKeys.below`), and its row counts close the range below it and
+    open the one above.  A range is gathered into two reused buffers of
+    min(k*k, target) keys, which a range holding more keys (a crowded key
+    value, or skewed items) grows, and sorted there; the pairs of its
+    repeated keys are confirmed exactly.
     """
     import numpy as np
 
@@ -569,7 +570,8 @@ def _pair_classes(scan, modulus, keys, n, gamma, value, label):
     target = max(PAIR_PARTITION_KEYS, PAIR_KEYS_PER_ITEM * k)
     expected = max(target - 4 * isqrt(target), (target + 1) // 2)
     ranges = 1 if k * k <= target else min(modulus, -(-k * k // expected))
-    value = cache(value)  # an item may sit in many candidate pairs
+    # reused by every partition: gathering into fresh arrays took
+    # zagier_probe(60) from 0.29 to 0.41 s on a 2-vCPU Xeon
     held = min(k * k, target)
     part, offsets = np.empty(held, dtype=np.uint64), np.arange(held)
     lower, classes = pairs.below(0), []
@@ -686,14 +688,10 @@ def zagier_probe(h_bound: int) -> CollisionReport:
 
     rats = list(rationals_by_height(h_bound))
     config = {"op": "zagier_probe", "height_bound": h_bound, "n": 7, "gamma": "3"}
-
-    def build(p):
-        return np.fromiter((fraction_mod(r, p) for r in rats), dtype=np.uint32, count=len(rats))
-
-    (p, rp), (q, rq) = _choose_primes(build)
-    keys = _crt(p, q, rp, rq)
-    del rp, rq
+    modulus, keys = _fingerprints(
+        lambda p: np.fromiter((fraction_mod(r, p) for r in rats), dtype=np.uint32, count=len(rats))
+    )
     classes = _pair_classes(
-        "zagier-scan", p * q, keys, 7, Fraction(3), rats.__getitem__, lambda i: format_rational(rats[i]),
+        "zagier-scan", modulus, keys, 7, Fraction(3), rats.__getitem__, lambda i: format_rational(rats[i]),
     )
     return CollisionReport(len(rats) ** 2, classes, [], config)

@@ -118,7 +118,7 @@ def isolate_real_roots(coeffs):
         if count == 0:
             return
         if count == 1:
-            out.append(_tighten_single(f, chain, a, b))
+            out.append(_tighten_single(f, a, b))
             return
         mid = (a + b) / 2
         if poly_eval(f, mid) == 0:
@@ -139,22 +139,16 @@ def isolate_real_roots(coeffs):
     return out
 
 
-def _tighten_single(f, chain, a, b):
-    """Shrink (a, b] with exactly one root until the endpoints bracket it
-    by sign change (or the root is hit exactly)."""
-    while True:
-        va, vb = poly_eval(f, a), poly_eval(f, b)
-        if vb == 0:
-            return (b, b)
-        if va != 0 and (va > 0) != (vb > 0):
-            return (a, b)
-        mid = (a + b) / 2
-        if poly_eval(f, mid) == 0:
-            return (mid, mid)
-        if count_roots(chain, a, mid) == 1:
-            b = mid
-        else:
-            a = mid
+def _tighten_single(f, a, b):
+    """The interval of the one root of the square-free f in (a, b]: (b, b)
+    when it is b, else (a, b), a bracket by sign change.  Its roots are
+    simple, and `isolate_real_roots` never passes a root as a: a is
+    -bound, outside Cauchy's bound, or a midpoint that is no root, or
+    mid + eps beside the one root mid of (mid - eps, mid + eps].  Were
+    that ever broken, `refine_root` would raise on the non-bracket."""
+    if poly_eval(f, b) == 0:
+        return (b, b)
+    return (a, b)
 
 
 def refine_root(coeffs, interval, depth: int = 60):

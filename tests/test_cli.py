@@ -86,6 +86,10 @@ GOLDEN_SHA256 = {
     ("check-p", "--curve=-6,40", "--gen", "2,6", "--torsion=-4,0;O;-4,0;-4,0", "--M", "37"): (
         2, "cc051b139bdbf6b6ed7fc39ad18323af946516000f46d69910300518ae8b4d23"
     ),
+    # an f-scan whose pair keys are torsion labels (m, k): 57,600 pairs
+    ("check-f", "--curve=-25,0", "--gen=-4,6", "--torsion", "O;0,0", "--M", "60"): (
+        0, "eda6c058207632d4bc2cf20dd491221694f9052870f01892a866891d78a37cbc"
+    ),
 }
 
 
@@ -114,6 +118,18 @@ def test_non_integer_n_exits_one(capsys, command, n):
     code, out, err = run(capsys, command, "--params", f"1,1,2,{n}")
     assert (code, out) == (1, "")
     assert err == f"error: n in --params must be an integer, got {n!r}\n"
+
+
+@pytest.mark.parametrize(
+    "flag, value, expected",
+    [
+        ("--curve", "1", "expected a,b for --curve, got '1'"),
+        ("--gen", "1", "expected x,y for a point, got '1'"),
+        ("--params", "1,1,2", "expected alpha,beta,gamma,n for --params, got '1,1,2'"),
+    ],
+)
+def test_wrong_number_of_fields_exits_one(capsys, flag, value, expected):
+    assert run(capsys, "check-p", flag, value) == (1, "", f"error: {expected}\n")
 
 
 def test_unknown_flag_exits_one(capsys):
@@ -304,6 +320,10 @@ def test_out_file_holds_stdout(tmp_path, capsys, argv):
 
 
 NEGATIVE_SIZES = {
+    ("check-p", "--M", "-1"): "bound must be >= 0",
+    ("check-f", "--M", "-1"): "bound must be >= 0",
+    ("density", "--M", "-1"): "bound must be >= 0",
+    ("enumerate", "--M", "-1"): "bound must be >= 0",
     ("zagier-probe", "--H", "-2"): "height bound must be >= 0, got -2",
     ("enumerate", "--search-height", "-1"): "height bound must be >= 0, got -1",
     ("cantor", "--check", "-1"): "triangle must be >= 0, got -1",
@@ -320,7 +340,7 @@ EMPTY_SCANS = [("check-p", "--M", "0"), ("check-f", "--M", "0"), ("zagier-probe"
 
 
 @pytest.mark.parametrize("argv", EMPTY_SCANS, ids=" ".join)
-def test_negative_memory_ceiling_exits_one(capsys, argv):
+def test_memory_ceiling_is_an_unknown_argument(capsys, argv):
     # no scan takes a resource setting: the pair scans size their
     # partitions from the number of items alone, so a ceiling of any value
     # is refused as an unknown argument
@@ -354,7 +374,7 @@ def test_verbose_logs_the_primes_and_leaves_stdout_alone(capsys):
     # the bytes of the two primes' uint32 residues, the uint64 keys and the
     # partition: 120 keys, and 8 bytes a key plus one bool a key of the
     # chunked search for repeated keys
-    assert "ecinj.collisions: orbit of 120 points: residues 480 + 480 bytes, keys 960 bytes\n" in err
+    assert "ecinj.collisions: fingerprints of 120 items: residues 480 + 480 bytes, keys 960 bytes\n" in err
     assert "P-scan partition 1/1: 120 keys, 0 candidate runs, 0 confirmed classes, 1080 bytes\n" in err
     # the P-scan sorts all its keys in one partition at every size
     code, out, err = run(capsys, "check-p", "--M", "400", "-v")
@@ -364,6 +384,10 @@ def test_verbose_logs_the_primes_and_leaves_stdout_alone(capsys):
     assert (code, out) == run(capsys, "check-f")[:2]
     # a pair partition: 24 bytes a key while it is gathered
     assert "f-scan partition 1/1: 14400 keys, 0 candidate runs, 0 confirmed classes, 345600 bytes\n" in err
+    # the Zagier probe logs the same bytes line for its 39 rationals
+    code, out, err = run(capsys, "zagier-probe", "-v")
+    assert (code, out) == run(capsys, "zagier-probe")[:2]
+    assert "ecinj.collisions: fingerprints of 39 items: residues 156 + 156 bytes, keys 312 bytes\n" in err
     # the stderr handler is gone again, so in-process runs do not stack them
     assert (log.handlers, log.level) == (handlers, level)
     assert run(capsys, "check-p")[2] == ""

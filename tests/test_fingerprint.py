@@ -138,7 +138,7 @@ def test_buckets_surviving_every_prime_split_exactly(small_primes, caplog, confi
     # the P precondition's candidates, then every candidate pair's flat
     # index, each in stream order, go through the one exact index
     n, gamma = ufunc248.params.n, ufunc248.params.gamma
-    _, modulus, keys = collisions._orbit_p_keys(ufunc248, spec, (), gamma)
+    modulus, keys, _, _ = collisions._orbit_items(ufunc248, spec, (), gamma)
     assert confirmed == [repeated(keys.tolist()), repeated(pair_keys(keys.tolist(), n, gamma, modulus))]
     assert findings(residue) == findings(exact_f_scan(ufunc248, spec))
 
@@ -223,8 +223,8 @@ def test_planted_findings_confirmed_at_small_primes(small_primes, caplog, confir
         [part] = partitions(caplog, "P")
         assert part["runs"] == part["classes"] == 1
         # the candidate labels, in stream order, go through the one exact index
-        labels, _, keys = collisions._orbit_p_keys(u, spec, ())
-        assert confirmed == [[labels[i] for i in repeated(keys.tolist())]]
+        _, keys, _, label = collisions._orbit_items(u, spec, ())
+        assert confirmed == [[label(i) for i in repeated(keys.tolist())]]
     else:
         # a finite orbit chooses no prime and fills no partition: the first
         # label of each of its points goes through the one exact index
@@ -288,10 +288,10 @@ def test_lane_walk_matches_exact_orbit(small_primes, caplog, monkeypatch, params
         caplog.clear()
         spec = OrbitSpec(c.point(*gen), bound, (INFINITY, *(c.point(*t) for t in torsion)) if torsion else ())
         kept, _ = collisions._distinct_translates(spec)
-        labels, _, keys = collisions._orbit_p_keys(u, spec, kept)
+        _, keys, _, label = collisions._orbit_items(u, spec, kept)
         p, q = chosen_primes(caplog)
         exact = list(orbit(spec))
-        assert list(labels) == [label for label, _ in exact]
+        assert [label(i) for i in range(len(keys))] == [name for name, _ in exact]
         assert len(keys) == len(exact)
         for key, (_, pt) in zip(keys.tolist(), exact):
             value = u.eval_P(pt)
@@ -387,15 +387,15 @@ def test_orbit_keys_hold_16_bytes_a_point(ufunc248, gen248):
     # one block at a time, and the keys 8: 16 bytes a point at their peak,
     # plus the walk's blocks and the CRT's chunks, whatever the bound
     spec = OrbitSpec(gen248, 2**17)
-    collisions._orbit_p_keys(ufunc248, OrbitSpec(gen248, 3), ())  # imports and caches
+    collisions._orbit_items(ufunc248, OrbitSpec(gen248, 3), ())  # imports and caches
     tracemalloc.start()
     try:
-        labels, _, keys = collisions._orbit_p_keys(ufunc248, spec, ())
+        _, keys, _, _ = collisions._orbit_items(ufunc248, spec, ())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     points = 2 * spec.bound
-    assert len(labels) == len(keys) == points
+    assert len(keys) == points
     assert peak < 18 * points + 64 * collisions.WALK_BLOCK
 
 
@@ -411,11 +411,11 @@ def test_identity_skip_builds_no_large_multiple(small_primes, caplog, monkeypatc
         return scalar_mul(m, pt)
 
     monkeypatch.setattr(collisions, "scalar_mul", small_only)
-    labels, _, keys = collisions._orbit_p_keys(ufunc248, OrbitSpec(gen248, 550), ())
+    _, keys, _, _ = collisions._orbit_items(ufunc248, OrbitSpec(gen248, 550), ())
     messages = [r.getMessage() for r in caplog.records]
     assert "prime 1033303 skipped: 543*G reduces to the identity mod 1033303" in messages
     assert chosen_primes(caplog) < (1033303, 1033303)
-    assert len(labels) == len(keys) == 1100
+    assert len(keys) == 1100
 
 
 # (curve a, b), generator of finite order, torsion points besides the
@@ -794,7 +794,7 @@ def test_crowded_key_values_over_a_one_key_target(small_primes, caplog, monkeypa
     report = f_injectivity_scan(ufunc248, spec)
     assert findings(report) == findings(exact_f_scan(ufunc248, spec))
     n, gamma = ufunc248.params.n, ufunc248.params.gamma
-    _, modulus, keys = collisions._orbit_p_keys(ufunc248, spec, (), gamma)
+    modulus, keys, _, _ = collisions._orbit_items(ufunc248, spec, (), gamma)
     keys = pair_keys(keys.tolist(), n, gamma, modulus)
     counted = partitions(caplog, "f")
     assert len(counted) == 144 and sum(part["keys"] for part in counted) == 144

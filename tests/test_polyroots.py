@@ -66,3 +66,19 @@ def test_refine_requires_bracket():
     f = [Fraction(-2), Fraction(0), Fraction(1)]
     with pytest.raises(ValueError):
         refine_root(f, (Fraction(2), Fraction(3)))
+
+
+@pytest.mark.parametrize(
+    "coeffs, interval, root",
+    [
+        # a degenerate interval comes back as it is
+        ([-2, 0, 1], (Fraction(3, 2), Fraction(3, 2)), Fraction(3, 2)),
+        # x - 1 with the root at the left, then at the right endpoint
+        ([-1, 1], (Fraction(1), Fraction(2)), Fraction(1)),
+        ([-1, 1], (Fraction(0), Fraction(1)), Fraction(1)),
+        # x^2 - 1/4 on [0, 1]: the first midpoint is the root
+        ([Fraction(-1, 4), 0, 1], (Fraction(0), Fraction(1)), Fraction(1, 2)),
+    ],
+)
+def test_refine_returns_exact_roots(coeffs, interval, root):
+    assert refine_root([Fraction(c) for c in coeffs], interval) == (root, root)
