@@ -3,18 +3,26 @@ probe.
 
 All three scans run one engine on every orbit of infinite order and on
 the rationals, and each hands it the same three things about its items:
-their uint64 `keys`, `value(i)`, the exact value of item i, built only
-when asked, and `label(i)`, its key in the report.  `_fingerprints` makes
-the keys: each value's residue modulo N = p*q, for the first two suitable
-primes p, q below 2**31, so every key fits a uint64 (N < 2**62).  Equal
-exact values always produce equal keys at suitable primes, so no true
-collision can be missed.  Orbit values grow quadratically in digit count
-and are far too large to store exactly (measured: the |m| <= 2000 orbit
-would need hours and gigabytes), while residues are constant-size.  The
-keys are sorted in place, and only items whose key occurs more than once
-become candidates.  A run of equal keys is a full two-prime fingerprint
-match, and every scan groups a partition's candidates by exact value in
-`collision_scan`'s dict before they may enter the report.
+their residues mod the first two suitable primes p, q below 2**31,
+`value(i)`, the exact value of item i, built only when asked, and
+`label(i)`, its key in the report.  An item's key is its value's residue
+modulo N = p*q, so every key fits a uint64 (N < 2**62).  Equal exact
+values always produce equal keys at suitable primes, so no true collision
+can be missed.  Orbit values grow quadratically in digit count and are
+far too large to store exactly (measured: the |m| <= 2000 orbit would
+need hours and gigabytes), while residues are constant-size.  Only items
+whose key occurs more than once become candidates.  A run of equal keys
+is a full two-prime fingerprint match, and every scan groups a
+partition's candidates by exact value in `collision_scan`'s dict before
+they may enter the report.
+
+The P-scan finds its runs in two stages and never builds a key.  Equal
+keys mod N are equal residues mod p and mod q, so it sorts a copy of the
+residues mod p, keeps only the items whose residue repeats
+(`_mod_p_candidates`), and then walks q keeping only those items'
+residues (`_picked`); the runs of equal pairs (rp, rq) among them are the
+runs of equal keys (`_p_classes`).  The pair scans build their items'
+keys mod N by the CRT (`_fingerprints`), as their pair keys need them.
 
 The orbit scans decide once, exactly, whether the generator G has finite
 order.  A G of finite order d never enters the engine: its orbit holds
@@ -31,8 +39,10 @@ double up to WALK_BLOCK points, and then each block is the one before it
 plus a fixed stride.  No point of its orbit is exactly the identity, so
 any that reduces to the identity mod p makes the prime unsuitable, and
 the first one met ends the prime.  The walk is streamed: each block's P
-residues go into one uint32 array per prime, and only the keys are uint64.
-An orbit's items (`_orbit_items`) are labelled by index arithmetic, and
+residues (`_residue_blocks`) go into one uint32 array, or only the
+candidates' residues are kept.  The walk of q covers every point even
+when no candidate is left, so its identities skip the same primes.  An
+orbit's items (`_orbit_items`) are labelled by index arithmetic, and
 value(i) builds item i's exact point, at most once.
 
 The f-scan and `zagier_probe`, whose items are the rationals of bounded
@@ -40,13 +50,14 @@ height, share its pair form (`_pair_classes`) and its one exact formula,
 `pairing.zagier_eval`.  The tests' exact oracle shares only
 `collision_scan` with the product.
 
-No scan takes a resource setting.  The orbit scans hold 4 bytes per
-orbit point per prime and a few walk blocks, then the 8-byte keys, and
-the pair scans about 100 bytes per item of sorted and searched row
-arrays.  The P-scan never splits: it sorts one copy of its keys and reads
-the keys again in stream order for its candidates.  With the copy it
-holds 16 bytes a point, as the two primes' residues and the keys already
-did at the CRT, so no split could lower its peak.  The pair scans never
+No scan takes a resource setting.  The P-scan holds 8 bytes per orbit
+point at its peak: the uint32 residues mod p and their sorted copy, beside
+a few walk blocks.  The copy is freed before the candidate pass, and the
+residues mod p before the walk of q, which keeps about 32 bytes per
+candidate; at primes near 2**31 the candidates are about one point in 170
+at 2 * 10**7 points.  The f-scan holds 16 bytes per orbit point for its
+keys (two primes' residues and the uint64 keys), and the pair scans about
+100 bytes per item of sorted and searched row arrays.  The pair scans never
 build all k*k keys: row i's keys in a key range are one slice of the
 sorted right terms (`_PairKeys`), so one searchsorted per partition edge
 counts the ranges on both sides of it, and each range is gathered from
@@ -54,8 +65,9 @@ its slices.  The partitions are equal key ranges expected to hold a
 little under max(2**14, 16*k) keys at 24 bytes a key, so a pair scan
 holds O(k) memory plus one small partition; a crowded key value, or
 items whose keys cluster, can make a range hold more.  The search for
-repeated sorted keys and the P-scan's candidate pass run CHUNK_KEYS keys
-at a time, so no mask covers the keys.  Reports are deterministic and do
+repeated sorted keys and the candidate pass run CHUNK_KEYS keys at a
+time, so no mask covers the keys, and the candidate pass searches only
+the keys that a small bool table over their top bits marks.  Reports are deterministic and do
 not depend on the partitions: keys inside a class are in stream order,
 and classes are sorted by value before emission.
 
@@ -82,9 +94,14 @@ from .reporting import envelope
 logger = logging.getLogger(__name__)
 
 # Keys per chunk of the search for repeated sorted keys, so it holds no
-# mask over a whole partition, of the P-scan's candidate pass and of the
-# CRT of the orbit keys.
+# mask over a whole partition, of the candidate pass and of the CRT of the
+# orbit keys.
 CHUNK_KEYS = 2**16
+# The candidate pass's table over the keys' top bits (see _candidates)
+# has this many bool entries a run.  Over the 2 * 10**6 residues mod p of
+# check-p --M 1000000, whose 463 runs hold 1,146 candidates, searching every
+# key took 0.14 s of a 0.27 s scan, and the table's hits 0.02 s (2-vCPU Xeon).
+PREFILTER_ENTRIES_PER_RUN = 16
 
 # Bytes per key of a pair partition at its largest, while it is gathered:
 # the keys (8), the offsets 0, 1, 2, ... (8) and one int64 index or
@@ -156,13 +173,13 @@ def collision_scan(stream: Iterable[tuple]) -> CollisionReport:
 
 
 def _repeated_keys(part):
-    """The keys that occur more than once in the sorted uint64 array
-    `part`, each once, in increasing order.  Neighbours are compared
-    CHUNK_KEYS at a time, so no mask covers the partition, and no chunk
-    view outlives this call to keep the partition alive."""
+    """The keys that occur more than once in the sorted unsigned array
+    `part`, each once, in increasing order and of its dtype.  Neighbours
+    are compared CHUNK_KEYS at a time, so no mask covers the partition, and
+    no chunk view outlives this call to keep the partition alive."""
     import numpy as np
 
-    found = [np.empty(0, dtype=np.uint64)]
+    found = [part[:0].copy()]
     for lo in range(1, len(part), CHUNK_KEYS):
         hi = min(lo + CHUNK_KEYS, len(part))
         keys = part[lo:hi]
@@ -175,18 +192,32 @@ def _repeated_keys(part):
 
 
 def _candidates(keys, runs):
-    """The indices of the `keys` that are one of the sorted `runs`, in
-    stream order, searched CHUNK_KEYS keys at a time."""
+    """The indices of the unsigned `keys` that are one of the sorted `runs`,
+    in stream order, an int64 array, read CHUNK_KEYS keys at a time.
+
+    A bool table over the keys' top bits marks the entries of the runs, and
+    only a key whose entry is marked is searched for among them.  It has
+    PREFILTER_ENTRIES_PER_RUN * runs entries rounded up to a power of two,
+    or one per key value up to the largest key when that is fewer, so at
+    most one entry in sixteen is marked, and about as few of the keys are
+    searched for when they spread evenly over their range."""
     import numpy as np
 
-    found = []
+    found = [np.empty(0, dtype=np.intp)]
     if len(runs):
+        top = int(keys.max())
+        entries = PREFILTER_ENTRIES_PER_RUN * len(runs)
+        shift = max(top.bit_length() - (entries - 1).bit_length(), 0)
+        marked = np.zeros((top >> shift) + 1, dtype=bool)
+        marked[runs >> shift] = True
         for lo in range(0, len(keys), CHUNK_KEYS):
             block = keys[lo:lo + CHUNK_KEYS]
+            hits = np.flatnonzero(marked[block >> shift])
+            block = block[hits]
             at = np.searchsorted(runs, block)
             np.minimum(at, len(runs) - 1, out=at)
-            found.extend((lo + np.flatnonzero(runs[at] == block)).tolist())
-    return found
+            found.append(lo + hits[runs[at] == block])
+    return np.concatenate(found)
 
 
 def _crt(p, q, rp, rq):
@@ -325,11 +356,12 @@ def _distinct_translates(spec: OrbitSpec):
     return tuple(ks[0] for ks in by_point.values()), sorted(groups, key=lambda g: str(g[0]))
 
 
-def _walked_residues(spec: OrbitSpec, kept: tuple, cm: CurveModP, ar: int, br: int):
-    """The P residues alpha*x + beta*y mod p (`ar` and `br` are alpha and
-    beta mod p) of the orbit of a G of infinite order on the translates
-    `kept`, a uint32 array in item order (`_orbit_label`, p < 2**31),
-    written one walk block at a time.
+def _residue_blocks(spec: OrbitSpec, kept: tuple, cm: CurveModP, ar: int, br: int):
+    """Yields (lo, residues): the P residues alpha*x + beta*y mod p (`ar`
+    and `br` are alpha and beta mod p) of the items lo, lo + 1, ... of the
+    orbit of a G of infinite order on the translates `kept`, in item order
+    (`_orbit_label`), a uint32 array (p < 2**31) for each walk block.  The
+    blocks tile the orbit's items in order.
 
     No such orbit point is exactly the identity, so one that reduces to the
     identity mod p makes the prime unsuitable: UnsuitablePrimeError.  A
@@ -345,8 +377,8 @@ def _walked_residues(spec: OrbitSpec, kept: tuple, cm: CurveModP, ar: int, br: i
     if g is None:
         raise UnsuitablePrimeError(f"generator reduces to the identity mod {p}")
     translates = [(k, cm.reduce_point(spec.torsion[k])) for k in kept] or [(0, None)]
-    residues = np.empty((spec.bound, 2, len(translates)), dtype=np.uint32)
     for lo, x, y in _walk(cm, g, spec.bound):
+        residues = np.empty((len(x), 2, len(translates)), dtype=np.uint32)
         for s, ys in enumerate((y, (p - y) % p)):
             for j, (k, t) in enumerate(translates):
                 px, py, odd = (x, ys, ()) if t is None else _add_point(p, x, ys, t)
@@ -356,32 +388,69 @@ def _walked_residues(spec: OrbitSpec, kept: tuple, cm: CurveModP, ar: int, br: i
                     m = lo + i + 1
                     label = (m if (y[i] + t[1]) % p == 0 else -m, k)
                     raise UnsuitablePrimeError(f"orbit point at label {label} reduces to the identity mod {p}")
-                residues[lo:lo + len(x), s, j] = (ar * px + br * py) % p
-    return residues.reshape(-1)
+                residues[:, s, j] = (ar * px + br * py) % p
+        yield 2 * len(translates) * lo, residues.reshape(-1)
 
 
-def _choose_primes(build):
-    """[(p, build(p)), (q, build(q))] at the first two primes below
-    PRIME_SEARCH_START at which `build` raises no UnsuitablePrimeError."""
-    chosen = []
-    for p in primes_descending(PRIME_SEARCH_START):
+def _filled(k, blocks):
+    """The residues of the k items of `blocks` (`_residue_blocks`), one
+    uint32 array."""
+    import numpy as np
+
+    residues = np.empty(k, dtype=np.uint32)
+    for lo, block in blocks:
+        residues[lo:lo + len(block)] = block
+    return residues
+
+
+def _picked(at, blocks):
+    """The residues of `blocks` (`_residue_blocks`) at the sorted item
+    positions `at` alone, one uint32 array.  Every block is walked, and
+    each is dropped once its positions are read.  Filling all the residues
+    mod q and indexing them would hold 4 bytes a point after the residues
+    mod p are freed: below the stage mod p under tracemalloc, and as fast,
+    but at check-p --M 100000 it raised the own peak RSS from 35.1-35.5 to
+    35.7-36.0 MiB (6 runs each of three builds that differ only in a
+    docstring's length, 2-vCPU Xeon), as the freed memory of the stage
+    mod p is not all returned to the system."""
+    import numpy as np
+
+    picked, done = np.empty(len(at), dtype=np.uint32), 0
+    for lo, block in blocks:
+        end = int(np.searchsorted(at, lo + len(block)))
+        picked[done:end] = block[at[done:end] - lo]
+        done = end
+    return picked
+
+
+def _choose_primes(build, then=None):
+    """((p, a), (q, b)) at the first two primes p > q below
+    PRIME_SEARCH_START at which a = build(p), and then b = then(q, a), or
+    build(q) without `then`, raise no UnsuitablePrimeError."""
+    primes = primes_descending(PRIME_SEARCH_START)
+    p, a = _next_suitable(primes, build)
+    q, b = _next_suitable(primes, build if then is None else lambda q: then(q, a))
+    logger.info("primes chosen: %d, %d", p, q)
+    return (p, a), (q, b)
+
+
+def _next_suitable(primes, build):
+    """(p, build(p)) at the next prime p of the iterator `primes` at which
+    `build` raises no UnsuitablePrimeError."""
+    for p in primes:
         try:
-            chosen.append((p, build(p)))
+            return p, build(p)
         except UnsuitablePrimeError as exc:
             logger.info("prime %d skipped: %s", p, exc)
-            continue
-        if len(chosen) == 2:
-            logger.info("primes chosen: %d, %d", chosen[0][0], chosen[1][0])
-            return chosen
     # only reachable when the search starts at a small prime
     raise RuntimeError("prime search exhausted")
 
 
-def _fingerprints(build):
+def _fingerprints(chosen):
     """(N, keys): the uint64 keys mod N = p*q of the items whose uint32
-    residues mod p `build(p)` returns, in item order, at the two primes
-    `_choose_primes` picks (`_crt`)."""
-    (p, rp), (q, rq) = _choose_primes(build)
+    residues are rp mod p and rq mod q, in item order, for the primes
+    chosen = ((p, rp), (q, rq)) (`_crt`)."""
+    (p, rp), (q, rq) = chosen
     keys = _crt(p, q, rp, rq)
     logger.info(
         "fingerprints of %d items: residues %d + %d bytes, keys %d bytes",
@@ -391,20 +460,20 @@ def _fingerprints(build):
 
 
 def _orbit_items(u: UniquenessFunction, spec: OrbitSpec, kept: tuple, *also_invert):
-    """(N, keys, value, label): the items of the orbit of a G of infinite
-    order on the distinct translates `kept` (`_distinct_translates`), in
-    emission order: the keys of their P values, walked mod each prime
-    (`_walked_residues`), P at item i's exact point, built once and only
-    when asked, and its orbit() label (`_orbit_label`).  The
-    denominators of `also_invert` must not vanish mod p either."""
+    """(k, blocks, value, label): the k items of the orbit of a G of
+    infinite order on the distinct translates `kept`
+    (`_distinct_translates`), in emission order: blocks(p), their P
+    residues mod p, walked one block at a time (`_residue_blocks`), P at
+    item i's exact point, built once and only when asked, and its orbit()
+    label (`_orbit_label`).  The denominators of `also_invert` must not
+    vanish mod p either: blocks(p) checks them all before it walks."""
 
-    def build(p):
+    def blocks(p):
         ar, br = fraction_mod(u.params.alpha, p), fraction_mod(u.params.beta, p)
         for c in also_invert:
             fraction_mod(c, p)
-        return _walked_residues(spec, kept, CurveModP(spec.generator.curve, p), ar, br)
+        return _residue_blocks(spec, kept, CurveModP(spec.generator.curve, p), ar, br)
 
-    modulus, keys = _fingerprints(build)
     label = _orbit_label(kept)
 
     @cache
@@ -412,7 +481,7 @@ def _orbit_items(u: UniquenessFunction, spec: OrbitSpec, kept: tuple, *also_inve
         m, k = label(i) if spec.torsion else (label(i), 0)
         return u.eval_P(add(scalar_mul(m, spec.generator), (spec.torsion or (INFINITY,))[k]))
 
-    return modulus, keys, value, label
+    return 2 * spec.bound * max(len(kept), 1), blocks, value, label
 
 
 def _finite_orbit(u: UniquenessFunction, spec: OrbitSpec, cycle):
@@ -456,23 +525,43 @@ def _require_valid(u: UniquenessFunction):
         raise ValueError("invalid injection parameters: " + "; ".join(violations))
 
 
-def _p_classes(keys, value, label):
-    """The classes of the items' exact values `value(i)`, keyed by
-    `label(i)`, found from their uint64 keys.  The keys are the one
-    partition: a sorted copy of them gives the repeated keys, and is freed
-    before `_candidates` reads `keys` again for their stream indices, so
-    only a candidate's value is built."""
-    part = keys.copy()
-    part.sort()
+def _mod_p_candidates(p, rp):
+    """(at, rp[at]): the positions `at` of the uint32 residues `rp` mod p
+    that occur more than once, in stream order, and their residues.  Equal
+    keys mod N = p*q are equal residues mod p, so every item of a run mod N
+    is among them.  A sorted copy of `rp` gives the repeated residues, and
+    is freed before `_candidates` reads `rp` again, so the stage holds 8
+    bytes an item at its peak."""
+    import numpy as np
+
+    part = np.sort(rp)
     runs = _repeated_keys(part)
     del part
-    candidates = _candidates(keys, runs)
-    classes = collision_scan((label(i), value(i)) for i in candidates).classes
-    # the sorted copy, and the bool mask of one chunk of the search for
-    # repeated keys; the repeated keys are none unless fingerprints collide
+    at = _candidates(rp, runs)
+    logger.info("P-scan mod %d: %d candidates in %d runs", p, len(at), len(runs))
+    return at, rp[at]
+
+
+def _p_classes(k, at, rp, rq, value, label):
+    """The classes of the exact values `value(i)` of k items, keyed by
+    `label(i)`, from their candidates mod p (`_mod_p_candidates`): the
+    positions `at`, in stream order, with their uint32 residues `rp` mod p
+    and `rq` mod q.  Equal keys mod N = p*q are equal residues at both
+    primes, so the runs of equal pairs (rp, rq) among the candidates are the
+    runs of equal keys mod N, in the same stream order, and only their
+    items' values are built.  A pair is one uint64, rp * 2**31 + rq."""
+    import numpy as np
+
+    pairs = rp.astype(np.uint64) << 31
+    pairs |= rq
+    runs = _repeated_keys(np.sort(pairs))
+    survivors = at[_candidates(pairs, runs)].tolist()
+    classes = collision_scan((label(i), value(i)) for i in survivors).classes
+    # the residues mod p and their sorted copy, and the bool mask of one
+    # chunk of the search for repeated residues (`_mod_p_candidates`)
     logger.info(
         "P-scan partition 1/1: %d keys, %d candidate runs, %d confirmed classes, %d bytes",
-        len(keys), len(runs), len(classes), 8 * len(keys) + min(len(keys), CHUNK_KEYS),
+        k, len(runs), len(classes), 8 * k + min(k, CHUNK_KEYS),
     )
     return classes
 
@@ -484,9 +573,10 @@ def p_injectivity_scan(u: UniquenessFunction, spec: OrbitSpec) -> CollisionRepor
     collisions, and only the first occurrence stays in the value scan.  A
     finite orbit is scanned exactly (`_finite_orbit`).  On any other only a
     point the torsion list names twice has two labels, so those groups come
-    from the spec, and the rest is walked and its keys sorted in one
-    partition (`_p_classes`).  Its peak, 16 bytes an orbit point, is
-    reached at the CRT, before the sort.
+    from the spec, and the rest is walked mod p, its residues sorted in
+    one partition, and walked mod q only for the candidates whose residue
+    mod p repeats (`_mod_p_candidates`, `_p_classes`).  Its peak, 8 bytes
+    an orbit point, is the residues mod p and their sorted copy.
     """
     _require_valid(u)
     spec.validate()
@@ -496,8 +586,12 @@ def p_injectivity_scan(u: UniquenessFunction, spec: OrbitSpec) -> CollisionRepor
         groups, kept = _finite_orbit(u, spec, cycle)
         return CollisionReport(len(kept), collision_scan(kept).classes, groups, config)
     kept, groups = _distinct_translates(spec)
-    _, keys, value, label = _orbit_items(u, spec, kept)
-    return CollisionReport(len(keys), _p_classes(keys, value, label), groups, config)
+    k, blocks, value, label = _orbit_items(u, spec, kept)
+    (_, (at, rp)), (_, rq) = _choose_primes(
+        lambda p: _mod_p_candidates(p, _filled(k, blocks(p))),
+        lambda q, candidates: _picked(candidates[0], blocks(q)),
+    )
+    return CollisionReport(k, _p_classes(k, at, rp, rq, value, label), groups, config)
 
 
 P_NOT_INJECTIVE = "P not injective on scanned set; shrink or exclude collision points"
@@ -510,7 +604,9 @@ def f_injectivity_scan(u: UniquenessFunction, spec: OrbitSpec) -> CollisionRepor
     scanned set plays the role of the injective open set.  A torsion list
     that names a point twice fails it from the spec, before any prime is
     chosen, once M >= 1; otherwise it is checked on the scan's own residue
-    systems, with exact confirmation (`_p_classes`).  For k orbit points
+    systems, with exact confirmation (`_p_classes`), reading the residues
+    mod q of the candidates mod p from the full residues its keys need.
+    For k orbit points
     the pair scan holds row arrays of about 100 bytes a point and one
     equal key range of about max(2**14, 16*k) keys at 24 bytes a key
     (`_pair_classes`), never all k^2 keys at once.
@@ -532,11 +628,17 @@ def f_injectivity_scan(u: UniquenessFunction, spec: OrbitSpec) -> CollisionRepor
     kept, groups = _distinct_translates(spec)
     if groups:
         raise ValueError(P_NOT_INJECTIVE)
-    modulus, keys, value, label = _orbit_items(u, spec, kept, gamma)
-    if _p_classes(keys, value, label):
+    k, blocks, value, label = _orbit_items(u, spec, kept, gamma)
+    chosen = _choose_primes(lambda p: _filled(k, blocks(p)))
+    (p, rp), (_, rq) = chosen
+    at, rp_at = _mod_p_candidates(p, rp)
+    if _p_classes(k, at, rp_at, rq[at], value, label):
         raise ValueError(P_NOT_INJECTIVE)
+    modulus, keys = _fingerprints(chosen)
+    # the pair scan needs the keys alone
+    del chosen, rp, rq
     classes = _pair_classes("f-scan", modulus, keys, n, gamma, value, label)
-    return CollisionReport(len(keys) ** 2, classes, [], config)
+    return CollisionReport(k**2, classes, [], config)
 
 
 def _pair_classes(scan, modulus, keys, n, gamma, value, label):
@@ -544,7 +646,8 @@ def _pair_classes(scan, modulus, keys, n, gamma, value, label):
     (i, j) of the k = len(keys) items, keys (label(i), label(j)) in
     row-major order.
 
-    The items come as in `_p_classes`, keyed mod `modulus`; `value(i)`,
+    The items come by their uint64 keys mod `modulus` (`_fingerprints`),
+    with value and label as in `_p_classes`; `value(i)`,
     v_i, is asked for both items of each candidate pair, so a costly one
     must cache, and gamma must be invertible mod `modulus`.  The key of
     pair (i, j) is (left[i] + right[j]) mod N, at flat index i*k + j.  A
@@ -688,9 +791,9 @@ def zagier_probe(h_bound: int) -> CollisionReport:
 
     rats = list(rationals_by_height(h_bound))
     config = {"op": "zagier_probe", "height_bound": h_bound, "n": 7, "gamma": "3"}
-    modulus, keys = _fingerprints(
+    modulus, keys = _fingerprints(_choose_primes(
         lambda p: np.fromiter((fraction_mod(r, p) for r in rats), dtype=np.uint32, count=len(rats))
-    )
+    ))
     classes = _pair_classes(
         "zagier-scan", modulus, keys, 7, Fraction(3), rats.__getitem__, lambda i: format_rational(rats[i]),
     )

@@ -73,6 +73,8 @@ GOLDEN_SHA256 = {
     # walks past the doubling blocks into the fixed stride; the 2-torsion
     # translate adds it to 20,000 points at once
     ("check-p", "--M", "40000"): (0, "737d0c146cf38179fd8c73e5c38606773e2bcd367393fd4d47483049f76ee584"),
+    # 463 runs of equal residues mod p, none of them a run mod N = p*q
+    ("check-p", "--M", "1000000"): (0, "e34832576d341f5d49656ca5a0f51b52c40bc78c7e665cd6b461f788cdadfe8b"),
     ("check-p", "--curve=-25,0", "--gen=-4,6", "--torsion", "O;0,0", "--M", "20000"): (
         0, "b3d1cb82083458fe57d888090946be5723afb4c038fc92e9a8cb2d6fa001f91b"
     ),
@@ -371,17 +373,28 @@ def test_verbose_logs_the_primes_and_leaves_stdout_alone(capsys):
     code, out, err = run(capsys, "check-p", "-v")
     assert (code, out) == run(capsys, "check-p")[:2]
     assert "ecinj.collisions: primes chosen: 2147483647, 2147483629\n" in err
-    # the bytes of the two primes' uint32 residues, the uint64 keys and the
-    # partition: 120 keys, and 8 bytes a key plus one bool a key of the
-    # chunked search for repeated keys
-    assert "ecinj.collisions: fingerprints of 120 items: residues 480 + 480 bytes, keys 960 bytes\n" in err
+    # the P-scan builds no keys mod N: its residues mod p repeat nowhere,
+    # and its partition holds 120 keys, the residues mod p and their sorted
+    # copy at 8 bytes a key, plus one bool a key of the chunked search for
+    # repeated residues
+    assert "ecinj.collisions: P-scan mod 2147483647: 0 candidates in 0 runs\n" in err
+    assert "fingerprints of" not in err
     assert "P-scan partition 1/1: 120 keys, 0 candidate runs, 0 confirmed classes, 1080 bytes\n" in err
-    # the P-scan sorts all its keys in one partition at every size
+    # 463 runs of equal residues mod p, and no run mod N among them
+    code, out, err = run(capsys, "check-p", "--M", "1000000", "-v")
+    argv = ("check-p", "--M", "1000000")
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN_SHA256[argv]
+    assert "ecinj.collisions: P-scan mod 2147483647: 1146 candidates in 463 runs\n" in err
+    assert "P-scan partition 1/1: 2000000 keys, 0 candidate runs, 0 confirmed classes, 16065536 bytes\n" in err
+    # the P-scan sorts all its residues mod p in one partition at every size
     code, out, err = run(capsys, "check-p", "--M", "400", "-v")
     assert (code, out) == run(capsys, "check-p", "--M", "400")[:2]
     assert err.count("P-scan partition") == 1 and "P-scan partition 1/1: 800 keys," in err
     code, out, err = run(capsys, "check-f", "-v")
     assert (code, out) == run(capsys, "check-f")[:2]
+    # the f-scan keys its 120 points mod N for their pairs: the bytes of the
+    # two primes' uint32 residues and the uint64 keys
+    assert "ecinj.collisions: fingerprints of 120 items: residues 480 + 480 bytes, keys 960 bytes\n" in err
     # a pair partition: 24 bytes a key while it is gathered
     assert "f-scan partition 1/1: 14400 keys, 0 candidate runs, 0 confirmed classes, 345600 bytes\n" in err
     # the Zagier probe logs the same bytes line for its 39 rationals

@@ -56,9 +56,10 @@ PARTITION = re.compile(
 
 def partitions(caplog, scan):
     """The counts of every `scan` partition record, in order.  Each record's
-    bytes must be those its engine holds for its keys: 8 a key and the mask
-    of one chunk of the search for repeated keys in the P-scan,
-    PAIR_BYTES_PER_KEY a key in the pair scans."""
+    bytes must be those its engine holds for its keys: in the P-scan 8 a
+    key, the residues mod p and their sorted copy, and the mask of one
+    chunk of the search for repeated residues, PAIR_BYTES_PER_KEY a key in
+    the pair scans."""
     found = []
     for record in caplog.records:
         match = PARTITION.fullmatch(record.getMessage())
@@ -100,6 +101,23 @@ def confirmed(monkeypatch):
     return streams
 
 
+def mod_p_stage(caplog):
+    """(candidates, runs) of every record of the P-scan's stage mod p, in
+    order."""
+    stage = re.compile(r"P-scan mod \d+: (\d+) candidates in (\d+) runs")
+    return [tuple(map(int, m.groups())) for r in caplog.records if (m := stage.fullmatch(r.getMessage()))]
+
+
+def orbit_keys(u, spec, kept=(), *also_invert):
+    """(N, keys, label): the uint64 keys mod N = p*q of the orbit's items at
+    the primes the scans choose, which the f-scan builds for its pairs and
+    the P-scan never does, and the items' labels."""
+    k, blocks, _, label = collisions._orbit_items(u, spec, kept, *also_invert)
+    chosen = collisions._choose_primes(lambda p: collisions._filled(k, blocks(p)))
+    modulus, keys = collisions._fingerprints(chosen)
+    return modulus, keys, label
+
+
 def repeated(keys):
     """The positions of the keys that occur more than once, in order."""
     count = Counter(keys)
@@ -138,8 +156,9 @@ def test_buckets_surviving_every_prime_split_exactly(small_primes, caplog, confi
     # the P precondition's candidates, then every candidate pair's flat
     # index, each in stream order, go through the one exact index
     n, gamma = ufunc248.params.n, ufunc248.params.gamma
-    modulus, keys, _, _ = collisions._orbit_items(ufunc248, spec, (), gamma)
-    assert confirmed == [repeated(keys.tolist()), repeated(pair_keys(keys.tolist(), n, gamma, modulus))]
+    modulus, keys, label = orbit_keys(ufunc248, spec, (), gamma)
+    pairs = repeated(pair_keys(keys.tolist(), n, gamma, modulus))
+    assert confirmed == [[label(i) for i in repeated(keys.tolist())], pairs]
     assert findings(residue) == findings(exact_f_scan(ufunc248, spec))
 
 
@@ -164,6 +183,38 @@ def test_inverse_matches_pow(p, n):
     inv = collisions._inverse(np.array(a, dtype=np.uint64), p)
     assert inv.dtype == "uint64"
     assert inv.tolist() == [pow(v, -1, p) if v else 0 for v in a]
+
+
+# (curve a, b), generator, torsion points besides the identity, bound and
+# prime start of a P-scan at primes so small that most of its orbit is a
+# candidate mod p, and its candidates mod p, their runs mod p and the runs
+# mod N = p*q among them
+CROWDED_P_SCANS = {
+    "default curve": ((1, -1), (1, 1), (), 60, 2**7, (114, 48, 0)),
+    # every run mod N is a false match
+    "false matches mod N": ((-25, 0), (-4, 6), ((0, 0),), 20, 2**6, (72, 25, 5)),
+    # one of the runs mod N is the planted class of G + T and -G
+    "planted class": ((-6, 40), (2, 6), ((-4, 0),), 60, 2**7, (224, 69, 4)),
+}
+
+
+@pytest.mark.parametrize("scan", list(CROWDED_P_SCANS))
+def test_crowded_mod_p_stage_keeps_the_runs_mod_n(small_primes, caplog, confirmed, params_default, scan):
+    curve, gen, torsion, bound, start, counts = CROWDED_P_SCANS[scan]
+    small_primes(start)
+    spec = orbit_spec(curve, gen, torsion, bound)
+    u = UniquenessFunction(params_default, spec.generator.curve)
+    report = p_injectivity_scan(u, spec)
+    [(candidates, runs)] = mod_p_stage(caplog)
+    [part] = partitions(caplog, "P")
+    assert (candidates, runs, part["runs"]) == counts
+    assert 2 * candidates > part["keys"]
+    # the labels handed to the one exact index are those of the repeated
+    # keys mod N, in stream order, as if every key mod N were searched
+    kept, _ = collisions._distinct_translates(spec)
+    _, keys, label = orbit_keys(u, spec, kept)
+    assert confirmed == [[label(i) for i in repeated(keys.tolist())]]
+    assert findings(report) == findings(exact_p_scan(u, spec))
 
 
 def test_point_reducing_to_identity_skips_prime(small_primes, caplog, ufunc248, gen248):
@@ -223,7 +274,7 @@ def test_planted_findings_confirmed_at_small_primes(small_primes, caplog, confir
         [part] = partitions(caplog, "P")
         assert part["runs"] == part["classes"] == 1
         # the candidate labels, in stream order, go through the one exact index
-        _, keys, _, label = collisions._orbit_items(u, spec, ())
+        _, keys, label = orbit_keys(u, spec)
         assert confirmed == [[label(i) for i in repeated(keys.tolist())]]
     else:
         # a finite orbit chooses no prime and fills no partition: the first
@@ -288,7 +339,7 @@ def test_lane_walk_matches_exact_orbit(small_primes, caplog, monkeypatch, params
         caplog.clear()
         spec = OrbitSpec(c.point(*gen), bound, (INFINITY, *(c.point(*t) for t in torsion)) if torsion else ())
         kept, _ = collisions._distinct_translates(spec)
-        _, keys, _, label = collisions._orbit_items(u, spec, kept)
+        _, keys, label = orbit_keys(u, spec, kept)
         p, q = chosen_primes(caplog)
         exact = list(orbit(spec))
         assert [label(i) for i in range(len(keys))] == [name for name, _ in exact]
@@ -375,28 +426,51 @@ def test_walk_first_identity_ends_the_prime(monkeypatch):
     for bound in (40, 35):
         spec = OrbitSpec(c.point(2, 6), bound, (INFINITY, c.point(-4, 0)))
         with pytest.raises(UnsuitablePrimeError, match=translate):
-            collisions._walked_residues(spec, (0, 1), CurveModP(c, 139), 1, 1)
+            list(collisions._residue_blocks(spec, (0, 1), CurveModP(c, 139), 1, 1))
     # without the translate the walk meets its own identity at 36*G
     spec = OrbitSpec(c.point(2, 6), 40)
     with pytest.raises(UnsuitablePrimeError, match=r"^36\*G reduces to the identity mod 139$"):
-        collisions._walked_residues(spec, (), CurveModP(c, 139), 1, 1)
+        list(collisions._residue_blocks(spec, (), CurveModP(c, 139), 1, 1))
 
 
 def test_orbit_keys_hold_16_bytes_a_point(ufunc248, gen248):
-    # each prime's P residues are 4 bytes a point, streamed in from the walk
-    # one block at a time, and the keys 8: 16 bytes a point at their peak,
-    # plus the walk's blocks and the CRT's chunks, whatever the bound
+    # the f-scan's keys: each prime's P residues are 4 bytes a point,
+    # streamed in from the walk one block at a time, and the keys 8: 16
+    # bytes a point at their peak, plus the walk's blocks and the CRT's
+    # chunks, whatever the bound
     spec = OrbitSpec(gen248, 2**17)
-    collisions._orbit_items(ufunc248, OrbitSpec(gen248, 3), ())  # imports and caches
+    orbit_keys(ufunc248, OrbitSpec(gen248, 3))  # imports and caches
     tracemalloc.start()
     try:
-        _, keys, _, _ = collisions._orbit_items(ufunc248, spec, ())
+        _, keys, _ = orbit_keys(ufunc248, spec)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     points = 2 * spec.bound
     assert len(keys) == points
     assert peak < 18 * points + 64 * collisions.WALK_BLOCK
+
+
+def test_p_scan_holds_8_bytes_a_point(caplog, ufunc248, gen248):
+    # the P-scan's residues mod p and their sorted copy are 8 bytes a
+    # point, beside the walk's blocks and one chunk's mask; the table of the
+    # candidate pass and its candidates come after the copy is freed, and
+    # the walk mod q keeps only the candidates' residues
+    caplog.set_level(logging.INFO, logger="ecinj.collisions")
+    spec = OrbitSpec(gen248, 2**17)
+    p_injectivity_scan(ufunc248, OrbitSpec(gen248, 3))  # imports and caches
+    caplog.clear()
+    tracemalloc.start()
+    try:
+        report = p_injectivity_scan(ufunc248, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    points = 2 * spec.bound
+    assert report.total_scanned == points
+    [(candidates, runs)] = mod_p_stage(caplog)
+    table = 2 * collisions.PREFILTER_ENTRIES_PER_RUN * runs
+    assert peak < 8 * points + table + 32 * candidates + 64 * collisions.WALK_BLOCK
 
 
 def test_identity_skip_builds_no_large_multiple(small_primes, caplog, monkeypatch, ufunc248, gen248):
@@ -411,7 +485,7 @@ def test_identity_skip_builds_no_large_multiple(small_primes, caplog, monkeypatc
         return scalar_mul(m, pt)
 
     monkeypatch.setattr(collisions, "scalar_mul", small_only)
-    _, keys, _, _ = collisions._orbit_items(ufunc248, OrbitSpec(gen248, 550), ())
+    _, keys, _ = orbit_keys(ufunc248, OrbitSpec(gen248, 550))
     messages = [r.getMessage() for r in caplog.records]
     assert "prime 1033303 skipped: 543*G reduces to the identity mod 1033303" in messages
     assert chosen_primes(caplog) < (1033303, 1033303)
@@ -794,7 +868,7 @@ def test_crowded_key_values_over_a_one_key_target(small_primes, caplog, monkeypa
     report = f_injectivity_scan(ufunc248, spec)
     assert findings(report) == findings(exact_f_scan(ufunc248, spec))
     n, gamma = ufunc248.params.n, ufunc248.params.gamma
-    modulus, keys, _, _ = collisions._orbit_items(ufunc248, spec, (), gamma)
+    modulus, keys, _ = orbit_keys(ufunc248, spec, (), gamma)
     keys = pair_keys(keys.tolist(), n, gamma, modulus)
     counted = partitions(caplog, "f")
     assert len(counted) == 144 and sum(part["keys"] for part in counted) == 144
@@ -839,11 +913,13 @@ def test_repeated_keys_match_unique(monkeypatch):
     ]
     rng = np.random.default_rng(3)
     cases += [np.sort(rng.integers(0, 12, n)) for n in range(2, 40)]
-    for case in cases:
-        part = np.asarray(case, dtype=np.uint64)
-        runs = collisions._repeated_keys(part)
-        assert runs.dtype == np.uint64
-        assert np.array_equal(runs, np.unique(part[1:][part[1:] == part[:-1]]))
+    # the P-scan's residues mod p are uint32, and their runs stay uint32
+    for dtype in (np.uint64, np.uint32):
+        for case in cases:
+            part = np.asarray(case, dtype=dtype)
+            runs = collisions._repeated_keys(part)
+            assert runs.dtype == dtype
+            assert np.array_equal(runs, np.unique(part[1:][part[1:] == part[:-1]]))
 
 
 def test_candidates_cross_block_edges(monkeypatch):
@@ -860,11 +936,26 @@ def test_candidates_cross_block_edges(monkeypatch):
     ]
     rng = np.random.default_rng(4)
     cases += [rng.integers(0, 12, n).tolist() for n in range(2, 40)]
-    for case in cases:
-        keys = np.asarray(case, dtype=np.uint64)
-        runs = collisions._repeated_keys(np.sort(keys))
-        # every repeated key's stream positions, in stream order
-        assert collisions._candidates(keys, runs) == repeated(case)
+    # keys that share a run's top bits, and so its entry in the table over
+    # [0, 2**31) of 2 * 16 entries, 2**26 keys wide, without being a run:
+    # hi + 5 is the run, and hi + 9, hi + 2**26 - 1 and hi are not
+    hi = 20 * 2**26
+    shared = [hi + 5, hi + 9, hi + 5, hi + 2**26 - 1, hi, 3, 2**31 - 2, 3]
+    assert len({key >> 26 for key in shared[:5]}) == 1
+    cases.append(shared)
+    # the default table, then a table of one entry a run, where most keys
+    # share an entry with a run; the residues mod p are uint32, the pairs
+    # (rp, rq) of the P-scan and the keys mod N uint64, scaled here to span
+    # [0, 2**62)
+    for table in ("default", "one entry a run"):
+        if table != "default":
+            monkeypatch.setattr(collisions, "PREFILTER_ENTRIES_PER_RUN", 1)
+        for dtype, scale in ((np.uint32, 1), (np.uint64, 2**31)):
+            for case in cases:
+                keys = np.asarray([key * scale for key in case], dtype=dtype)
+                runs = collisions._repeated_keys(np.sort(keys))
+                # every repeated key's stream positions, in stream order
+                assert collisions._candidates(keys, runs).tolist() == repeated(case), (table, dtype, case)
 
 
 small_int = st.integers(-4, 4)

@@ -1,6 +1,6 @@
-"""Own peak RSS of scan processes: the P-scan's keys, and the residues they
-are built from, are the only memory that grows with the scan, and a pair
-scan holds one partition of its keys at a time.
+"""Own peak RSS of scan processes: the P-scan's residues mod p and their
+sorted copy are the only memory that grows with the scan, and a pair scan
+holds one partition of its keys at a time.
 
 A small launcher interpreter starts each scan with `posix_spawn` and reads
 its `ru_maxrss` from `os.wait4`.  The test process itself does not spawn
@@ -59,9 +59,23 @@ def test_f_scan_peak_is_its_keys():
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
 def test_p_scan_peak_is_its_keys():
-    # check-p --M 100000 keys 200,000 orbit points: two primes' uint32
-    # residues and the uint64 keys (3.1 MiB), then the keys and their sorted
-    # copy; the walk streams its blocks into the residues
+    # check-p --M 100000 walks 200,000 orbit points: the uint32 residues mod
+    # p and their sorted copy (1.5 MiB), then the residues and the table of
+    # the candidate pass, then the candidates' residues mod q alone; the
+    # walks stream their blocks, and no key mod N is built
     (base_code, base), (code, peak) = own_peaks_kib(["check-p"], ["check-p", "--M", "100000"])
     assert (base_code, code) == (0, 0)
     assert peak - base <= 5 * 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_p_scan_peak_is_8_bytes_a_point():
+    # check-p --M 1000000: 2 * 10**6 orbit points at 8 bytes a point, the
+    # residues mod p and their sorted copy (15.3 MiB), and 1,146 candidates
+    # mod p, none of them a run mod N.  Measured over the default check-p
+    # (2-vCPU host): 15.3-15.4 MiB, against 30.9 MiB when the scan held the
+    # two primes' residues and the uint64 keys mod N at once; the allowance
+    # is 8 bytes a point and 1 MiB for the walk's blocks and the allocator
+    (base_code, base), (code, peak) = own_peaks_kib(["check-p"], ["check-p", "--M", "1000000"])
+    assert (base_code, code) == (0, 0)
+    assert peak - base <= 8 * 2 * 10**6 // 1024 + 1024
