@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -123,3 +124,22 @@ def test_format_rational_matches_decimal_at_every_size():
     text = format_rational(Fraction(n))
     assert text[0] == "-" and text[1] != "0" and len(text) == 1_000_001
     assert -_digits_value(text[1:]) == n
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
+def test_text_round_trip_ignores_the_int_digit_limit():
+    # PYTHONINTMAXSTRDIGITS can lower the limit to 640; str(int) and
+    # int(str) would then refuse these, the Decimal conversions do not
+    rng = random.Random(30)
+    n = -rng.randrange(10**4400, 10**4401)
+    d = rng.randrange(10**5000, 10**5001) | 1
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for r in (Fraction(n), Fraction(n, d)):
+            text = format_rational(r)
+            assert parse_rational(text) == r
+            assert format_rational(parse_rational(text)) == text
+        assert len(format_rational(Fraction(n))) == 4402
+    finally:
+        sys.set_int_max_str_digits(limit)
