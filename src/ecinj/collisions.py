@@ -2,27 +2,29 @@
 probe.
 
 All three scans run one engine on every orbit of infinite order and on
-the rationals, and each hands it the same three things about its items:
-their residues mod the first two suitable primes p, q below 2**31,
-`value(i)`, the exact value of item i, built only when asked, and
-`label(i)`, its key in the report.  An item's key is its value's residue
-modulo N = p*q, so every key fits a uint64 (N < 2**62).  Equal exact
-values always produce equal keys at suitable primes, so no true collision
-can be missed.  Orbit values grow quadratically in digit count and are
-far too large to store exactly (measured: the |m| <= 2000 orbit would
-need hours and gigabytes), while residues are constant-size.  Only items
-whose key occurs more than once become candidates.  A run of equal keys
-is a full two-prime fingerprint match, and every scan groups a
-partition's candidates by exact value in `collision_scan`'s dict before
-they may enter the report.
+the rationals, and each hands it the same things about its items: their
+residues mod suitable primes below 2**31, `value(i)`, the exact value of
+item i, built only when asked, and `label(i)`, its key in the report.
+Equal exact values always produce equal residues at a suitable prime, so
+no true collision can be missed.  Orbit values grow quadratically in
+digit count and are far too large to store exactly (measured: the |m| <=
+2000 orbit would need hours and gigabytes), while residues are
+constant-size.  Only items whose residues repeat at every prime become
+candidates, and every scan groups a partition's candidates by exact value
+in `collision_scan`'s dict before they may enter the report.
 
-The P-scan finds its runs in two stages and never builds a key.  Equal
-keys mod N are equal residues mod p and mod q, so it sorts a copy of the
-residues mod p, keeps only the items whose residue repeats
-(`_mod_p_candidates`), and then walks q keeping only those items'
-residues (`_picked`); the runs of equal pairs (rp, rq) among them are the
-runs of equal keys (`_p_classes`).  The pair scans build their items'
-keys mod N by the CRT (`_fingerprints`), as their pair keys need them.
+The P-scan walks one prime p and never builds a key.  It sorts its
+residues mod p in place, keeps their repeated values, frees them, and
+walks p again for the items whose residue repeats (`_walked_candidates`).
+Unequal residues at any prime prove unequal values, so the runs of those
+candidates are split by their residues at up to FURTHER_PRIMES further
+primes, which a batched double-and-add ladder gives at the candidates
+alone (`_orbit_residues`, `_split_runs`).  A further prime needs good
+reduction and no candidate at the identity, not the whole orbit's, and
+none is chosen once no candidate is left.  Only the runs left build exact
+points (`_p_classes`).  The pair scans key their items mod N = p*q at the
+first two suitable primes by the CRT (`_fingerprints`), as their pair keys
+need all of them; a key fits a uint64 (N < 2**62).
 
 The orbit scans decide once, exactly, whether the generator G has finite
 order.  A G of finite order d never enters the engine: its orbit holds
@@ -31,18 +33,19 @@ exact point and the scans index those few values exactly.  On a G of
 infinite order two labels name one point only when the torsion list names
 a point twice, so its duplicate groups come from the spec
 (`_distinct_translates`), and only one translate of each point is walked.
-G is reduced mod each prime in one block loop (`_walk`): each block of
-multiples of G is a source block plus a stride, in one vectorised chord
+G is reduced mod a walked prime in one block loop (`_walk`): each block
+of multiples of G is a source block plus a stride, in one vectorised chord
 addition with one batched inverse (`_inverse`), and only an entry that
 doubles goes through the scalar group law.  The source and the stride
-double up to WALK_BLOCK points, and then each block is the one before it
-plus a fixed stride.  No point of its orbit is exactly the identity, so
-any that reduces to the identity mod p makes the prime unsuitable, and
-the first one met ends the prime.  The walk is streamed: each block's P
-residues (`_residue_blocks`) go into one uint32 array, or only the
-candidates' residues are kept.  The walk of q covers every point even
-when no candidate is left, so its identities skip the same primes.  An
-orbit's items (`_orbit_items`) are labelled by index arithmetic, and
+double up to the largest block, about bound/32 points, a power of two in
+[2**10, 2**14] (`_walk_block`), and then each block is the one before it
+plus a fixed stride.  The block kernel writes into buffers allocated once
+per walk, so a walk holds about 50 bytes per point of its largest block.
+No point of its orbit is exactly the identity, so any that reduces to the
+identity mod p makes the prime unsuitable, and the first one met ends the
+prime.  The walk is streamed: each block's P residues (`_residue_blocks`)
+go into one uint32 array, or are read at once against the runs mod p.
+An orbit's items (`_orbit_items`) are labelled by index arithmetic, and
 value(i) builds item i's exact point, at most once.
 
 The f-scan and `zagier_probe`, whose items are the rationals of bounded
@@ -50,26 +53,26 @@ height, share its pair form (`_pair_classes`) and its one exact formula,
 `pairing.zagier_eval`.  The tests' exact oracle shares only
 `collision_scan` with the product.
 
-No scan takes a resource setting.  The P-scan holds 8 bytes per orbit
-point at its peak: the uint32 residues mod p and their sorted copy, beside
-a few walk blocks.  The copy is freed before the candidate pass, and the
-residues mod p before the walk of q, which keeps about 32 bytes per
-candidate; at primes near 2**31 the candidates are about one point in 170
-at 2 * 10**7 points.  The f-scan holds 16 bytes per orbit point for its
-keys (two primes' residues and the uint64 keys), and the pair scans about
-100 bytes per item of sorted and searched row arrays.  The pair scans never
-build all k*k keys: row i's keys in a key range are one slice of the
-sorted right terms (`_PairKeys`), so one searchsorted per partition edge
-counts the ranges on both sides of it, and each range is gathered from
-its slices.  The partitions are equal key ranges expected to hold a
-little under max(2**14, 16*k) keys at 24 bytes a key, so a pair scan
+No scan takes a resource setting.  The P-scan holds 4 bytes per orbit
+point at its peak: the uint32 residues mod p, sorted in place, beside the
+walk's buffers.  They are freed before the second walk, which keeps about
+12 bytes per candidate; at primes near 2**31 the candidates are about one
+point in 170 at 2 * 10**7 points.  The f-scan holds 16 bytes per orbit
+point for its keys (two primes' residues and the uint64 keys), and the
+pair scans about 100 bytes per item of sorted and searched row arrays.
+The pair scans never build all k*k keys: row i's keys in a key range are
+one slice of the sorted right terms (`_PairKeys`), so one searchsorted per
+partition edge counts the ranges on both sides of it, and each range is
+gathered from its slices.  The partitions are equal key ranges expected to
+hold a little under max(2**14, 16*k) keys at 24 bytes a key, so a pair scan
 holds O(k) memory plus one small partition; a crowded key value, or
 items whose keys cluster, can make a range hold more.  The search for
 repeated sorted keys and the candidate pass run CHUNK_KEYS keys at a
 time, so no mask covers the keys, and the candidate pass searches only
-the keys that a small bool table over their top bits marks.  Reports are deterministic and do
-not depend on the partitions: keys inside a class are in stream order,
-and classes are sorted by value before emission.
+the keys that a small bool table over their top bits marks.  Reports are
+deterministic and depend neither on the partitions nor on the primes:
+keys inside a class are in stream order, and classes are sorted by value
+before emission.
 
 numpy loads on first use: each function that needs it imports it, so
 importing this module (and with it the CLI) costs no numpy start-up in the
@@ -120,8 +123,15 @@ EXACT_F_SCAN_BOUND = 60
 
 # Both fingerprint primes lie below this, so N = p*q < 2**62.
 PRIME_SEARCH_START = 2**31
-# The orbit walk's blocks double up to this many points, then stay (see _walk).
+# The orbit walk's blocks double up to about bound/32 points, within these
+# bounds, then stay (see _walk_block).  Against 2**14-point blocks at every
+# bound, 2**12 took 0.7 MiB off the own peak RSS of check-p --M 100000, and
+# made check-p --M 10000000 28% slower (1.83 to 2.35 s, 2-vCPU Xeon).
+WALK_BLOCK_MIN = 2**10
 WALK_BLOCK = 2**14
+# The P-scan splits its candidates mod the walked prime at up to this many
+# further primes (see _split_runs).
+FURTHER_PRIMES = 3
 
 
 @dataclass
@@ -191,25 +201,34 @@ def _repeated_keys(part):
     return dup[np.concatenate(([True], dup[1:] != dup[:-1]))]
 
 
-def _candidates(keys, runs):
-    """The indices of the unsigned `keys` that are one of the sorted `runs`,
-    in stream order, an int64 array, read CHUNK_KEYS keys at a time.
-
-    A bool table over the keys' top bits marks the entries of the runs, and
-    only a key whose entry is marked is searched for among them.  It has
+def _run_table(runs, modulus):
+    """(shift, marked): the bool table of `_candidates` over the top bits of
+    keys below `modulus`, built once for the sorted `runs`: it has
     PREFILTER_ENTRIES_PER_RUN * runs entries rounded up to a power of two,
-    or one per key value up to the largest key when that is fewer, so at
-    most one entry in sixteen is marked, and about as few of the keys are
-    searched for when they spread evenly over their range."""
+    or one per key value below `modulus` when that is fewer, and marks the
+    entries of the runs, so at most one entry in sixteen is marked."""
+    import numpy as np
+
+    top = modulus - 1
+    entries = max(PREFILTER_ENTRIES_PER_RUN * len(runs), 1)
+    shift = max(top.bit_length() - (entries - 1).bit_length(), 0)
+    marked = np.zeros((top >> shift) + 1, dtype=bool)
+    marked[runs >> shift] = True
+    return shift, marked
+
+
+def _candidates(keys, runs, table):
+    """The indices of the unsigned `keys` that are one of the sorted `runs`,
+    in stream order, an int64 array, read CHUNK_KEYS keys at a time.  Only
+    a key whose entry `table` (`_run_table`, sized from the modulus, so
+    any block of keys below it may be read) marks is searched for among the
+    runs, and about as few of the keys are when they spread evenly over
+    their range."""
     import numpy as np
 
     found = [np.empty(0, dtype=np.intp)]
     if len(runs):
-        top = int(keys.max())
-        entries = PREFILTER_ENTRIES_PER_RUN * len(runs)
-        shift = max(top.bit_length() - (entries - 1).bit_length(), 0)
-        marked = np.zeros((top >> shift) + 1, dtype=bool)
-        marked[runs >> shift] = True
+        shift, marked = table
         for lo in range(0, len(keys), CHUNK_KEYS):
             block = keys[lo:lo + CHUNK_KEYS]
             hits = np.flatnonzero(marked[block >> shift])
@@ -244,81 +263,192 @@ def _crt(p, q, rp, rq):
     return keys
 
 
-def _inverse(a, p):
+class _Work:
+    """Work buffers of the block kernel for arrays of at most n points, so
+    that `_add_point` and `_inverse` allocate no array of that size: the
+    product tree (`tree`, 2n + 64 uint64 entries, room for every level
+    padded to even length), the slopes (`lam`) and a bool mask (`zero`).
+    Between kernel calls a caller may use `tree` and `lam` as scratch."""
+
+    def __init__(self, n):
+        import numpy as np
+
+        self.tree = np.empty(2 * n + 64, dtype=np.uint64)
+        self.lam = np.empty(n, dtype=np.uint64)
+        self.zero = np.empty(n, dtype=bool)
+
+
+def _inverse(a, p, out=None, work=None):
     """The inverse mod p of each entry of the uint64 array `a`, and 0 for a
     zero entry, so callers must route those entries through the scalar group
     law.  Montgomery's trick on a product tree: pairs multiply up to one root
     (each odd level padded with 1), the root is inverted once, and the walk
-    back down costs two products per node, about three products per entry."""
+    back down costs two products per node, about three products per entry.
+
+    The inverses are written into `out`, which may be `a`, and the tree into
+    `work` (`_Work`); both are allocated when not given.  On the way down
+    `out` holds each level's left children while they are overwritten."""
     import numpy as np
 
-    zero = a == 0
-    level, levels = np.where(zero, 1, a), []
-    while len(level) > 1:
-        if len(level) % 2:
-            level = np.append(level, np.uint64(1))
-        levels.append(level)
-        level = level[0::2] * level[1::2] % p
-    inv = np.array([pow(int(r), -1, p) for r in level], dtype=np.uint64)
-    for v in reversed(levels):
+    n = len(a)
+    out = np.empty(n, dtype=np.uint64) if out is None else out
+    if not n:
+        return out
+    work = _Work(n) if work is None else work
+    tree, zero = work.tree, work.zero[:n]
+    np.equal(a, 0, out=zero)
+    np.maximum(a, 1, out=tree[:n])  # a zero entry multiplies in as 1
+    levels, lo, size = [], 0, n
+    while size > 1:
+        if size % 2:
+            tree[lo + size] = 1
+            size += 1
+        levels.append((lo, size))
+        up = tree[lo + size:lo + size + size // 2]
+        np.multiply(tree[lo:lo + size:2], tree[lo + 1:lo + size:2], out=up)
+        up %= p
+        lo, size = lo + size, size // 2
+    tree[lo] = pow(int(tree[lo]), -1, p)
+    for lo, size in reversed(levels):
         # each child's inverse is its parent's times its sibling
-        inv = (inv[: len(v) // 2, None] * v.reshape(-1, 2)[:, ::-1] % p).reshape(-1)
-    return np.where(zero, 0, inv[: len(a)])
+        parent, half = tree[lo + size:lo + size + size // 2], size // 2
+        left, right = tree[lo:lo + size:2], tree[lo + 1:lo + size:2]
+        out[:half] = left
+        np.multiply(parent, right, out=left)
+        left %= p
+        np.multiply(parent, out[:half], out=right)
+        right %= p
+    out[:] = tree[:n]
+    np.copyto(out, 0, where=zero)
+    return out
 
 
-def _add_point(p, x, y, t):
+def _add_point(p, x, y, t, out=None, work=None):
     """(x3, y3, odd): the chord sums (x, y) + t mod p over uint64 arrays of
     affine points and one affine point t.  `odd` indexes the entries whose
-    x equals t's (a doubling, or a sum that cancels); their x3 and y3 are
-    meaningless and must come from `CurveModP.add`.  Every product of two
-    residues below 2**31 fits a uint64, and no difference goes negative."""
+    x equals t's (a doubling, or a sum that cancels); their x3 and y3 keep
+    x and y, and their sums must come from `CurveModP.add`.  Every product
+    of two residues below 2**31 fits a uint64, and no difference goes
+    negative.
+
+    x3 and y3 are written into `out`, a pair of uint64 arrays of len(x),
+    which may be x and y themselves, with `work` (`_Work`); both are
+    allocated when not given.  The slopes go to `work.lam`, y is read once
+    and x last where x3 is first written, and y3 = lam*(tx - x3) - ty needs
+    neither."""
     import numpy as np
 
+    n = len(x)
+    x3, y3 = (np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.uint64)) if out is None else out
+    work = _Work(n) if work is None else work
     tx, ty = t
-    den = (tx + p - x) % p
-    lam = (ty + p - y) * _inverse(den, p) % p
-    x3 = (lam * lam + (2 * p - tx) - x) % p
-    y3 = (lam * (x + p - x3) + (p - y)) % p
-    return x3, y3, np.flatnonzero(den == 0)
+    lam = work.lam[:n]
+    np.subtract(tx + p, x, out=lam)
+    lam %= p
+    odd = np.flatnonzero(np.equal(lam, 0, out=work.zero[:n]))
+    inputs = x[odd], y[odd]
+    _inverse(lam, p, lam, work)
+    np.subtract(ty + p, y, out=y3)
+    lam *= y3
+    lam %= p
+    np.multiply(lam, lam, out=y3)
+    y3 += 2 * p - tx
+    y3 -= x
+    y3 %= p
+    np.copyto(x3, y3)
+    np.subtract(tx + p, x3, out=y3)
+    y3 *= lam
+    y3 += p - ty
+    y3 %= p
+    x3[odd], y3[odd] = inputs
+    return x3, y3, odd
 
 
-def _walk(cm: CurveModP, g: tuple, bound: int):
+def _walk_block(bound):
+    """The walk's largest block for m = 1..bound: about bound/32, rounded up
+    to a power of two and clamped to [WALK_BLOCK_MIN, WALK_BLOCK]."""
+    return min(WALK_BLOCK, max(WALK_BLOCK_MIN, 1 << (max(bound // 32, 1) - 1).bit_length()))
+
+
+def _walk(cm: CurveModP, g: tuple, bound: int, work=None):
     """Yields (lo, x, y): m*G mod p for m = lo + 1.., uint64 arrays of at
-    most WALK_BLOCK points, whose blocks tile m = 1..bound in order.  Raises
-    UnsuitablePrimeError at the least m with m*G reducing to the identity.
+    most _walk_block(bound) points, whose blocks tile m = 1..bound in order.
+    Raises UnsuitablePrimeError at the least m with m*G reducing to the
+    identity.
 
     Position i holds (i + 1)*G.  Each block [lo, lo + n) is source[:n] + t,
     with the stride t = len(source)*G, in one vectorised chord addition;
     only an entry that doubles or cancels goes through `CurveModP.add`.
-    The source starts as G alone.  While it holds fewer than WALK_BLOCK
-    points it grows by each new block, so t, its last point, doubles; after
+    The source starts as G alone.  While it holds fewer than the largest
+    block it grows by each new block, so t, its last point, doubles; after
     that each block is the source of the next, and t stays fixed.  Blocks
-    start at 0, 1, 2, 4, ..., WALK_BLOCK and then every WALK_BLOCK, and the
-    walk holds at most the source and one block.  As the walk stops at the
-    first identity, no source and no stride is ever the identity.
+    start at 0, 1, 2, 4, ..., the largest block and then every largest
+    block.  As the walk stops at the first identity, no source and no
+    stride is ever the identity.
+
+    The walk allocates its buffers once: the largest block's points and
+    the kernel's `_Work` for them, unless `work` is given; the caller may
+    use it between blocks.  A doubling block is written straight behind its
+    source, and a fixed-stride block over it.  So each yielded block is a
+    view that the walk overwrites once the next block is asked for.
     """
     import numpy as np
 
     if not bound:
         return
-    x, y = np.array([g[0]], dtype=np.uint64), np.array([g[1]], dtype=np.uint64)
-    yield 0, x, y
-    lo, t = 1, g
+    block = _walk_block(bound)
+    work = _Work(block) if work is None else work
+    source = np.empty((2, block), dtype=np.uint64)
+    source[:, 0] = g
+    yield 0, source[0, :1], source[1, :1]
+    lo, t, size = 1, g, 1
     while lo < bound:
-        n = min(len(x), bound - lo)
-        bx, by, odd = _add_point(cm.p, x[:n], y[:n], t)
+        n = min(size, bound - lo)
+        out = source[:, size:size + n] if size < block else source[:, :n]
+        bx, by, odd = _add_point(cm.p, source[0, :n], source[1, :n], t, out, work)
         for j in odd.tolist():
-            pt = cm.add((int(x[j]), int(y[j])), t)
+            pt = cm.add((int(bx[j]), int(by[j])), t)
             if pt is None:
                 raise UnsuitablePrimeError(f"{lo + j + 1}*G reduces to the identity mod {cm.p}")
             bx[j], by[j] = pt
         yield lo, bx, by
         lo += n
-        if len(x) < WALK_BLOCK:
-            x, y = np.concatenate((x, bx)), np.concatenate((y, by))
-            t = int(x[-1]), int(y[-1])
-        else:
-            x, y = bx, by
+        if size < block:
+            size += n
+            t = int(source[0, size - 1]), int(source[1, size - 1])
+
+
+def _ladder(cm: CurveModP, g, m):
+    """(x, y, none): m*G mod p at the positive multiples m, an int64 array,
+    by one batched double-and-add.  At bit b, 2**b*G is added to every entry
+    with bit b set in one `_add_point` call: an entry still at the identity
+    takes 2**b*G itself, and one that doubles or cancels goes through
+    `CurveModP.add`.  `none` marks the entries at the identity mod p, whose
+    uint64 x and y are meaningless; `g` is G mod p, or None at the
+    identity."""
+    import numpy as np
+
+    n = len(m)
+    x, y = np.zeros(n, dtype=np.uint64), np.zeros(n, dtype=np.uint64)
+    none = np.ones(n, dtype=bool)
+    d = g
+    for b in range(int(m.max()).bit_length() if n else 0):
+        if d is None:
+            break  # 2**b*G is the identity, and so is every double of it
+        bit = np.flatnonzero((m >> b) & 1)
+        first, bit = bit[none[bit]], bit[~none[bit]]
+        bx, by, odd = _add_point(cm.p, x[bit], y[bit], d)
+        for i in odd.tolist():
+            pt = cm.add((int(x[bit[i]]), int(y[bit[i]])), d)
+            if pt is None:
+                none[bit[i]] = True
+            else:
+                bx[i], by[i] = pt
+        x[bit], y[bit] = bx, by
+        x[first], y[first] = d
+        none[first] = False
+        d = cm.add(d, d)
+    return x, y, none
 
 
 def _orbit_label(translates: tuple):
@@ -361,7 +491,9 @@ def _residue_blocks(spec: OrbitSpec, kept: tuple, cm: CurveModP, ar: int, br: in
     and `br` are alpha and beta mod p) of the items lo, lo + 1, ... of the
     orbit of a G of infinite order on the translates `kept`, in item order
     (`_orbit_label`), a uint32 array (p < 2**31) for each walk block.  The
-    blocks tile the orbit's items in order.
+    blocks tile the orbit's items in order.  Like the walk's, each block is
+    a view into buffers allocated once, overwritten once the next block is
+    asked for.
 
     No such orbit point is exactly the identity, so one that reduces to the
     identity mod p makes the prime unsuitable: UnsuitablePrimeError.  A
@@ -377,19 +509,90 @@ def _residue_blocks(spec: OrbitSpec, kept: tuple, cm: CurveModP, ar: int, br: in
     if g is None:
         raise UnsuitablePrimeError(f"generator reduces to the identity mod {p}")
     translates = [(k, cm.reduce_point(spec.torsion[k])) for k in kept] or [(0, None)]
-    for lo, x, y in _walk(cm, g, spec.bound):
-        residues = np.empty((len(x), 2, len(translates)), dtype=np.uint32)
-        for s, ys in enumerate((y, (p - y) % p)):
-            for j, (k, t) in enumerate(translates):
-                px, py, odd = (x, ys, ()) if t is None else _add_point(p, x, ys, t)
+    block = _walk_block(spec.bound)
+    work = _Work(block)
+    # -y and the translated points, only where a translate is not the identity
+    neg, px, py = np.empty((3, block if any(t for _, t in translates) else 0), dtype=np.uint64)
+    residues = np.empty((block, 2, len(translates)), dtype=np.uint32)
+    for lo, x, y in _walk(cm, g, spec.bound, work):
+        n = len(x)
+        # between kernel calls its tree and slopes hold P(x, y) and beta*y
+        a, b, ny, qx, qy = work.tree[:n], work.lam[:n], neg[:n], px[:n], py[:n]
+        if len(ny):
+            np.subtract(p, y, out=ny)
+            ny %= p
+        for j, (k, t) in enumerate(translates):
+            if t is None:
+                # P(x, -y) = P(x, y) - 2*beta*y, kept nonnegative by 2*br*p
+                np.multiply(x, ar, out=a)
+                np.multiply(y, br, out=b)
+                a += b
+                a %= p
+                residues[:n, 0, j] = a
+                a += 2 * br * p
+                a -= b
+                a -= b
+                a %= p
+                residues[:n, 1, j] = a
+                continue
+            for s, ys in enumerate((y, ny)):
+                _, _, odd = _add_point(p, x, ys, t, (qx, qy), work)
                 if len(odd):
                     # m*G = +-T_k mod p puts m*G + T_k or -m*G + T_k at the identity
                     i = int(odd[0])
                     m = lo + i + 1
                     label = (m if (y[i] + t[1]) % p == 0 else -m, k)
                     raise UnsuitablePrimeError(f"orbit point at label {label} reduces to the identity mod {p}")
-                residues[:, s, j] = (ar * px + br * py) % p
-        yield 2 * len(translates) * lo, residues.reshape(-1)
+                qx *= ar
+                qy *= br
+                qx += qy
+                qx %= p
+                residues[:n, s, j] = qx
+        yield 2 * len(translates) * lo, residues[:n].reshape(-1)
+
+
+def _orbit_residues(spec: OrbitSpec, kept: tuple, cm: CurveModP, ar: int, br: int, at, label):
+    """The uint32 P residues mod p of the orbit items `at` (an int64 array)
+    alone, as `_residue_blocks` would give them, from one batched ladder
+    (`_ladder`) at their multiples |m|, then the negation for -m and one
+    `_add_point` per translate.  Only these points need a residue, so the
+    prime is unsuitable only when one of them reduces to the identity:
+    UnsuitablePrimeError names the first in stream order by its `label`.
+    Whatever else reduces to the identity, the reduction mod p is a ring
+    map on these points' values."""
+    import numpy as np
+
+    p, width = cm.p, max(len(kept), 1)
+    pos, j = np.divmod(at, width)
+    m, s = np.divmod(pos, 2)
+    x, y, none = _ladder(cm, cm.reduce_point(spec.generator), m + 1)
+    flip = np.flatnonzero(s)
+    y[flip] = (p - y[flip]) % p
+    for jj, k in enumerate(kept):
+        t = cm.reduce_point(spec.torsion[k])
+        if t is None:
+            continue
+        on = np.flatnonzero(j == jj)
+        # a multiple at the identity mod p reduces its translate to T_k itself
+        here, on = on[none[on]], on[~none[on]]
+        bx, by, odd = _add_point(p, x[on], y[on], t)
+        for i in odd.tolist():
+            pt = cm.add((int(x[on[i]]), int(y[on[i]])), t)
+            if pt is None:
+                none[on[i]] = True
+            else:
+                bx[i], by[i] = pt
+        x[on], y[on] = bx, by
+        x[here], y[here] = t
+        none[here] = False
+    if none.any():
+        first = int(at[none].min())
+        raise UnsuitablePrimeError(f"candidate at label {label(first)} reduces to the identity mod {p}")
+    x *= ar
+    y *= br
+    x += y
+    x %= p
+    return x.astype(np.uint32)
 
 
 def _filled(k, blocks):
@@ -403,33 +606,13 @@ def _filled(k, blocks):
     return residues
 
 
-def _picked(at, blocks):
-    """The residues of `blocks` (`_residue_blocks`) at the sorted item
-    positions `at` alone, one uint32 array.  Every block is walked, and
-    each is dropped once its positions are read.  Filling all the residues
-    mod q and indexing them would hold 4 bytes a point after the residues
-    mod p are freed: below the stage mod p under tracemalloc, and as fast,
-    but at check-p --M 100000 it raised the own peak RSS from 35.1-35.5 to
-    35.7-36.0 MiB (6 runs each of three builds that differ only in a
-    docstring's length, 2-vCPU Xeon), as the freed memory of the stage
-    mod p is not all returned to the system."""
-    import numpy as np
-
-    picked, done = np.empty(len(at), dtype=np.uint32), 0
-    for lo, block in blocks:
-        end = int(np.searchsorted(at, lo + len(block)))
-        picked[done:end] = block[at[done:end] - lo]
-        done = end
-    return picked
-
-
-def _choose_primes(build, then=None):
+def _choose_primes(build):
     """((p, a), (q, b)) at the first two primes p > q below
-    PRIME_SEARCH_START at which a = build(p), and then b = then(q, a), or
-    build(q) without `then`, raise no UnsuitablePrimeError."""
+    PRIME_SEARCH_START at which a = build(p) and b = build(q) raise no
+    UnsuitablePrimeError."""
     primes = primes_descending(PRIME_SEARCH_START)
     p, a = _next_suitable(primes, build)
-    q, b = _next_suitable(primes, build if then is None else lambda q: then(q, a))
+    q, b = _next_suitable(primes, build)
     logger.info("primes chosen: %d, %d", p, q)
     return (p, a), (q, b)
 
@@ -460,19 +643,27 @@ def _fingerprints(chosen):
 
 
 def _orbit_items(u: UniquenessFunction, spec: OrbitSpec, kept: tuple, *also_invert):
-    """(k, blocks, value, label): the k items of the orbit of a G of
-    infinite order on the distinct translates `kept`
+    """(k, blocks, residues, value, label): the k items of the orbit of a G
+    of infinite order on the distinct translates `kept`
     (`_distinct_translates`), in emission order: blocks(p), their P
-    residues mod p, walked one block at a time (`_residue_blocks`), P at
+    residues mod p, walked one block at a time (`_residue_blocks`),
+    residues(p, at), those of the items `at` alone (`_orbit_residues`), P at
     item i's exact point, built once and only when asked, and its orbit()
     label (`_orbit_label`).  The denominators of `also_invert` must not
-    vanish mod p either: blocks(p) checks them all before it walks."""
+    vanish mod p either: blocks(p) and residues(p, at) check them all
+    first."""
 
-    def blocks(p):
+    def reduced(p):
         ar, br = fraction_mod(u.params.alpha, p), fraction_mod(u.params.beta, p)
         for c in also_invert:
             fraction_mod(c, p)
-        return _residue_blocks(spec, kept, CurveModP(spec.generator.curve, p), ar, br)
+        return CurveModP(spec.generator.curve, p), ar, br
+
+    def blocks(p):
+        return _residue_blocks(spec, kept, *reduced(p))
+
+    def residues(p, at):
+        return _orbit_residues(spec, kept, *reduced(p), at, label)
 
     label = _orbit_label(kept)
 
@@ -481,7 +672,7 @@ def _orbit_items(u: UniquenessFunction, spec: OrbitSpec, kept: tuple, *also_inve
         m, k = label(i) if spec.torsion else (label(i), 0)
         return u.eval_P(add(scalar_mul(m, spec.generator), (spec.torsion or (INFINITY,))[k]))
 
-    return 2 * spec.bound * max(len(kept), 1), blocks, value, label
+    return 2 * spec.bound * max(len(kept), 1), blocks, residues, value, label
 
 
 def _finite_orbit(u: UniquenessFunction, spec: OrbitSpec, cycle):
@@ -525,43 +716,95 @@ def _require_valid(u: UniquenessFunction):
         raise ValueError("invalid injection parameters: " + "; ".join(violations))
 
 
-def _mod_p_candidates(p, rp):
-    """(at, rp[at]): the positions `at` of the uint32 residues `rp` mod p
-    that occur more than once, in stream order, and their residues.  Equal
-    keys mod N = p*q are equal residues mod p, so every item of a run mod N
-    is among them.  A sorted copy of `rp` gives the repeated residues, and
-    is freed before `_candidates` reads `rp` again, so the stage holds 8
-    bytes an item at its peak."""
+def _mod_p_candidates(p, runs, blocks):
+    """(at, rp): the positions `at` of the items of `blocks`, (lo, uint32
+    residues mod p) in item order, whose residue is one of the sorted
+    `runs`, in stream order, an int64 array, and their residues.  The table
+    of `_candidates` is built once, and each block is read as it comes."""
     import numpy as np
 
-    part = np.sort(rp)
-    runs = _repeated_keys(part)
-    del part
-    at = _candidates(rp, runs)
+    table = _run_table(runs, p)
+    at, rp = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.uint32)]
+    for lo, block in blocks:
+        hits = _candidates(block, runs, table)
+        at.append(lo + hits)
+        rp.append(block[hits])
+    at, rp = np.concatenate(at), np.concatenate(rp)
     logger.info("P-scan mod %d: %d candidates in %d runs", p, len(at), len(runs))
-    return at, rp[at]
+    return at, rp
 
 
-def _p_classes(k, at, rp, rq, value, label):
-    """The classes of the exact values `value(i)` of k items, keyed by
-    `label(i)`, from their candidates mod p (`_mod_p_candidates`): the
-    positions `at`, in stream order, with their uint32 residues `rp` mod p
-    and `rq` mod q.  Equal keys mod N = p*q are equal residues at both
-    primes, so the runs of equal pairs (rp, rq) among the candidates are the
-    runs of equal keys mod N, in the same stream order, and only their
-    items' values are built.  A pair is one uint64, rp * 2**31 + rq."""
+def _walked_candidates(p, k, blocks):
+    """(at, rp) of `_mod_p_candidates` for the k items of the orbit walked
+    twice mod p by blocks(p) (`_residue_blocks`).  Equal keys mod any
+    product of primes are equal residues mod p, so every item of a run is
+    among them.  The first walk fills the uint32 residues, which are sorted
+    in place for their repeated values and freed; the second reads each
+    block against those runs.  The stage holds 4 bytes an item at its
+    peak."""
+    residues = _filled(k, blocks(p))
+    residues.sort()
+    runs = _repeated_keys(residues)
+    del residues
+    return _mod_p_candidates(p, runs, blocks(p))
+
+
+def _refined(r, at, run, rr):
+    """(at, run): the candidates `at`, in stream order, that still share
+    their run with another once each `run` (ids below 2**31, such as the
+    residues mod p) is split by their uint32 residues `rr` mod the prime r,
+    and their new run ids, the places of their pairs (run, rr) among the
+    repeated ones.  Unequal residues at r prove unequal values, so no item
+    of a true class is dropped.  (np.unique would do, but it imports
+    numpy.ma, 1.1 MiB of every P-scan's peak RSS.)"""
     import numpy as np
 
-    pairs = rp.astype(np.uint64) << 31
-    pairs |= rq
+    pairs = run.astype(np.uint64) << 31
+    pairs |= rr
     runs = _repeated_keys(np.sort(pairs))
-    survivors = at[_candidates(pairs, runs)].tolist()
-    classes = collision_scan((label(i), value(i)) for i in survivors).classes
-    # the residues mod p and their sorted copy, and the bool mask of one
-    # chunk of the search for repeated residues (`_mod_p_candidates`)
+    run = np.searchsorted(runs, pairs)
+    np.minimum(run, max(len(runs) - 1, 0), out=run)
+    keep = runs[run] == pairs if len(runs) else np.zeros(len(pairs), dtype=bool)
+    at, run = at[keep], run[keep]
+    logger.info("P-scan mod %d: %d candidates in %d runs", r, len(at), len(runs))
+    return at, run
+
+
+def _split_runs(primes, p, at, rp, residues):
+    """(at, run) of `_refined` after the candidates mod p (positions `at`,
+    residues `rp`) are split at up to FURTHER_PRIMES further primes from the
+    iterator `primes`, taken while candidates are left.  residues(r, at)
+    gives the candidates' residues mod r alone, and a prime at which it
+    raises UnsuitablePrimeError is skipped.  Logs the primes chosen."""
+    chosen, run = [p], rp
+    while len(at) and len(chosen) <= FURTHER_PRIMES:
+        r = next(primes, None)
+        if r is None:
+            break  # only reachable when the search starts at a small prime
+        try:
+            rr = residues(r, at)
+        except UnsuitablePrimeError as exc:
+            logger.info("prime %d skipped: %s", r, exc)
+            continue
+        at, run = _refined(r, at, run, rr)
+        chosen.append(r)
+    logger.info("primes chosen: %s", ", ".join(map(str, chosen)))
+    return at, run
+
+
+def _p_classes(k, at, run, value, label):
+    """The classes of the exact values `value(i)` of k items, keyed by
+    `label(i)`, from the candidates `at`, in stream order, that share their
+    `run` at every chosen prime with another: only their values are
+    built."""
+    import numpy as np
+
+    classes = collision_scan((label(i), value(i)) for i in at.tolist()).classes
+    # the residues mod p, sorted, and the bool mask of one chunk of the
+    # search for repeated residues
     logger.info(
         "P-scan partition 1/1: %d keys, %d candidate runs, %d confirmed classes, %d bytes",
-        k, len(runs), len(classes), 8 * k + min(k, CHUNK_KEYS),
+        k, len(_repeated_keys(np.sort(run))), len(classes), 4 * k + min(k, CHUNK_KEYS),
     )
     return classes
 
@@ -573,10 +816,13 @@ def p_injectivity_scan(u: UniquenessFunction, spec: OrbitSpec) -> CollisionRepor
     collisions, and only the first occurrence stays in the value scan.  A
     finite orbit is scanned exactly (`_finite_orbit`).  On any other only a
     point the torsion list names twice has two labels, so those groups come
-    from the spec, and the rest is walked mod p, its residues sorted in
-    one partition, and walked mod q only for the candidates whose residue
-    mod p repeats (`_mod_p_candidates`, `_p_classes`).  Its peak, 8 bytes
-    an orbit point, is the residues mod p and their sorted copy.
+    from the spec.  The rest is walked mod p into its residues, sorted in
+    place, and walked again for the candidates whose residue repeats
+    (`_walked_candidates`); their runs are split by their residues at up to
+    FURTHER_PRIMES further primes, each from a ladder at the candidates
+    alone (`_split_runs`), and only the runs left build exact points
+    (`_p_classes`).  Its peak, 4 bytes an orbit point, is the residues mod
+    p, beside the walk's buffers.
     """
     _require_valid(u)
     spec.validate()
@@ -586,12 +832,11 @@ def p_injectivity_scan(u: UniquenessFunction, spec: OrbitSpec) -> CollisionRepor
         groups, kept = _finite_orbit(u, spec, cycle)
         return CollisionReport(len(kept), collision_scan(kept).classes, groups, config)
     kept, groups = _distinct_translates(spec)
-    k, blocks, value, label = _orbit_items(u, spec, kept)
-    (_, (at, rp)), (_, rq) = _choose_primes(
-        lambda p: _mod_p_candidates(p, _filled(k, blocks(p))),
-        lambda q, candidates: _picked(candidates[0], blocks(q)),
-    )
-    return CollisionReport(k, _p_classes(k, at, rp, rq, value, label), groups, config)
+    k, blocks, residues, value, label = _orbit_items(u, spec, kept)
+    primes = primes_descending(PRIME_SEARCH_START)
+    p, (at, rp) = _next_suitable(primes, lambda p: _walked_candidates(p, k, blocks))
+    at, run = _split_runs(primes, p, at, rp, residues)
+    return CollisionReport(k, _p_classes(k, at, run, value, label), groups, config)
 
 
 P_NOT_INJECTIVE = "P not injective on scanned set; shrink or exclude collision points"
@@ -604,9 +849,10 @@ def f_injectivity_scan(u: UniquenessFunction, spec: OrbitSpec) -> CollisionRepor
     scanned set plays the role of the injective open set.  A torsion list
     that names a point twice fails it from the spec, before any prime is
     chosen, once M >= 1; otherwise it is checked on the scan's own residue
-    systems, with exact confirmation (`_p_classes`), reading the residues
-    mod q of the candidates mod p from the full residues its keys need.
-    For k orbit points
+    systems: a sorted copy of its residues mod p gives the candidates
+    (`_mod_p_candidates`), their residues mod q, read from the full
+    residues its keys need, split their runs (`_refined`), and only the runs
+    left are confirmed exactly (`_p_classes`).  For k orbit points
     the pair scan holds row arrays of about 100 bytes a point and one
     equal key range of about max(2**14, 16*k) keys at 24 bytes a key
     (`_pair_classes`), never all k^2 keys at once.
@@ -628,11 +874,13 @@ def f_injectivity_scan(u: UniquenessFunction, spec: OrbitSpec) -> CollisionRepor
     kept, groups = _distinct_translates(spec)
     if groups:
         raise ValueError(P_NOT_INJECTIVE)
-    k, blocks, value, label = _orbit_items(u, spec, kept, gamma)
+    import numpy as np
+
+    k, blocks, _, value, label = _orbit_items(u, spec, kept, gamma)
     chosen = _choose_primes(lambda p: _filled(k, blocks(p)))
-    (p, rp), (_, rq) = chosen
-    at, rp_at = _mod_p_candidates(p, rp)
-    if _p_classes(k, at, rp_at, rq[at], value, label):
+    (p, rp), (q, rq) = chosen
+    at, rp_at = _mod_p_candidates(p, _repeated_keys(np.sort(rp)), [(0, rp)])
+    if _p_classes(k, *_refined(q, at, rp_at, rq[at]), value, label):
         raise ValueError(P_NOT_INJECTIVE)
     modulus, keys = _fingerprints(chosen)
     # the pair scan needs the keys alone

@@ -372,20 +372,23 @@ def test_verbose_logs_the_primes_and_leaves_stdout_alone(capsys):
     handlers, level = list(log.handlers), log.level
     code, out, err = run(capsys, "check-p", "-v")
     assert (code, out) == run(capsys, "check-p")[:2]
-    assert "ecinj.collisions: primes chosen: 2147483647, 2147483629\n" in err
-    # the P-scan builds no keys mod N: its residues mod p repeat nowhere,
-    # and its partition holds 120 keys, the residues mod p and their sorted
-    # copy at 8 bytes a key, plus one bool a key of the chunked search for
-    # repeated residues
+    # the P-scan builds no keys mod N: its residues mod p repeat nowhere, so
+    # it chooses no second prime, and its partition holds 120 keys, the
+    # residues mod p sorted in place at 4 bytes a key, plus one bool a key
+    # of the chunked search for repeated residues
     assert "ecinj.collisions: P-scan mod 2147483647: 0 candidates in 0 runs\n" in err
+    assert "ecinj.collisions: primes chosen: 2147483647\n" in err
     assert "fingerprints of" not in err
-    assert "P-scan partition 1/1: 120 keys, 0 candidate runs, 0 confirmed classes, 1080 bytes\n" in err
-    # 463 runs of equal residues mod p, and no run mod N among them
+    assert "P-scan partition 1/1: 120 keys, 0 candidate runs, 0 confirmed classes, 600 bytes\n" in err
+    # 463 runs of equal residues mod p, which the candidates' residues at
+    # the second prime all split
     code, out, err = run(capsys, "check-p", "--M", "1000000", "-v")
     argv = ("check-p", "--M", "1000000")
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN_SHA256[argv]
     assert "ecinj.collisions: P-scan mod 2147483647: 1146 candidates in 463 runs\n" in err
-    assert "P-scan partition 1/1: 2000000 keys, 0 candidate runs, 0 confirmed classes, 16065536 bytes\n" in err
+    assert "ecinj.collisions: P-scan mod 2147483629: 0 candidates in 0 runs\n" in err
+    assert "ecinj.collisions: primes chosen: 2147483647, 2147483629\n" in err
+    assert "P-scan partition 1/1: 2000000 keys, 0 candidate runs, 0 confirmed classes, 8065536 bytes\n" in err
     # the P-scan sorts all its residues mod p in one partition at every size
     code, out, err = run(capsys, "check-p", "--M", "400", "-v")
     assert (code, out) == run(capsys, "check-p", "--M", "400")[:2]

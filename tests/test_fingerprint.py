@@ -56,16 +56,16 @@ PARTITION = re.compile(
 
 def partitions(caplog, scan):
     """The counts of every `scan` partition record, in order.  Each record's
-    bytes must be those its engine holds for its keys: in the P-scan 8 a
-    key, the residues mod p and their sorted copy, and the mask of one
-    chunk of the search for repeated residues, PAIR_BYTES_PER_KEY a key in
-    the pair scans."""
+    bytes must be those its engine holds for its keys: in the P-scan 4 a
+    key, the residues mod p sorted in place (a sorted copy in the f-scan's
+    precondition), and the mask of one chunk of the search for repeated
+    residues, PAIR_BYTES_PER_KEY a key in the pair scans."""
     found = []
     for record in caplog.records:
         match = PARTITION.fullmatch(record.getMessage())
         if match and match["scan"] == scan:
             keys = int(match["keys"])
-            held = 8 * keys + min(keys, collisions.CHUNK_KEYS) if scan == "P" else PAIR_BYTES_PER_KEY * keys
+            held = 4 * keys + min(keys, collisions.CHUNK_KEYS) if scan == "P" else PAIR_BYTES_PER_KEY * keys
             assert int(match["bytes"]) == held
             found.append({k: int(match[k]) for k in ("keys", "runs", "classes")})
     return found
@@ -101,18 +101,34 @@ def confirmed(monkeypatch):
     return streams
 
 
-def mod_p_stage(caplog):
-    """(candidates, runs) of every record of the P-scan's stage mod p, in
-    order."""
-    stage = re.compile(r"P-scan mod \d+: (\d+) candidates in (\d+) runs")
+def stages(caplog):
+    """(prime, candidates, runs) of every record of the P-scan's stages, in
+    order: the walked prime's, then each further prime's, where the
+    candidates left and their runs are those that share their residues at
+    every prime so far."""
+    stage = re.compile(r"P-scan mod (\d+): (\d+) candidates in (\d+) runs")
     return [tuple(map(int, m.groups())) for r in caplog.records if (m := stage.fullmatch(r.getMessage()))]
+
+
+def residue_keys(u, spec, primes):
+    """The P residues of the orbit's items at every one of `primes`, one
+    tuple an item in item order, from their exact values; an item whose
+    value has no residue at one of them gets a key of its own."""
+    keys = []
+    for i, (_, pt) in enumerate(orbit(spec)):
+        value = u.eval_P(pt)
+        try:
+            keys.append(tuple(fraction_mod(value, r) for r in primes))
+        except UnsuitablePrimeError:
+            keys.append(("no residue", i))
+    return keys
 
 
 def orbit_keys(u, spec, kept=(), *also_invert):
     """(N, keys, label): the uint64 keys mod N = p*q of the orbit's items at
     the primes the scans choose, which the f-scan builds for its pairs and
     the P-scan never does, and the items' labels."""
-    k, blocks, _, label = collisions._orbit_items(u, spec, kept, *also_invert)
+    k, blocks, _, _, label = collisions._orbit_items(u, spec, kept, *also_invert)
     chosen = collisions._choose_primes(lambda p: collisions._filled(k, blocks(p)))
     modulus, keys = collisions._fingerprints(chosen)
     return modulus, keys, label
@@ -187,33 +203,41 @@ def test_inverse_matches_pow(p, n):
 
 # (curve a, b), generator, torsion points besides the identity, bound and
 # prime start of a P-scan at primes so small that most of its orbit is a
-# candidate mod p, and its candidates mod p, their runs mod p and the runs
-# mod N = p*q among them
+# candidate mod p, its stages (`stages`: the walked prime p, then each
+# further prime, with the candidates and runs left) and the runs that
+# survive them all
 CROWDED_P_SCANS = {
-    "default curve": ((1, -1), (1, 1), (), 60, 2**7, (114, 48, 0)),
-    # every run mod N is a false match
-    "false matches mod N": ((-25, 0), (-4, 6), ((0, 0),), 20, 2**6, (72, 25, 5)),
-    # one of the runs mod N is the planted class of G + T and -G
-    "planted class": ((-6, 40), (2, 6), ((-4, 0),), 60, 2**7, (224, 69, 4)),
+    "default curve": ((1, -1), (1, 1), (), 60, 2**7, [(127, 114, 48), (113, 0, 0)], 0),
+    # every run mod N = 47*43 is a false match, and 23 splits them all;
+    # each prime between holds a candidate at the identity
+    "false matches mod N": ((-25, 0), (-4, 6), ((0, 0),), 20, 2**6, [(47, 72, 25), (43, 10, 5), (23, 0, 0)], 0),
+    # one of the runs mod N = 127*109 is the planted class of G + T and -G,
+    # and the only one left at 107 and 103
+    "planted class": (
+        (-6, 40), (2, 6), ((-4, 0),), 60, 2**7, [(127, 224, 69), (109, 9, 4), (107, 2, 1), (103, 2, 1)], 1,
+    ),
 }
 
 
 @pytest.mark.parametrize("scan", list(CROWDED_P_SCANS))
 def test_crowded_mod_p_stage_keeps_the_runs_mod_n(small_primes, caplog, confirmed, params_default, scan):
-    curve, gen, torsion, bound, start, counts = CROWDED_P_SCANS[scan]
+    curve, gen, torsion, bound, start, counts, runs = CROWDED_P_SCANS[scan]
     small_primes(start)
     spec = orbit_spec(curve, gen, torsion, bound)
     u = UniquenessFunction(params_default, spec.generator.curve)
     report = p_injectivity_scan(u, spec)
-    [(candidates, runs)] = mod_p_stage(caplog)
     [part] = partitions(caplog, "P")
-    assert (candidates, runs, part["runs"]) == counts
-    assert 2 * candidates > part["keys"]
-    # the labels handed to the one exact index are those of the repeated
-    # keys mod N, in stream order, as if every key mod N were searched
-    kept, _ = collisions._distinct_translates(spec)
-    _, keys, label = orbit_keys(u, spec, kept)
-    assert confirmed == [[label(i) for i in repeated(keys.tolist())]]
+    assert (stages(caplog), part["runs"]) == (counts, runs)
+    assert 2 * counts[0][1] > part["keys"]
+    primes = chosen_primes(caplog)
+    assert primes == tuple(prime for prime, _, _ in counts)
+    # the labels handed to the one exact index are those whose residues
+    # repeat at every chosen prime, in stream order, as if every item's
+    # residues at them all were searched: the mod-p stage keeps every run
+    # mod N = p*q, and each further prime keeps every run at the primes
+    # before it whose residues there are equal
+    label = collisions._orbit_label(collisions._distinct_translates(spec)[0])
+    assert confirmed == [[label(i) for i in repeated(residue_keys(u, spec, primes))]]
     assert findings(report) == findings(exact_p_scan(u, spec))
 
 
@@ -223,7 +247,8 @@ def test_point_reducing_to_identity_skips_prime(small_primes, caplog, ufunc248, 
     residue = p_injectivity_scan(ufunc248, spec)
     messages = [r.getMessage() for r in caplog.records]
     assert "prime 443 skipped: 7*G reduces to the identity mod 443" in messages
-    assert "primes chosen: 439, 433" in messages
+    # no residue repeats mod 439, so no further prime is chosen
+    assert "primes chosen: 439" in messages
     assert findings(residue) == findings(exact_p_scan(ufunc248, spec))
 
 
@@ -242,10 +267,12 @@ def test_non_invertible_coefficient_skips_prime(small_primes, caplog, curve248, 
     p_residue = p_injectivity_scan(u, spec)
     f_residue = f_injectivity_scan(u, spec)
     chosen = [r.getMessage() for r in caplog.records if r.getMessage().startswith("primes chosen")]
-    # one prime choice for the P-scan, then one for the f-scan and its P precondition
+    # one prime choice for the P-scan, whose residues repeat nowhere, so it
+    # chooses no further prime, then one for the f-scan and its P
+    # precondition
     assert chosen == [
-        "primes chosen: 241, 239" if scan in skipped_by else "primes chosen: 251, 241"
-        for scan in ("P", "f")
+        "primes chosen: 241" if "P" in skipped_by else "primes chosen: 251",
+        "primes chosen: 241, 239" if "f" in skipped_by else "primes chosen: 251, 241",
     ]
     assert any("prime 251 skipped: denominator" in r.getMessage() for r in caplog.records)
     assert findings(p_residue) == findings(exact_p_scan(u, spec))
@@ -288,6 +315,7 @@ def test_planted_findings_confirmed_at_small_primes(small_primes, caplog, confir
 
 
 def chosen_primes(caplog):
+    """The primes of the one `primes chosen` record."""
     [chosen] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("primes chosen")]
     return tuple(map(int, chosen.removeprefix("primes chosen: ").split(", ")))
 
@@ -451,11 +479,15 @@ def test_orbit_keys_hold_16_bytes_a_point(ufunc248, gen248):
     assert peak < 18 * points + 64 * collisions.WALK_BLOCK
 
 
-def test_p_scan_holds_8_bytes_a_point(caplog, ufunc248, gen248):
-    # the P-scan's residues mod p and their sorted copy are 8 bytes a
-    # point, beside the walk's blocks and one chunk's mask; the table of the
-    # candidate pass and its candidates come after the copy is freed, and
-    # the walk mod q keeps only the candidates' residues
+def test_p_scan_holds_4_bytes_a_point(caplog, ufunc248, gen248):
+    # the P-scan's residues mod p, sorted in place, are 4 bytes a point,
+    # beside the walk's buffers and one chunk's mask; the table of the
+    # candidate pass and its candidates come after they are freed, and the
+    # further primes read only the candidates' residues.  The walk holds
+    # about 50 bytes for each point of its largest block: its source (16),
+    # its kernel's work buffers (25), which the residue stage also uses
+    # between kernel calls, and the residue stage's block of uint32
+    # residues (8)
     caplog.set_level(logging.INFO, logger="ecinj.collisions")
     spec = OrbitSpec(gen248, 2**17)
     p_injectivity_scan(ufunc248, OrbitSpec(gen248, 3))  # imports and caches
@@ -468,9 +500,140 @@ def test_p_scan_holds_8_bytes_a_point(caplog, ufunc248, gen248):
         tracemalloc.stop()
     points = 2 * spec.bound
     assert report.total_scanned == points
-    [(candidates, runs)] = mod_p_stage(caplog)
+    (_, candidates, runs), *_ = stages(caplog)
     table = 2 * collisions.PREFILTER_ENTRIES_PER_RUN * runs
-    assert peak < 8 * points + table + 32 * candidates + 64 * collisions.WALK_BLOCK
+    assert peak < 4 * points + table + 32 * candidates + 75 * collisions._walk_block(spec.bound)
+
+
+# (curve a, b), generator, torsion points besides the identity, bound and a
+# prime at which the whole orbit is walked, so the ladder's residues at any
+# positions can be read against the walk's
+LADDER_WALKS = {
+    "default curve": ((1, -1), (1, 1), (), 500, 2**31 - 1),
+    "2-torsion translate": ((-6, 40), (2, 6), ((-4, 0),), 300, 2**31 - 1),
+    "translates, O not first": ((-25, 0), (-4, 6), ((0, 0), (5, 0)), 200, 2**31 - 19),
+    # G has order 36 mod 139 and 18G is the 2-torsion point, so M = 17 is
+    # the largest walkable bound
+    "tiny prime": ((-6, 40), (2, 6), ((-4, 0),), 17, 139),
+}
+
+
+@pytest.mark.parametrize("walk", list(LADDER_WALKS))
+def test_ladder_residues_match_the_walk(params_default, walk):
+    curve, gen, torsion, bound, p = LADDER_WALKS[walk]
+    c = Curve(*curve)
+    if torsion and walk == "translates, O not first":
+        spec = OrbitSpec(c.point(*gen), bound, (*(c.point(*t) for t in torsion), INFINITY))
+    else:
+        spec = orbit_spec(curve, gen, torsion, bound)
+    u = UniquenessFunction(params_default, c)
+    kept, _ = collisions._distinct_translates(spec)
+    k, blocks, residues, _, _ = collisions._orbit_items(u, spec, kept)
+    walked = collisions._filled(k, blocks(p))
+    rng = random.Random(bound)
+    for size in (1, 2, 37, k):
+        at = np.array(sorted({0, k - 1, *rng.sample(range(k), size)}), dtype=np.int64)
+        ladder = residues(p, at)
+        assert ladder.dtype == "uint32"
+        assert ladder.tolist() == walked[at].tolist()
+
+
+def repeated_addition(cm, spec, ar, br, m, k):
+    """The P residue mod p of m*G + T_k by repeated addition mod p, or None
+    at the identity."""
+    g, pt = cm.reduce_point(spec.generator), None
+    for _ in range(abs(m)):
+        pt = cm.add(pt, g)
+    if m < 0 and pt is not None:
+        pt = (pt[0], -pt[1] % cm.p)
+    if spec.torsion:
+        pt = cm.add(pt, cm.reduce_point(spec.torsion[k]))
+    return None if pt is None else (ar * pt[0] + br * pt[1]) % cm.p
+
+
+# (curve a, b), generator, torsion points besides the identity, bound and a
+# tiny prime past G's order d mod p, so the ladder meets the identity: at
+# m = d and its multiples (or a translate cancels there), at a partial sum
+# that cancels and is then added to again, and at doublings
+LADDER_IDENTITIES = {
+    # d = 18 mod 13: m = 46 = 14 + 32 doubles 14G = 32G at bit 5, m = 50
+    # cancels 2G + 16G at bit 4 and then takes 32G alone, and 18, 36 and
+    # 54 end at the identity
+    "default curve": ((1, -1), (1, 1), (), 60, 13),
+    # d = 36 mod 139 and 18G = T: +-18G + T cancel, +-36G is the identity
+    # and +-36G + T is T itself
+    "2-torsion translate": ((-6, 40), (2, 6), ((-4, 0),), 40, 139),
+}
+
+
+@pytest.mark.parametrize("case", list(LADDER_IDENTITIES))
+def test_ladder_at_tiny_primes_matches_repeated_addition(monkeypatch, params_default, case):
+    curve, gen, torsion, bound, p = LADDER_IDENTITIES[case]
+    spec = orbit_spec(curve, gen, torsion, bound)
+    u = UniquenessFunction(params_default, spec.generator.curve)
+    kept, _ = collisions._distinct_translates(spec)
+    k, _, residues, _, label = collisions._orbit_items(u, spec, kept)
+    cm = CurveModP(spec.generator.curve, p)
+    ar, br = fraction_mod(u.params.alpha, p), fraction_mod(u.params.beta, p)
+    expected = [repeated_addition(cm, spec, ar, br, *(label(i) if torsion else (label(i), 0))) for i in range(k)]
+    odd = []
+    add_point = collisions._add_point
+
+    def counted(*args):
+        result = add_point(*args)
+        odd.append(len(result[2]))
+        return result
+
+    monkeypatch.setattr(collisions, "_add_point", counted)
+    # a candidate at the identity makes p unsuitable, and the first in
+    # stream order is named
+    at_identity = [i for i, r in enumerate(expected) if r is None]
+    assert len(at_identity) >= 4
+    message = f"^candidate at label {re.escape(str(label(at_identity[0])))} reduces to the identity mod {p}$"
+    with pytest.raises(UnsuitablePrimeError, match=message):
+        residues(p, np.arange(k))
+    with pytest.raises(UnsuitablePrimeError, match=message):
+        residues(p, np.array(at_identity[:1] + at_identity[-1:]))
+    rest = [i for i, r in enumerate(expected) if r is not None]
+    odd.clear()
+    assert residues(p, np.array(rest)).tolist() == [expected[i] for i in rest]
+    assert sum(odd) > 0
+
+
+def test_refuted_run_builds_no_exact_point(small_primes, caplog, monkeypatch, params_default):
+    # walked mod 5897, the 8,000 items of M = 2000 leave 5,968 candidates;
+    # 5881 and 5879 each hold a candidate at the identity, and at 5869 two
+    # runs are left, the planted class of G + T and -G and the false run
+    # of (-538, 0) and (-1953, 0), which 5867 splits.  Only the labels of
+    # the oracle's class (test_crowded_mod_p_stage_keeps_the_runs_mod_n,
+    # "planted class") build exact points: the exact point at m = 1953
+    # would take about a minute.  Unequal residues at a prime prove unequal
+    # values, so the split runs hold no class, and the class is all there
+    # is at M = 2000.
+    small_primes(5899)
+    c = Curve(-6, 40)
+    spec = OrbitSpec(c.point(2, 6), 2000, (INFINITY, c.point(-4, 0)))
+    u = UniquenessFunction(params_default, c)
+    built = []
+    scalar_mul = collisions.scalar_mul
+
+    def oracle_labels_only(m, pt):
+        built.append(m)
+        if abs(m) != 1:
+            raise AssertionError(f"exact {m}*G built for a refuted run")
+        return scalar_mul(m, pt)
+
+    monkeypatch.setattr(collisions, "scalar_mul", oracle_labels_only)
+    report = p_injectivity_scan(u, spec)
+    assert stages(caplog) == [
+        (5897, 5968, 1965), (5869, 4, 2), (5867, 2, 1), (5861, 2, 1),
+    ]
+    messages = [r.getMessage() for r in caplog.records]
+    assert "prime 5881 skipped: candidate at label (730, 1) reduces to the identity mod 5881" in messages
+    assert built == [1, -1]
+    oracle = exact_p_scan(u, OrbitSpec(spec.generator, 60, spec.torsion))
+    assert [c.keys for c in report.classes] == [c.keys for c in oracle.classes] == [[(1, 1), (-1, 0)]]
+    assert [c.value for c in report.classes] == [c.value for c in oracle.classes]
 
 
 def test_identity_skip_builds_no_large_multiple(small_primes, caplog, monkeypatch, ufunc248, gen248):
@@ -640,16 +803,33 @@ def test_repeated_torsion_builds_only_candidate_points(monkeypatch, params_defau
 
 
 def test_translate_at_identity_skips_prime(small_primes, caplog):
-    # 7G = T mod 113 for the 2-torsion point T, so 7G + T reduces to the
-    # identity there; G has infinite order, so it is not the identity exactly
-    small_primes(2**7)
+    # 7G = T mod 113 for the 2-torsion point T, so 7G + T and -7G + T reduce
+    # to the identity there; G has infinite order, so neither is the
+    # identity exactly
     c = Curve(-6, 40)
     u = UniquenessFunction(InjectionParams(1, 1, 2, 9), c)
     spec = OrbitSpec(c.point(2, 6), 10, (INFINITY, c.point(-4, 0)))
+    # walked, 113 meets 7G + T first
+    small_primes(114)
     residue = p_injectivity_scan(u, spec)
     messages = [r.getMessage() for r in caplog.records]
     assert "prime 113 skipped: orbit point at label (7, 1) reduces to the identity mod 113" in messages
-    assert "primes chosen: 127, 109" in messages
+    assert chosen_primes(caplog)[0] == 109
+    assert findings(residue) == findings(exact_p_scan(u, spec))
+    # as a further prime, 113 is unsuitable only where a candidate reduces
+    # to the identity: at M = 10 neither label is a candidate mod 127
+    caplog.clear()
+    small_primes(2**7)
+    residue = p_injectivity_scan(u, spec)
+    assert chosen_primes(caplog)[:2] == (127, 113)
+    assert findings(residue) == findings(exact_p_scan(u, spec))
+    # at M = 60 the label (-7, 1) is one, and the skip line names it
+    caplog.clear()
+    spec = OrbitSpec(spec.generator, 60, spec.torsion)
+    residue = p_injectivity_scan(u, spec)
+    messages = [r.getMessage() for r in caplog.records]
+    assert "prime 113 skipped: candidate at label (-7, 1) reduces to the identity mod 113" in messages
+    assert chosen_primes(caplog)[:2] == (127, 109)
     assert findings(residue) == findings(exact_p_scan(u, spec))
 
 
@@ -944,9 +1124,8 @@ def test_candidates_cross_block_edges(monkeypatch):
     assert len({key >> 26 for key in shared[:5]}) == 1
     cases.append(shared)
     # the default table, then a table of one entry a run, where most keys
-    # share an entry with a run; the residues mod p are uint32, the pairs
-    # (rp, rq) of the P-scan and the keys mod N uint64, scaled here to span
-    # [0, 2**62)
+    # share an entry with a run; the residues mod p are uint32, and uint64
+    # keys, scaled here to span [0, 2**62), read the same way
     for table in ("default", "one entry a run"):
         if table != "default":
             monkeypatch.setattr(collisions, "PREFILTER_ENTRIES_PER_RUN", 1)
@@ -954,8 +1133,32 @@ def test_candidates_cross_block_edges(monkeypatch):
             for case in cases:
                 keys = np.asarray([key * scale for key in case], dtype=dtype)
                 runs = collisions._repeated_keys(np.sort(keys))
+                marked = collisions._run_table(runs, 2**31 * scale)
                 # every repeated key's stream positions, in stream order
-                assert collisions._candidates(keys, runs).tolist() == repeated(case), (table, dtype, case)
+                assert collisions._candidates(keys, runs, marked).tolist() == repeated(case), (table, dtype, case)
+
+
+def test_candidates_per_block_read_one_table(monkeypatch):
+    # the P-scan's second walk reads each block of residues against one
+    # table sized from the prime: here the runs are 3 and 12, the block
+    # [3, 6) holds neither, and the block [6, 9) holds 3 with its largest
+    # key below 12.  A table sized from a block's largest key would leave
+    # the run 12 outside it.  Chunks of two keys cross every block.
+    monkeypatch.setattr(collisions, "CHUNK_KEYS", 2)
+    blocks = [[3, 12, 5], [0, 1, 2], [4, 3, 6], [12, 11]]
+    # one table entry a key value mod 13; 2**26 values an entry mod 2**31 - 1
+    for modulus, scale in ((13, 1), (2**31 - 1, 10**8)):
+        flat = [key * scale for block in blocks for key in block]
+        keys = np.asarray(flat, dtype=np.uint32)
+        runs = collisions._repeated_keys(np.sort(keys))
+        assert runs.tolist() == [3 * scale, 12 * scale]
+        table = collisions._run_table(runs, modulus)
+        starts = [0, 3, 6, 9]
+        assert collisions._candidates(keys[3:6], runs, table).tolist() == []
+        assert collisions._candidates(keys[6:9], runs, table).tolist() == [1]
+        at, rp = collisions._mod_p_candidates(modulus, runs, [(lo, keys[lo:lo + 3]) for lo in starts])
+        assert at.tolist() == repeated(flat) == [0, 1, 7, 9]
+        assert rp.tolist() == [flat[i] for i in at]
 
 
 small_int = st.integers(-4, 4)

@@ -1,6 +1,6 @@
-"""Own peak RSS of scan processes: the P-scan's residues mod p and their
-sorted copy are the only memory that grows with the scan, and a pair scan
-holds one partition of its keys at a time.
+"""Own peak RSS of scan processes: the P-scan's residues mod p, sorted in
+place, are the only memory that grows with the scan, and a pair scan holds
+one partition of its keys at a time.
 
 A small launcher interpreter starts each scan with `posix_spawn` and reads
 its `ru_maxrss` from `os.wait4`.  The test process itself does not spawn
@@ -59,23 +59,27 @@ def test_f_scan_peak_is_its_keys():
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
 def test_p_scan_peak_is_its_keys():
-    # check-p --M 100000 walks 200,000 orbit points: the uint32 residues mod
-    # p and their sorted copy (1.5 MiB), then the residues and the table of
-    # the candidate pass, then the candidates' residues mod q alone; the
-    # walks stream their blocks, and no key mod N is built
+    # check-p --M 100000 walks 200,000 orbit points mod p twice: first into
+    # the uint32 residues mod p (0.76 MiB), sorted in place and freed, then
+    # for the candidates alone against the table of their runs; the walks
+    # stream their blocks through buffers allocated once, and no key mod N
+    # is built.  Measured over the default check-p (2-vCPU host, 10 runs):
+    # 0.7-1.1 MiB, against 1.6-1.8 MiB when the scan sorted a copy of its
+    # residues and walked a second prime in full
     (base_code, base), (code, peak) = own_peaks_kib(["check-p"], ["check-p", "--M", "100000"])
     assert (base_code, code) == (0, 0)
-    assert peak - base <= 5 * 1024
+    assert peak - base <= 2 * 1024
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
-def test_p_scan_peak_is_8_bytes_a_point():
-    # check-p --M 1000000: 2 * 10**6 orbit points at 8 bytes a point, the
-    # residues mod p and their sorted copy (15.3 MiB), and 1,146 candidates
-    # mod p, none of them a run mod N.  Measured over the default check-p
-    # (2-vCPU host): 15.3-15.4 MiB, against 30.9 MiB when the scan held the
-    # two primes' residues and the uint64 keys mod N at once; the allowance
-    # is 8 bytes a point and 1 MiB for the walk's blocks and the allocator
+def test_p_scan_peak_is_4_bytes_a_point():
+    # check-p --M 1000000: 2 * 10**6 orbit points at 4 bytes a point, the
+    # residues mod p sorted in place (7.6 MiB), and 1,146 candidates mod p,
+    # whose residues mod the next prime split every run.  Measured over the
+    # default check-p (2-vCPU host): 8.0-8.2 MiB, against 15.3-15.4 MiB when
+    # the scan sorted a copy of its residues; the allowance is 4 bytes a
+    # point and 1 MiB for the walk's buffers of 2**14 points and the
+    # allocator
     (base_code, base), (code, peak) = own_peaks_kib(["check-p"], ["check-p", "--M", "1000000"])
     assert (base_code, code) == (0, 0)
-    assert peak - base <= 8 * 2 * 10**6 // 1024 + 1024
+    assert peak - base <= 4 * 2 * 10**6 // 1024 + 1024
