@@ -22,9 +22,10 @@ primes, which a batched double-and-add ladder gives at the candidates
 alone (`_orbit_residues`, `_split_runs`).  A further prime needs good
 reduction and no candidate at the identity, not the whole orbit's, and
 none is chosen once no candidate is left.  Only the runs left build exact
-points (`_p_classes`).  The pair scans key their items mod N = p*q at the
-first two suitable primes by the CRT (`_fingerprints`), as their pair keys
-need all of them; a key fits a uint64 (N < 2**62).
+points (`_p_classes`).  The f-scan's precondition, that P takes no value
+twice on its orbit, is this P-scan itself.  The pair scans key their items
+mod N = p*q at the first two suitable primes by the CRT (`_fingerprints`),
+as their pair keys need all of them; a key fits a uint64 (N < 2**62).
 
 The orbit scans decide once, exactly, whether the generator G has finite
 order.  A G of finite order d never enters the engine: its orbit holds
@@ -418,14 +419,31 @@ def _walk(cm: CurveModP, g: tuple, bound: int, work=None):
             t = int(source[0, size - 1]), int(source[1, size - 1])
 
 
+def _add_at(cm: CurveModP, x, y, none, on, t):
+    """Adds the point t mod p, not the identity, to the entries `on` (an
+    index array) of the uint64 points (x, y), in place, in one `_add_point`
+    call: an entry that the bool array `none` marks as the identity becomes
+    t itself, and one that doubles or cancels goes through `CurveModP.add`;
+    a cancel is marked in `none`, and its x and y become meaningless."""
+    first, on = on[none[on]], on[~none[on]]
+    bx, by, odd = _add_point(cm.p, x[on], y[on], t)
+    for i in odd.tolist():
+        pt = cm.add((int(x[on[i]]), int(y[on[i]])), t)
+        if pt is None:
+            none[on[i]] = True
+        else:
+            bx[i], by[i] = pt
+    x[on], y[on] = bx, by
+    x[first], y[first] = t
+    none[first] = False
+
+
 def _ladder(cm: CurveModP, g, m):
     """(x, y, none): m*G mod p at the positive multiples m, an int64 array,
-    by one batched double-and-add.  At bit b, 2**b*G is added to every entry
-    with bit b set in one `_add_point` call: an entry still at the identity
-    takes 2**b*G itself, and one that doubles or cancels goes through
-    `CurveModP.add`.  `none` marks the entries at the identity mod p, whose
-    uint64 x and y are meaningless; `g` is G mod p, or None at the
-    identity."""
+    by one batched double-and-add: at bit b, 2**b*G is added to every entry
+    with bit b set (`_add_at`).  `none` marks the entries at the identity
+    mod p, whose uint64 x and y are meaningless; `g` is G mod p, or None at
+    the identity."""
     import numpy as np
 
     n = len(m)
@@ -435,18 +453,7 @@ def _ladder(cm: CurveModP, g, m):
     for b in range(int(m.max()).bit_length() if n else 0):
         if d is None:
             break  # 2**b*G is the identity, and so is every double of it
-        bit = np.flatnonzero((m >> b) & 1)
-        first, bit = bit[none[bit]], bit[~none[bit]]
-        bx, by, odd = _add_point(cm.p, x[bit], y[bit], d)
-        for i in odd.tolist():
-            pt = cm.add((int(x[bit[i]]), int(y[bit[i]])), d)
-            if pt is None:
-                none[bit[i]] = True
-            else:
-                bx[i], by[i] = pt
-        x[bit], y[bit] = bx, by
-        x[first], y[first] = d
-        none[first] = False
+        _add_at(cm, x, y, none, np.flatnonzero((m >> b) & 1), d)
         d = cm.add(d, d)
     return x, y, none
 
@@ -555,7 +562,7 @@ def _orbit_residues(spec: OrbitSpec, kept: tuple, cm: CurveModP, ar: int, br: in
     """The uint32 P residues mod p of the orbit items `at` (an int64 array)
     alone, as `_residue_blocks` would give them, from one batched ladder
     (`_ladder`) at their multiples |m|, then the negation for -m and one
-    `_add_point` per translate.  Only these points need a residue, so the
+    `_add_at` per translate.  Only these points need a residue, so the
     prime is unsuitable only when one of them reduces to the identity:
     UnsuitablePrimeError names the first in stream order by its `label`.
     Whatever else reduces to the identity, the reduction mod p is a ring
@@ -570,21 +577,9 @@ def _orbit_residues(spec: OrbitSpec, kept: tuple, cm: CurveModP, ar: int, br: in
     y[flip] = (p - y[flip]) % p
     for jj, k in enumerate(kept):
         t = cm.reduce_point(spec.torsion[k])
-        if t is None:
-            continue
-        on = np.flatnonzero(j == jj)
-        # a multiple at the identity mod p reduces its translate to T_k itself
-        here, on = on[none[on]], on[~none[on]]
-        bx, by, odd = _add_point(p, x[on], y[on], t)
-        for i in odd.tolist():
-            pt = cm.add((int(x[on[i]]), int(y[on[i]])), t)
-            if pt is None:
-                none[on[i]] = True
-            else:
-                bx[i], by[i] = pt
-        x[on], y[on] = bx, by
-        x[here], y[here] = t
-        none[here] = False
+        if t is not None:
+            # a multiple at the identity mod p reduces its translate to T_k itself
+            _add_at(cm, x, y, none, np.flatnonzero(j == jj), t)
     if none.any():
         first = int(at[none].min())
         raise UnsuitablePrimeError(f"candidate at label {label(first)} reduces to the identity mod {p}")
@@ -606,17 +601,6 @@ def _filled(k, blocks):
     return residues
 
 
-def _choose_primes(build):
-    """((p, a), (q, b)) at the first two primes p > q below
-    PRIME_SEARCH_START at which a = build(p) and b = build(q) raise no
-    UnsuitablePrimeError."""
-    primes = primes_descending(PRIME_SEARCH_START)
-    p, a = _next_suitable(primes, build)
-    q, b = _next_suitable(primes, build)
-    logger.info("primes chosen: %d, %d", p, q)
-    return (p, a), (q, b)
-
-
 def _next_suitable(primes, build):
     """(p, build(p)) at the next prime p of the iterator `primes` at which
     `build` raises no UnsuitablePrimeError."""
@@ -629,11 +613,15 @@ def _next_suitable(primes, build):
     raise RuntimeError("prime search exhausted")
 
 
-def _fingerprints(chosen):
-    """(N, keys): the uint64 keys mod N = p*q of the items whose uint32
-    residues are rp mod p and rq mod q, in item order, for the primes
-    chosen = ((p, rp), (q, rq)) (`_crt`)."""
-    (p, rp), (q, rq) = chosen
+def _fingerprints(build):
+    """(N, keys): the uint64 keys mod N = p*q of the items, in item order,
+    whose uint32 residues mod a prime r are build(r), at the first two
+    primes p > q below PRIME_SEARCH_START at which build raises no
+    UnsuitablePrimeError (`_crt`).  The residues are freed on return."""
+    primes = primes_descending(PRIME_SEARCH_START)
+    p, rp = _next_suitable(primes, build)
+    q, rq = _next_suitable(primes, build)
+    logger.info("primes chosen: %d, %d", p, q)
     keys = _crt(p, q, rp, rq)
     logger.info(
         "fingerprints of %d items: residues %d + %d bytes, keys %d bytes",
@@ -735,28 +723,28 @@ def _mod_p_candidates(p, runs, blocks):
 
 
 def _walked_candidates(p, k, blocks):
-    """(at, rp) of `_mod_p_candidates` for the k items of the orbit walked
-    twice mod p by blocks(p) (`_residue_blocks`).  Equal keys mod any
-    product of primes are equal residues mod p, so every item of a run is
-    among them.  The first walk fills the uint32 residues, which are sorted
-    in place for their repeated values and freed; the second reads each
-    block against those runs.  The stage holds 4 bytes an item at its
-    peak."""
+    """(at, rp, runs): those of `_mod_p_candidates`, and how many runs they
+    hold, for the k items of the orbit walked twice mod p by blocks(p)
+    (`_residue_blocks`).  Equal keys mod any product of primes are equal
+    residues mod p, so every item of a run is among them.  The first walk
+    fills the uint32 residues, which are sorted in place for their repeated
+    values and freed; the second reads each block against those runs.  The
+    stage holds 4 bytes an item at its peak."""
     residues = _filled(k, blocks(p))
     residues.sort()
     runs = _repeated_keys(residues)
     del residues
-    return _mod_p_candidates(p, runs, blocks(p))
+    return (*_mod_p_candidates(p, runs, blocks(p)), len(runs))
 
 
 def _refined(r, at, run, rr):
-    """(at, run): the candidates `at`, in stream order, that still share
-    their run with another once each `run` (ids below 2**31, such as the
-    residues mod p) is split by their uint32 residues `rr` mod the prime r,
-    and their new run ids, the places of their pairs (run, rr) among the
-    repeated ones.  Unequal residues at r prove unequal values, so no item
-    of a true class is dropped.  (np.unique would do, but it imports
-    numpy.ma, 1.1 MiB of every P-scan's peak RSS.)"""
+    """(at, run, runs): the candidates `at`, in stream order, that still
+    share their run with another once each `run` (ids below 2**31, such as
+    the residues mod p) is split by their uint32 residues `rr` mod the prime
+    r, their new run ids, the places of their pairs (run, rr) among the
+    repeated ones, and how many runs those are.  Unequal residues at r prove
+    unequal values, so no item of a true class is dropped.  (np.unique would
+    do, but it imports numpy.ma, 1.1 MiB of every P-scan's peak RSS.)"""
     import numpy as np
 
     pairs = run.astype(np.uint64) << 31
@@ -767,15 +755,16 @@ def _refined(r, at, run, rr):
     keep = runs[run] == pairs if len(runs) else np.zeros(len(pairs), dtype=bool)
     at, run = at[keep], run[keep]
     logger.info("P-scan mod %d: %d candidates in %d runs", r, len(at), len(runs))
-    return at, run
+    return at, run, len(runs)
 
 
-def _split_runs(primes, p, at, rp, residues):
-    """(at, run) of `_refined` after the candidates mod p (positions `at`,
-    residues `rp`) are split at up to FURTHER_PRIMES further primes from the
-    iterator `primes`, taken while candidates are left.  residues(r, at)
-    gives the candidates' residues mod r alone, and a prime at which it
-    raises UnsuitablePrimeError is skipped.  Logs the primes chosen."""
+def _split_runs(primes, p, at, rp, runs, residues):
+    """(at, runs) of `_refined` after the candidates mod p (positions
+    `at`, residues `rp`, in `runs` runs) are split at up to FURTHER_PRIMES
+    further primes from the iterator `primes`, taken while candidates are
+    left.  residues(r, at) gives the candidates' residues mod r alone, and a
+    prime at which it raises UnsuitablePrimeError is skipped.  Logs the
+    primes chosen."""
     chosen, run = [p], rp
     while len(at) and len(chosen) <= FURTHER_PRIMES:
         r = next(primes, None)
@@ -786,25 +775,23 @@ def _split_runs(primes, p, at, rp, residues):
         except UnsuitablePrimeError as exc:
             logger.info("prime %d skipped: %s", r, exc)
             continue
-        at, run = _refined(r, at, run, rr)
+        at, run, runs = _refined(r, at, run, rr)
         chosen.append(r)
     logger.info("primes chosen: %s", ", ".join(map(str, chosen)))
-    return at, run
+    return at, runs
 
 
-def _p_classes(k, at, run, value, label):
+def _p_classes(k, at, runs, value, label):
     """The classes of the exact values `value(i)` of k items, keyed by
     `label(i)`, from the candidates `at`, in stream order, that share their
-    `run` at every chosen prime with another: only their values are
-    built."""
-    import numpy as np
-
+    run at every chosen prime with another, in `runs` runs: only their
+    values are built."""
     classes = collision_scan((label(i), value(i)) for i in at.tolist()).classes
     # the residues mod p, sorted, and the bool mask of one chunk of the
     # search for repeated residues
     logger.info(
         "P-scan partition 1/1: %d keys, %d candidate runs, %d confirmed classes, %d bytes",
-        k, len(_repeated_keys(np.sort(run))), len(classes), 4 * k + min(k, CHUNK_KEYS),
+        k, runs, len(classes), 4 * k + min(k, CHUNK_KEYS),
     )
     return classes
 
@@ -834,9 +821,9 @@ def p_injectivity_scan(u: UniquenessFunction, spec: OrbitSpec) -> CollisionRepor
     kept, groups = _distinct_translates(spec)
     k, blocks, residues, value, label = _orbit_items(u, spec, kept)
     primes = primes_descending(PRIME_SEARCH_START)
-    p, (at, rp) = _next_suitable(primes, lambda p: _walked_candidates(p, k, blocks))
-    at, run = _split_runs(primes, p, at, rp, residues)
-    return CollisionReport(k, _p_classes(k, at, run, value, label), groups, config)
+    p, (at, rp, runs) = _next_suitable(primes, lambda p: _walked_candidates(p, k, blocks))
+    at, runs = _split_runs(primes, p, at, rp, runs, residues)
+    return CollisionReport(k, _p_classes(k, at, runs, value, label), groups, config)
 
 
 P_NOT_INJECTIVE = "P not injective on scanned set; shrink or exclude collision points"
@@ -846,45 +833,28 @@ def f_injectivity_scan(u: UniquenessFunction, spec: OrbitSpec) -> CollisionRepor
     """Scan eval_f over all ordered orbit-point pairs; keys are (m1, m2).
 
     Precondition: eval_P must be collision-free on the same orbit, so the
-    scanned set plays the role of the injective open set.  A torsion list
-    that names a point twice fails it from the spec, before any prime is
-    chosen, once M >= 1; otherwise it is checked on the scan's own residue
-    systems: a sorted copy of its residues mod p gives the candidates
-    (`_mod_p_candidates`), their residues mod q, read from the full
-    residues its keys need, split their runs (`_refined`), and only the runs
-    left are confirmed exactly (`_p_classes`).  For k orbit points
-    the pair scan holds row arrays of about 100 bytes a point and one
-    equal key range of about max(2**14, 16*k) keys at 24 bytes a key
+    scanned set plays the role of the injective open set.  It is the P-scan
+    itself (`p_injectivity_scan`): any class or duplicate point it reports
+    refuses the scan, so a torsion list that names a point twice fails it
+    once M >= 1.  A finite orbit passes it only while 2M < d, so its few
+    pairs are indexed exactly.  Otherwise the f-scan walks its own two
+    primes for the items' keys (`_fingerprints`), and for k orbit points
+    the pair scan holds row arrays of about 100 bytes a point and one equal
+    key range of about max(2**14, 16*k) keys at 24 bytes a key
     (`_pair_classes`), never all k^2 keys at once.
-    A finite orbit passes the precondition only while 2M < d, so its few
-    pairs are indexed exactly.
     """
-    _require_valid(u)
-    spec.validate()
+    if p_injectivity_scan(u, spec).exit_code:
+        raise ValueError(P_NOT_INJECTIVE)
     config = _scan_config("f_injectivity_scan", u, spec, EXACT_F_SCAN_BOUND)
     config["strategy"] = "direct"  # hashed into config_digest; the only f-strategy
     n, gamma = u.params.n, u.params.gamma
     cycle = torsion_cycle(spec.generator)
     if cycle is not None:
-        groups, kept = _finite_orbit(u, spec, cycle)
-        if groups or collision_scan(kept).classes:
-            raise ValueError(P_NOT_INJECTIVE)
+        _, kept = _finite_orbit(u, spec, cycle)
         pairs = (((a, b), zagier_eval(v, w, n, gamma)) for a, v in kept for b, w in kept)
         return CollisionReport(len(kept) ** 2, collision_scan(pairs).classes, [], config)
-    kept, groups = _distinct_translates(spec)
-    if groups:
-        raise ValueError(P_NOT_INJECTIVE)
-    import numpy as np
-
-    k, blocks, _, value, label = _orbit_items(u, spec, kept, gamma)
-    chosen = _choose_primes(lambda p: _filled(k, blocks(p)))
-    (p, rp), (q, rq) = chosen
-    at, rp_at = _mod_p_candidates(p, _repeated_keys(np.sort(rp)), [(0, rp)])
-    if _p_classes(k, *_refined(q, at, rp_at, rq[at]), value, label):
-        raise ValueError(P_NOT_INJECTIVE)
-    modulus, keys = _fingerprints(chosen)
-    # the pair scan needs the keys alone
-    del chosen, rp, rq
+    k, blocks, _, value, label = _orbit_items(u, spec, _distinct_translates(spec)[0], gamma)
+    modulus, keys = _fingerprints(lambda p: _filled(k, blocks(p)))
     classes = _pair_classes("f-scan", modulus, keys, n, gamma, value, label)
     return CollisionReport(k**2, classes, [], config)
 
@@ -1039,9 +1009,9 @@ def zagier_probe(h_bound: int) -> CollisionReport:
 
     rats = list(rationals_by_height(h_bound))
     config = {"op": "zagier_probe", "height_bound": h_bound, "n": 7, "gamma": "3"}
-    modulus, keys = _fingerprints(_choose_primes(
+    modulus, keys = _fingerprints(
         lambda p: np.fromiter((fraction_mod(r, p) for r in rats), dtype=np.uint32, count=len(rats))
-    ))
+    )
     classes = _pair_classes(
         "zagier-scan", modulus, keys, 7, Fraction(3), rats.__getitem__, lambda i: format_rational(rats[i]),
     )

@@ -57,9 +57,9 @@ PARTITION = re.compile(
 def partitions(caplog, scan):
     """The counts of every `scan` partition record, in order.  Each record's
     bytes must be those its engine holds for its keys: in the P-scan 4 a
-    key, the residues mod p sorted in place (a sorted copy in the f-scan's
-    precondition), and the mask of one chunk of the search for repeated
-    residues, PAIR_BYTES_PER_KEY a key in the pair scans."""
+    key, the residues mod p sorted in place, and the mask of one chunk of
+    the search for repeated residues, PAIR_BYTES_PER_KEY a key in the pair
+    scans."""
     found = []
     for record in caplog.records:
         match = PARTITION.fullmatch(record.getMessage())
@@ -129,8 +129,7 @@ def orbit_keys(u, spec, kept=(), *also_invert):
     the primes the scans choose, which the f-scan builds for its pairs and
     the P-scan never does, and the items' labels."""
     k, blocks, _, _, label = collisions._orbit_items(u, spec, kept, *also_invert)
-    chosen = collisions._choose_primes(lambda p: collisions._filled(k, blocks(p)))
-    modulus, keys = collisions._fingerprints(chosen)
+    modulus, keys = collisions._fingerprints(lambda p: collisions._filled(k, blocks(p)))
     return modulus, keys, label
 
 
@@ -220,7 +219,7 @@ CROWDED_P_SCANS = {
 
 
 @pytest.mark.parametrize("scan", list(CROWDED_P_SCANS))
-def test_crowded_mod_p_stage_keeps_the_runs_mod_n(small_primes, caplog, confirmed, params_default, scan):
+def test_crowded_mod_p_stage_keeps_the_runs_mod_n(small_primes, caplog, monkeypatch, confirmed, params_default, scan):
     curve, gen, torsion, bound, start, counts, runs = CROWDED_P_SCANS[scan]
     small_primes(start)
     spec = orbit_spec(curve, gen, torsion, bound)
@@ -239,6 +238,26 @@ def test_crowded_mod_p_stage_keeps_the_runs_mod_n(small_primes, caplog, confirme
     label = collisions._orbit_label(collisions._distinct_translates(spec)[0])
     assert confirmed == [[label(i) for i in repeated(residue_keys(u, spec, primes))]]
     assert findings(report) == findings(exact_p_scan(u, spec))
+    if scan == "false matches mod N":
+        # the f-scan's precondition is this P-scan, so its false runs mod N
+        # build no exact multiple there either: the pair scan asks for the
+        # first one
+        built, started = [], []
+        scalar_mul, pair_classes = collisions.scalar_mul, collisions._pair_classes
+
+        def recorded(m, pt):
+            if not started:
+                built.append(m)
+            return scalar_mul(m, pt)
+
+        def pair_scan(*args):
+            started.append(True)
+            return pair_classes(*args)
+
+        monkeypatch.setattr(collisions, "scalar_mul", recorded)
+        monkeypatch.setattr(collisions, "_pair_classes", pair_scan)
+        assert f_injectivity_scan(u, spec).exit_code == 0
+        assert started and built == []
 
 
 def test_point_reducing_to_identity_skips_prime(small_primes, caplog, ufunc248, gen248):
@@ -268,10 +287,12 @@ def test_non_invertible_coefficient_skips_prime(small_primes, caplog, curve248, 
     f_residue = f_injectivity_scan(u, spec)
     chosen = [r.getMessage() for r in caplog.records if r.getMessage().startswith("primes chosen")]
     # one prime choice for the P-scan, whose residues repeat nowhere, so it
-    # chooses no further prime, then one for the f-scan and its P
-    # precondition
+    # chooses no further prime, then the same one for the f-scan's P
+    # precondition, which is that P-scan, then one for the f-scan's keys
+    p_chosen = "primes chosen: 241" if "P" in skipped_by else "primes chosen: 251"
     assert chosen == [
-        "primes chosen: 241" if "P" in skipped_by else "primes chosen: 251",
+        p_chosen,
+        p_chosen,
         "primes chosen: 241, 239" if "f" in skipped_by else "primes chosen: 251, 241",
     ]
     assert any("prime 251 skipped: denominator" in r.getMessage() for r in caplog.records)
@@ -687,7 +708,7 @@ def block_engine(monkeypatch):
     def unused(*args):
         raise AssertionError("a finite-order generator reached the fingerprint engine")
 
-    for name in ("_choose_primes", "_walk", "scalar_mul"):
+    for name in ("_fingerprints", "_walk", "scalar_mul"):
         monkeypatch.setattr(collisions, name, unused)
 
 
@@ -772,7 +793,8 @@ def test_repeated_torsion_point_splits_by_point(confirmed, params_default):
 def test_repeated_torsion_builds_only_candidate_points(monkeypatch, params_default):
     # at M = 200 the 400 duplicate groups cost no exact point: the only
     # exact multiples built are those of the planted class's two labels,
-    # and the f-scan refuses the repeated translate before it chooses a prime
+    # and the f-scan refuses the repeated translate on its P-scan, before
+    # it chooses the primes of its keys
     c = Curve(-6, 40)
     t = c.point(-4, 0)
     spec = OrbitSpec(c.point(2, 6), 200, (INFINITY, t, t))
@@ -795,9 +817,9 @@ def test_repeated_torsion_builds_only_candidate_points(monkeypatch, params_defau
     assert built == [1, -1]
 
     def unused(build):
-        raise AssertionError("a prime was chosen for a torsion list that names a point twice")
+        raise AssertionError("keys were built for a torsion list that names a point twice")
 
-    monkeypatch.setattr(collisions, "_choose_primes", unused)
+    monkeypatch.setattr(collisions, "_fingerprints", unused)
     with pytest.raises(ValueError, match=re.escape(collisions.P_NOT_INJECTIVE)):
         f_injectivity_scan(u, spec)
 
