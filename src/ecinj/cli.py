@@ -2,18 +2,19 @@
 JSON embedding the artifact version and a digest of its semantic
 configuration, or the rows of a CSV, and `main` alone renders it and writes
 it to stdout or `--out`.  Exit codes: 0 clean, 2 findings (collision
-classes or duplicate points), 1 errors.
+classes or duplicate points), 1 errors.  `-v` points the scans' progress
+hook at stderr, so their progress lines never enter the report.
 
 Defaults reproduce the headline configuration: curve (1, -1), generator
 (1, 1), parameters (1, 1, 2, 9).
 """
 
 import argparse
-import logging
 import random
 import sys
 from fractions import Fraction
 
+from . import collisions
 from .collisions import f_injectivity_scan, p_injectivity_scan, zagier_probe
 from .curve import INFINITY, Curve, Point
 from .injection import InjectionParams, UniquenessFunction
@@ -262,7 +263,7 @@ def build_parser() -> _Parser:
         p.add_argument("--out", default=None, help="write the report to this path instead of stdout")
         p.add_argument(
             "-v", dest="verbose", action="store_true",
-            help="log progress (primes chosen and skipped, partitions) to stderr; the report is unchanged",
+            help="write progress lines (primes chosen and skipped, partitions) to stderr; the report is unchanged",
         )
 
     def orbit_args(p, bound):
@@ -335,16 +336,12 @@ def _write_rows(fh, rows):
 
 def main(argv=None) -> int:
     parser = build_parser()
-    log = logging.getLogger("ecinj")
-    handler, level = None, log.level
+    hook = collisions.progress
     try:
         args = parser.parse_args(argv)
         if args.verbose:
-            # progress records go to stderr, never into the report
-            handler = logging.StreamHandler(sys.stderr)
-            handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
-            log.addHandler(handler)
-            log.setLevel(logging.INFO)
+            # progress lines go to stderr, never into the report
+            collisions.progress = lambda line: print("ecinj.collisions:", line, file=sys.stderr)
         report, code = args.func(args)
         # a CSV report is its list of rows, written one by one so that the
         # whole text is never held beside them
@@ -359,9 +356,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
-        if handler is not None:
-            log.removeHandler(handler)
-            log.setLevel(level)
+        collisions.progress = hook
 
 
 if __name__ == "__main__":

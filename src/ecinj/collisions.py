@@ -75,12 +75,16 @@ deterministic and depend neither on the partitions nor on the primes:
 keys inside a class are in stream order, and classes are sorted by value
 before emission.
 
+A scan says what it did through the module's progress hook, `progress`:
+the primes it chose and skipped, with the reason, each stage's candidates
+and each partition's counts, one line a call.  `_note` formats a line only
+when the hook is set, so a scan without it formats none.
+
 numpy loads on first use: each function that needs it imports it, so
 importing this module (and with it the CLI) costs no numpy start-up in the
 commands that run no scan, nor in a scan of a finite orbit.
 """
 
-import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -95,7 +99,9 @@ from .points import OrbitSpec, rationals_by_height, torsion_cycle
 from .rational import format_rational
 from .reporting import envelope
 
-logger = logging.getLogger(__name__)
+# The progress hook, a callable that takes one line, or None; `cli.main`
+# points it at stderr under -v.
+progress = None
 
 # Keys per chunk of the search for repeated sorted keys, so it holds no
 # mask over a whole partition, of the candidate pass and of the CRT of the
@@ -133,6 +139,13 @@ WALK_BLOCK = 2**14
 # The P-scan splits its candidates mod the walked prime at up to this many
 # further primes (see _split_runs).
 FURTHER_PRIMES = 3
+
+
+def _note(fmt, *args):
+    """Hands the line fmt % args to the progress hook, formatted only when
+    one is set."""
+    if progress is not None:
+        progress(fmt % args)
 
 
 @dataclass
@@ -608,7 +621,7 @@ def _next_suitable(primes, build):
         try:
             return p, build(p)
         except UnsuitablePrimeError as exc:
-            logger.info("prime %d skipped: %s", p, exc)
+            _note("prime %d skipped: %s", p, exc)
     # only reachable when the search starts at a small prime
     raise RuntimeError("prime search exhausted")
 
@@ -621,9 +634,9 @@ def _fingerprints(build):
     primes = primes_descending(PRIME_SEARCH_START)
     p, rp = _next_suitable(primes, build)
     q, rq = _next_suitable(primes, build)
-    logger.info("primes chosen: %d, %d", p, q)
+    _note("primes chosen: %d, %d", p, q)
     keys = _crt(p, q, rp, rq)
-    logger.info(
+    _note(
         "fingerprints of %d items: residues %d + %d bytes, keys %d bytes",
         len(keys), rp.nbytes, rq.nbytes, keys.nbytes,
     )
@@ -681,7 +694,7 @@ def _finite_orbit(u: UniquenessFunction, spec: OrbitSpec, cycle):
                     by_point.setdefault((pt.x, pt.y), (pt, []))[1].append(label)
     points = list(by_point.values())
     labels = sum(len(g) for _, g in points)
-    logger.info("finite orbit: G of order %d, %d labels on %d points", d, labels, len(points))
+    _note("finite orbit: G of order %d, %d labels on %d points", d, labels, len(points))
     groups = sorted((g for _, g in points if len(g) >= 2), key=lambda g: str(g[0]))
     return groups, [(g[0], u.eval_P(pt)) for pt, g in points]
 
@@ -718,7 +731,7 @@ def _mod_p_candidates(p, runs, blocks):
         at.append(lo + hits)
         rp.append(block[hits])
     at, rp = np.concatenate(at), np.concatenate(rp)
-    logger.info("P-scan mod %d: %d candidates in %d runs", p, len(at), len(runs))
+    _note("P-scan mod %d: %d candidates in %d runs", p, len(at), len(runs))
     return at, rp
 
 
@@ -754,7 +767,7 @@ def _refined(r, at, run, rr):
     np.minimum(run, max(len(runs) - 1, 0), out=run)
     keep = runs[run] == pairs if len(runs) else np.zeros(len(pairs), dtype=bool)
     at, run = at[keep], run[keep]
-    logger.info("P-scan mod %d: %d candidates in %d runs", r, len(at), len(runs))
+    _note("P-scan mod %d: %d candidates in %d runs", r, len(at), len(runs))
     return at, run, len(runs)
 
 
@@ -773,11 +786,11 @@ def _split_runs(primes, p, at, rp, runs, residues):
         try:
             rr = residues(r, at)
         except UnsuitablePrimeError as exc:
-            logger.info("prime %d skipped: %s", r, exc)
+            _note("prime %d skipped: %s", r, exc)
             continue
         at, run, runs = _refined(r, at, run, rr)
         chosen.append(r)
-    logger.info("primes chosen: %s", ", ".join(map(str, chosen)))
+    _note("primes chosen: %s", ", ".join(map(str, chosen)))
     return at, runs
 
 
@@ -789,7 +802,7 @@ def _p_classes(k, at, runs, value, label):
     classes = collision_scan((label(i), value(i)) for i in at.tolist()).classes
     # the residues mod p, sorted, and the bool mask of one chunk of the
     # search for repeated residues
-    logger.info(
+    _note(
         "P-scan partition 1/1: %d keys, %d candidate runs, %d confirmed classes, %d bytes",
         k, runs, len(classes), 4 * k + min(k, CHUNK_KEYS),
     )
@@ -811,19 +824,27 @@ def p_injectivity_scan(u: UniquenessFunction, spec: OrbitSpec) -> CollisionRepor
     (`_p_classes`).  Its peak, 4 bytes an orbit point, is the residues mod
     p, beside the walk's buffers.
     """
+    return _p_scan(u, spec)[0]
+
+
+def _p_scan(u: UniquenessFunction, spec: OrbitSpec):
+    """(report, kept): the report of `p_injectivity_scan`, and, for a G of
+    finite order, the (first label, P value) of each point of its orbit
+    (`_finite_orbit`), which the f-scan pairs; None for a G of infinite
+    order."""
     _require_valid(u)
     spec.validate()
     config = _scan_config("p_injectivity_scan", u, spec, EXACT_P_SCAN_BOUND)
     cycle = torsion_cycle(spec.generator)
     if cycle is not None:
         groups, kept = _finite_orbit(u, spec, cycle)
-        return CollisionReport(len(kept), collision_scan(kept).classes, groups, config)
+        return CollisionReport(len(kept), collision_scan(kept).classes, groups, config), kept
     kept, groups = _distinct_translates(spec)
     k, blocks, residues, value, label = _orbit_items(u, spec, kept)
     primes = primes_descending(PRIME_SEARCH_START)
     p, (at, rp, runs) = _next_suitable(primes, lambda p: _walked_candidates(p, k, blocks))
     at, runs = _split_runs(primes, p, at, rp, runs, residues)
-    return CollisionReport(k, _p_classes(k, at, runs, value, label), groups, config)
+    return CollisionReport(k, _p_classes(k, at, runs, value, label), groups, config), None
 
 
 P_NOT_INJECTIVE = "P not injective on scanned set; shrink or exclude collision points"
@@ -837,20 +858,20 @@ def f_injectivity_scan(u: UniquenessFunction, spec: OrbitSpec) -> CollisionRepor
     itself (`p_injectivity_scan`): any class or duplicate point it reports
     refuses the scan, so a torsion list that names a point twice fails it
     once M >= 1.  A finite orbit passes it only while 2M < d, so its few
-    pairs are indexed exactly.  Otherwise the f-scan walks its own two
-    primes for the items' keys (`_fingerprints`), and for k orbit points
-    the pair scan holds row arrays of about 100 bytes a point and one equal
-    key range of about max(2**14, 16*k) keys at 24 bytes a key
-    (`_pair_classes`), never all k^2 keys at once.
+    pairs are indexed exactly, from the points that the P-scan grouped
+    (`_p_scan`).  Otherwise the f-scan walks its own two primes for the
+    items' keys (`_fingerprints`), and for k orbit points the pair scan
+    holds row arrays of about 100 bytes a point and one equal key range of
+    about max(2**14, 16*k) keys at 24 bytes a key (`_pair_classes`), never
+    all k^2 keys at once.
     """
-    if p_injectivity_scan(u, spec).exit_code:
+    report, kept = _p_scan(u, spec)
+    if report.exit_code:
         raise ValueError(P_NOT_INJECTIVE)
     config = _scan_config("f_injectivity_scan", u, spec, EXACT_F_SCAN_BOUND)
     config["strategy"] = "direct"  # hashed into config_digest; the only f-strategy
     n, gamma = u.params.n, u.params.gamma
-    cycle = torsion_cycle(spec.generator)
-    if cycle is not None:
-        _, kept = _finite_orbit(u, spec, cycle)
+    if kept is not None:
         pairs = (((a, b), zagier_eval(v, w, n, gamma)) for a, v in kept for b, w in kept)
         return CollisionReport(len(kept) ** 2, collision_scan(pairs).classes, [], config)
     k, blocks, _, value, label = _orbit_items(u, spec, _distinct_translates(spec)[0], gamma)
@@ -912,7 +933,7 @@ def _pair_classes(scan, modulus, keys, n, gamma, value, label):
         found = collision_scan(
             (x, zagier_eval(value(x // k), value(x % k), n, gamma)) for x in pairs.candidates(runs)
         ).classes
-        logger.info(
+        _note(
             "%s partition %d/%d: %d keys, %d candidate runs, %d confirmed classes, %d bytes",
             scan, s, ranges, size, len(runs), len(found), PAIR_BYTES_PER_KEY * size,
         )

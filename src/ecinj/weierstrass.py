@@ -16,12 +16,12 @@ test), so the tests keep the direct sum only as a coarse cross-check.
 Period construction is method-free per its contract and self-validates
 through the differential equation residual.
 
-mpmath (periods, theta functions, elliptic logarithms) and numpy (the
-Laurent fit) load on first use, inside the functions that need them, so
-importing this module costs neither.
+mpmath (periods, theta functions, elliptic logarithms), numpy (the
+Laurent fit) and cmath (the fit's and the probe's sample points) load on
+first use, inside the functions that need them, so importing this module
+costs none of them.
 """
 
-import cmath
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -230,6 +230,8 @@ def laurent_fit(lat: Lattice, J: int, rho: Optional[float] = None) -> LaurentDat
     Sampling uses the theta-function evaluator, so the fit is independent of
     the recurrence it is cross-checked against.
     """
+    import cmath
+
     import numpy as np
 
     if J > 8:
@@ -286,6 +288,8 @@ def strong_uniqueness_probe(
     """Max |alpha*wp(l1 z) + (beta/2) wp'(l1 z) - c*alpha*wp(l2 z) - (c*beta/2) wp'(l2 z)|
     over random small z; near 0 only when the two sides are the same function.
     Samples landing too close to a pole are skipped and redrawn."""
+    import cmath
+
     alpha, beta, c = complex(alpha), complex(beta), complex(c)
     rng = random.Random(PROBE_SEED)
     scale = 0.25 * abs(lat._u1) / max(abs(lambda1), abs(lambda2), 1.0)

@@ -1,6 +1,14 @@
 import pytest
 
-from ecinj import Curve, InjectionParams, UniquenessFunction
+from ecinj import Curve, InjectionParams, UniquenessFunction, collisions
+
+
+@pytest.fixture
+def progress(monkeypatch):
+    """The lines the scans hand their progress hook, in order."""
+    lines = []
+    monkeypatch.setattr(collisions, "progress", lines.append)
+    return lines
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,6 @@
 its elapsed time (visible with `pytest -s`) and enforcing the stated
 runtime budget."""
 
-import logging
 import random
 import time
 from fractions import Fraction
@@ -101,18 +100,17 @@ def test_criterion_3_p_injectivity_desk_scan(ufunc248, gen248):
         assert report.duplicate_points == []
 
 
-def test_criterion_4_f_injectivity_desk_scan(ufunc248, gen248, caplog, monkeypatch):
-    caplog.set_level(logging.INFO, logger="ecinj.collisions")
+def test_criterion_4_f_injectivity_desk_scan(ufunc248, gen248, progress, monkeypatch):
     with Budget(4, 600, "f = P^9 + 2 P^9 collision-free over 160000 pairs; partition-invariant"):
         spec = OrbitSpec(gen248, 200)
         report = f_injectivity_scan(ufunc248, spec)
-        caplog.clear()
+        progress.clear()
         # a target of 6,250 keys, a twenty-sixth of the 160000; the
         # default partitions target 2**14 keys
         monkeypatch.setattr(collisions, "PAIR_PARTITION_KEYS", 6250)
         monkeypatch.setattr(collisions, "PAIR_KEYS_PER_ITEM", 0)
         partitioned = f_injectivity_scan(ufunc248, spec)
-        assert sum(r.getMessage().startswith("f-scan partition") for r in caplog.records) >= 26
+        assert sum(line.startswith("f-scan partition") for line in progress) >= 26
         assert canonical_json(report.to_json_dict()) == canonical_json(partitioned.to_json_dict())
         assert report.total_scanned == 160_000
         reverify(

@@ -2,10 +2,10 @@ import csv
 import hashlib
 import io
 import json
-import logging
 
 import pytest
 
+from ecinj import collisions
 from ecinj.cli import main
 from ecinj.rational import parse_rational
 
@@ -368,8 +368,7 @@ def test_weierstrass_verify_needs_a_sample(capsys):
 
 
 def test_verbose_logs_the_primes_and_leaves_stdout_alone(capsys):
-    log = logging.getLogger("ecinj")
-    handlers, level = list(log.handlers), log.level
+    hook = collisions.progress
     code, out, err = run(capsys, "check-p", "-v")
     assert (code, out) == run(capsys, "check-p")[:2]
     # the P-scan builds no keys mod N: its residues mod p repeat nowhere, so
@@ -404,6 +403,38 @@ def test_verbose_logs_the_primes_and_leaves_stdout_alone(capsys):
     code, out, err = run(capsys, "zagier-probe", "-v")
     assert (code, out) == run(capsys, "zagier-probe")[:2]
     assert "ecinj.collisions: fingerprints of 39 items: residues 156 + 156 bytes, keys 312 bytes\n" in err
-    # the stderr handler is gone again, so in-process runs do not stack them
-    assert (log.handlers, log.level) == (handlers, level)
+    # the progress hook is restored, so a run without -v writes no line
+    assert collisions.progress is hook
     assert run(capsys, "check-p")[2] == ""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("check-p", "-v"), 0),
+    # refused by its P-scan, after the P-scan's lines
+    (("check-f", "--params", "4,1,2,9", "--M", "10", "-v"), 1),
+], ids=["clean", "refused"])
+def test_verbose_restores_the_progress_hook(capsys, monkeypatch, argv, code):
+    lines = []
+
+    def hook(line):
+        lines.append(line)
+
+    monkeypatch.setattr(collisions, "progress", hook)
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    # -v sends the lines to stderr alone, and main puts back the hook it found
+    assert "ecinj.collisions: primes chosen: 2147483647" in err
+    assert lines == []
+    assert collisions.progress is hook
+    # without -v the lines go to that hook, and none to stderr
+    got, out, err = run(capsys, *argv[:-1])
+    assert (got, err) == (code, "" if code == 0 else f"error: {collisions.P_NOT_INJECTIVE}\n")
+    assert any(line.startswith("primes chosen: 2147483647") for line in lines)
+
+
+def test_finite_orbit_f_scan_writes_its_line_once(capsys):
+    # the f-scan pairs the points that its P-scan grouped, so the labels of
+    # the order-4 generator are grouped once
+    code, out, err = run(capsys, "check-f", "--curve=-2,1", "--gen", "0,1", "--M", "1", "-v")
+    assert (code, out) == run(capsys, "check-f", "--curve=-2,1", "--gen", "0,1", "--M", "1")[:2]
+    assert err == "ecinj.collisions: finite orbit: G of order 4, 2 labels on 2 points\n"

@@ -4,7 +4,7 @@ its exact partition sizes.
 At the default primes below 2**31 (keys mod N = p*q near 2**62) no
 fingerprint coincidence ever happens, so these tests lower
 `collisions.PRIME_SEARCH_START` (read at call time) and check each branch
-through the per-partition log records, and every report's findings against
+through the per-partition progress lines, and every report's findings against
 the tests' exact oracle (`exact_oracle`), which carries no scan config.
 Where candidates occur, the tests also check that each scan hands them, in
 stream order, to `collision_scan`, the one exact index.  A generator of
@@ -13,7 +13,6 @@ oracle with the prime search, the walk and `scalar_mul` made to raise.
 """
 
 import json
-import logging
 import os
 import random
 import re
@@ -54,15 +53,15 @@ PARTITION = re.compile(
 )
 
 
-def partitions(caplog, scan):
-    """The counts of every `scan` partition record, in order.  Each record's
+def partitions(lines, scan):
+    """The counts of every `scan` partition line, in order.  Each line's
     bytes must be those its engine holds for its keys: in the P-scan 4 a
     key, the residues mod p sorted in place, and the mask of one chunk of
     the search for repeated residues, PAIR_BYTES_PER_KEY a key in the pair
     scans."""
     found = []
-    for record in caplog.records:
-        match = PARTITION.fullmatch(record.getMessage())
+    for line in lines:
+        match = PARTITION.fullmatch(line)
         if match and match["scan"] == scan:
             keys = int(match["keys"])
             held = 4 * keys + min(keys, collisions.CHUNK_KEYS) if scan == "P" else PAIR_BYTES_PER_KEY * keys
@@ -77,9 +76,7 @@ def findings(report):
 
 
 @pytest.fixture
-def small_primes(monkeypatch, caplog):
-    caplog.set_level(logging.INFO, logger="ecinj.collisions")
-
+def small_primes(monkeypatch, progress):
     def use(start):
         monkeypatch.setattr(collisions, "PRIME_SEARCH_START", start)
 
@@ -101,13 +98,13 @@ def confirmed(monkeypatch):
     return streams
 
 
-def stages(caplog):
-    """(prime, candidates, runs) of every record of the P-scan's stages, in
+def stages(lines):
+    """(prime, candidates, runs) of every line of the P-scan's stages, in
     order: the walked prime's, then each further prime's, where the
     candidates left and their runs are those that share their residues at
     every prime so far."""
     stage = re.compile(r"P-scan mod (\d+): (\d+) candidates in (\d+) runs")
-    return [tuple(map(int, m.groups())) for r in caplog.records if (m := stage.fullmatch(r.getMessage()))]
+    return [tuple(map(int, m.groups())) for line in lines if (m := stage.fullmatch(line))]
 
 
 def residue_keys(u, spec, primes):
@@ -147,26 +144,26 @@ def pair_keys(keys, n, gamma, modulus):
     return [(a + g * b) % modulus for a in w for b in w]
 
 
-def test_key_is_the_full_fingerprint(small_primes, caplog, ufunc248, gen248):
+def test_key_is_the_full_fingerprint(small_primes, progress, ufunc248, gen248):
     # a run of equal keys mod N = p*q is a match at both primes: at 251 and
     # 241 the 144 f keys share 29 residue runs mod 251, none of them mod 241
     # as well; at 127 and 113, 21 buckets match at both primes
     spec = OrbitSpec(gen248, 6)
     oracle = findings(exact_f_scan(ufunc248, spec))
     for start, runs in ((2**8, 0), (2**7, 21)):
-        caplog.clear()
+        progress.clear()
         small_primes(start)
         residue = f_injectivity_scan(ufunc248, spec)
-        [part] = partitions(caplog, "f")
+        [part] = partitions(progress, "f")
         assert part == {"keys": 144, "runs": runs, "classes": 0}
         assert findings(residue) == oracle
 
 
-def test_buckets_surviving_every_prime_split_exactly(small_primes, caplog, confirmed, ufunc248, gen248):
+def test_buckets_surviving_every_prime_split_exactly(small_primes, progress, confirmed, ufunc248, gen248):
     small_primes(2**7)  # primes 127 and 113
     spec = OrbitSpec(gen248, 6)
     residue = f_injectivity_scan(ufunc248, spec)
-    [part] = partitions(caplog, "f")
+    [part] = partitions(progress, "f")
     assert part["runs"] > 0 and part["classes"] == 0
     # the P precondition's candidates, then every candidate pair's flat
     # index, each in stream order, go through the one exact index
@@ -219,16 +216,16 @@ CROWDED_P_SCANS = {
 
 
 @pytest.mark.parametrize("scan", list(CROWDED_P_SCANS))
-def test_crowded_mod_p_stage_keeps_the_runs_mod_n(small_primes, caplog, monkeypatch, confirmed, params_default, scan):
+def test_crowded_mod_p_stage_keeps_the_runs_mod_n(small_primes, progress, monkeypatch, confirmed, params_default, scan):
     curve, gen, torsion, bound, start, counts, runs = CROWDED_P_SCANS[scan]
     small_primes(start)
     spec = orbit_spec(curve, gen, torsion, bound)
     u = UniquenessFunction(params_default, spec.generator.curve)
     report = p_injectivity_scan(u, spec)
-    [part] = partitions(caplog, "P")
-    assert (stages(caplog), part["runs"]) == (counts, runs)
+    [part] = partitions(progress, "P")
+    assert (stages(progress), part["runs"]) == (counts, runs)
     assert 2 * counts[0][1] > part["keys"]
-    primes = chosen_primes(caplog)
+    primes = chosen_primes(progress)
     assert primes == tuple(prime for prime, _, _ in counts)
     # the labels handed to the one exact index are those whose residues
     # repeat at every chosen prime, in stream order, as if every item's
@@ -260,11 +257,11 @@ def test_crowded_mod_p_stage_keeps_the_runs_mod_n(small_primes, caplog, monkeypa
         assert started and built == []
 
 
-def test_point_reducing_to_identity_skips_prime(small_primes, caplog, ufunc248, gen248):
+def test_point_reducing_to_identity_skips_prime(small_primes, progress, ufunc248, gen248):
     small_primes(444)  # 443 divides the denominator of 7G
     spec = OrbitSpec(gen248, 7)
     residue = p_injectivity_scan(ufunc248, spec)
-    messages = [r.getMessage() for r in caplog.records]
+    messages = list(progress)
     assert "prime 443 skipped: 7*G reduces to the identity mod 443" in messages
     # no residue repeats mod 439, so no further prime is chosen
     assert "primes chosen: 439" in messages
@@ -279,13 +276,13 @@ def test_point_reducing_to_identity_skips_prime(small_primes, caplog, ufunc248, 
         ((1, 1, Fraction(2, 251), 9), ["f"]),  # the P-scan never inverts gamma
     ],
 )
-def test_non_invertible_coefficient_skips_prime(small_primes, caplog, curve248, gen248, params, skipped_by):
+def test_non_invertible_coefficient_skips_prime(small_primes, progress, curve248, gen248, params, skipped_by):
     small_primes(2**8)
     u = UniquenessFunction(InjectionParams(*params), curve248)
     spec = OrbitSpec(gen248, 3)
     p_residue = p_injectivity_scan(u, spec)
     f_residue = f_injectivity_scan(u, spec)
-    chosen = [r.getMessage() for r in caplog.records if r.getMessage().startswith("primes chosen")]
+    chosen = [line for line in progress if line.startswith("primes chosen")]
     # one prime choice for the P-scan, whose residues repeat nowhere, so it
     # chooses no further prime, then the same one for the f-scan's P
     # precondition, which is that P-scan, then one for the f-scan's keys
@@ -295,7 +292,7 @@ def test_non_invertible_coefficient_skips_prime(small_primes, caplog, curve248, 
         p_chosen,
         "primes chosen: 241, 239" if "f" in skipped_by else "primes chosen: 251, 241",
     ]
-    assert any("prime 251 skipped: denominator" in r.getMessage() for r in caplog.records)
+    assert any("prime 251 skipped: denominator" in line for line in progress)
     assert findings(p_residue) == findings(exact_p_scan(u, spec))
     assert findings(f_residue) == findings(exact_f_scan(u, spec))
 
@@ -309,7 +306,7 @@ def test_non_invertible_coefficient_skips_prime(small_primes, caplog, curve248, 
         ((-2, 1), (0, 1), 2, 2**6),
     ],
 )
-def test_planted_findings_confirmed_at_small_primes(small_primes, caplog, confirmed, curve, gen, bound, start):
+def test_planted_findings_confirmed_at_small_primes(small_primes, progress, confirmed, curve, gen, bound, start):
     small_primes(start)
     c = Curve(*curve)
     u = UniquenessFunction(InjectionParams(1, 1, 2, 9), c)
@@ -319,7 +316,7 @@ def test_planted_findings_confirmed_at_small_primes(small_primes, caplog, confir
     assert findings(residue) == findings(exact_p_scan(u, spec))
     cycle = torsion_cycle(spec.generator)
     if cycle is None:
-        [part] = partitions(caplog, "P")
+        [part] = partitions(progress, "P")
         assert part["runs"] == part["classes"] == 1
         # the candidate labels, in stream order, go through the one exact index
         _, keys, label = orbit_keys(u, spec)
@@ -327,17 +324,17 @@ def test_planted_findings_confirmed_at_small_primes(small_primes, caplog, confir
     else:
         # a finite orbit chooses no prime and fills no partition: the first
         # label of each of its points goes through the one exact index
-        messages = [r.getMessage() for r in caplog.records]
-        assert partitions(caplog, "P") == []
+        messages = list(progress)
+        assert partitions(progress, "P") == []
         assert not any(m.startswith("primes chosen") for m in messages)
         _, kept = collisions._finite_orbit(u, spec, cycle)
         assert confirmed == [[label for label, _ in kept]]
         assert len(residue.classes) == len(residue.duplicate_points) == 1
 
 
-def chosen_primes(caplog):
-    """The primes of the one `primes chosen` record."""
-    [chosen] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("primes chosen")]
+def chosen_primes(lines):
+    """The primes of the one `primes chosen` line."""
+    [chosen] = [line for line in lines if line.startswith("primes chosen")]
     return tuple(map(int, chosen.removeprefix("primes chosen: ").split(", ")))
 
 
@@ -365,7 +362,7 @@ ORBIT_WALKS = {
 
 @pytest.mark.parametrize("start", [2**10, 2**31])
 @pytest.mark.parametrize("walk", list(ORBIT_WALKS))
-def test_lane_walk_matches_exact_orbit(small_primes, caplog, monkeypatch, params_default, walk, start):
+def test_lane_walk_matches_exact_orbit(small_primes, progress, monkeypatch, params_default, walk, start):
     curve, gen, torsion, bounds, distinct = ORBIT_WALKS[walk]
     small_primes(start)
     c = Curve(*curve)
@@ -385,11 +382,11 @@ def test_lane_walk_matches_exact_orbit(small_primes, caplog, monkeypatch, params
 
     monkeypatch.setattr(collisions, "_add_point", counted)
     for bound in bounds:
-        caplog.clear()
+        progress.clear()
         spec = OrbitSpec(c.point(*gen), bound, (INFINITY, *(c.point(*t) for t in torsion)) if torsion else ())
         kept, _ = collisions._distinct_translates(spec)
         _, keys, label = orbit_keys(u, spec, kept)
-        p, q = chosen_primes(caplog)
+        p, q = chosen_primes(progress)
         exact = list(orbit(spec))
         assert [label(i) for i in range(len(keys))] == [name for name, _ in exact]
         assert len(keys) == len(exact)
@@ -500,7 +497,7 @@ def test_orbit_keys_hold_16_bytes_a_point(ufunc248, gen248):
     assert peak < 18 * points + 64 * collisions.WALK_BLOCK
 
 
-def test_p_scan_holds_4_bytes_a_point(caplog, ufunc248, gen248):
+def test_p_scan_holds_4_bytes_a_point(progress, ufunc248, gen248):
     # the P-scan's residues mod p, sorted in place, are 4 bytes a point,
     # beside the walk's buffers and one chunk's mask; the table of the
     # candidate pass and its candidates come after they are freed, and the
@@ -509,10 +506,9 @@ def test_p_scan_holds_4_bytes_a_point(caplog, ufunc248, gen248):
     # its kernel's work buffers (25), which the residue stage also uses
     # between kernel calls, and the residue stage's block of uint32
     # residues (8)
-    caplog.set_level(logging.INFO, logger="ecinj.collisions")
     spec = OrbitSpec(gen248, 2**17)
     p_injectivity_scan(ufunc248, OrbitSpec(gen248, 3))  # imports and caches
-    caplog.clear()
+    progress.clear()
     tracemalloc.start()
     try:
         report = p_injectivity_scan(ufunc248, spec)
@@ -521,7 +517,7 @@ def test_p_scan_holds_4_bytes_a_point(caplog, ufunc248, gen248):
         tracemalloc.stop()
     points = 2 * spec.bound
     assert report.total_scanned == points
-    (_, candidates, runs), *_ = stages(caplog)
+    (_, candidates, runs), *_ = stages(progress)
     table = 2 * collisions.PREFILTER_ENTRIES_PER_RUN * runs
     assert peak < 4 * points + table + 32 * candidates + 75 * collisions._walk_block(spec.bound)
 
@@ -621,7 +617,7 @@ def test_ladder_at_tiny_primes_matches_repeated_addition(monkeypatch, params_def
     assert sum(odd) > 0
 
 
-def test_refuted_run_builds_no_exact_point(small_primes, caplog, monkeypatch, params_default):
+def test_refuted_run_builds_no_exact_point(small_primes, progress, monkeypatch, params_default):
     # walked mod 5897, the 8,000 items of M = 2000 leave 5,968 candidates;
     # 5881 and 5879 each hold a candidate at the identity, and at 5869 two
     # runs are left, the planted class of G + T and -G and the false run
@@ -646,10 +642,10 @@ def test_refuted_run_builds_no_exact_point(small_primes, caplog, monkeypatch, pa
 
     monkeypatch.setattr(collisions, "scalar_mul", oracle_labels_only)
     report = p_injectivity_scan(u, spec)
-    assert stages(caplog) == [
+    assert stages(progress) == [
         (5897, 5968, 1965), (5869, 4, 2), (5867, 2, 1), (5861, 2, 1),
     ]
-    messages = [r.getMessage() for r in caplog.records]
+    messages = list(progress)
     assert "prime 5881 skipped: candidate at label (730, 1) reduces to the identity mod 5881" in messages
     assert built == [1, -1]
     oracle = exact_p_scan(u, OrbitSpec(spec.generator, 60, spec.torsion))
@@ -657,7 +653,7 @@ def test_refuted_run_builds_no_exact_point(small_primes, caplog, monkeypatch, pa
     assert [c.value for c in report.classes] == [c.value for c in oracle.classes]
 
 
-def test_identity_skip_builds_no_large_multiple(small_primes, caplog, monkeypatch, ufunc248, gen248):
+def test_identity_skip_builds_no_large_multiple(small_primes, progress, monkeypatch, ufunc248, gen248):
     # 543*G reduces to the identity mod 1033303.  G has infinite order, so
     # the prime is unsuitable, and no exact multiple is built to say so.
     small_primes(1033304)
@@ -670,9 +666,9 @@ def test_identity_skip_builds_no_large_multiple(small_primes, caplog, monkeypatc
 
     monkeypatch.setattr(collisions, "scalar_mul", small_only)
     _, keys, _ = orbit_keys(ufunc248, OrbitSpec(gen248, 550))
-    messages = [r.getMessage() for r in caplog.records]
+    messages = list(progress)
     assert "prime 1033303 skipped: 543*G reduces to the identity mod 1033303" in messages
-    assert chosen_primes(caplog) < (1033303, 1033303)
+    assert chosen_primes(progress) < (1033303, 1033303)
     assert len(keys) == 1100
 
 
@@ -756,14 +752,13 @@ def check_finite_orbit(u, spec, distinct):
     assert groups == sorted(expected, key=lambda g: str(g[0]))
 
 
-def test_finite_orbit_logs_one_line(no_engine, caplog, params_default):
+def test_finite_orbit_logs_one_line(no_engine, progress, params_default):
     # in place of the primes, orbit and partition lines: the order, the
     # labels and the distinct points.  At M = 50 the order-4 generator's
     # 100 labels lose the 24 with m = 0 mod 4, and keep G, 2G and 3G.
-    caplog.set_level(logging.INFO, logger="ecinj.collisions")
     spec = orbit_spec(*FINITE_SPECS["order 4"], 50)
     p_injectivity_scan(UniquenessFunction(params_default, spec.generator.curve), spec)
-    assert [r.getMessage() for r in caplog.records] == ["finite orbit: G of order 4, 76 labels on 3 points"]
+    assert progress == ["finite orbit: G of order 4, 76 labels on 3 points"]
 
 
 def test_repeated_torsion_point_splits_by_point(confirmed, params_default):
@@ -824,7 +819,7 @@ def test_repeated_torsion_builds_only_candidate_points(monkeypatch, params_defau
         f_injectivity_scan(u, spec)
 
 
-def test_translate_at_identity_skips_prime(small_primes, caplog):
+def test_translate_at_identity_skips_prime(small_primes, progress):
     # 7G = T mod 113 for the 2-torsion point T, so 7G + T and -7G + T reduce
     # to the identity there; G has infinite order, so neither is the
     # identity exactly
@@ -834,24 +829,24 @@ def test_translate_at_identity_skips_prime(small_primes, caplog):
     # walked, 113 meets 7G + T first
     small_primes(114)
     residue = p_injectivity_scan(u, spec)
-    messages = [r.getMessage() for r in caplog.records]
+    messages = list(progress)
     assert "prime 113 skipped: orbit point at label (7, 1) reduces to the identity mod 113" in messages
-    assert chosen_primes(caplog)[0] == 109
+    assert chosen_primes(progress)[0] == 109
     assert findings(residue) == findings(exact_p_scan(u, spec))
     # as a further prime, 113 is unsuitable only where a candidate reduces
     # to the identity: at M = 10 neither label is a candidate mod 127
-    caplog.clear()
+    progress.clear()
     small_primes(2**7)
     residue = p_injectivity_scan(u, spec)
-    assert chosen_primes(caplog)[:2] == (127, 113)
+    assert chosen_primes(progress)[:2] == (127, 113)
     assert findings(residue) == findings(exact_p_scan(u, spec))
     # at M = 60 the label (-7, 1) is one, and the skip line names it
-    caplog.clear()
+    progress.clear()
     spec = OrbitSpec(spec.generator, 60, spec.torsion)
     residue = p_injectivity_scan(u, spec)
-    messages = [r.getMessage() for r in caplog.records]
+    messages = list(progress)
     assert "prime 113 skipped: candidate at label (-7, 1) reduces to the identity mod 113" in messages
-    assert chosen_primes(caplog)[:2] == (127, 109)
+    assert chosen_primes(progress)[:2] == (127, 109)
     assert findings(residue) == findings(exact_p_scan(u, spec))
 
 
@@ -861,16 +856,15 @@ def split_partitions(monkeypatch, target):
     monkeypatch.setattr(collisions, "PAIR_KEYS_PER_ITEM", 0)
 
 
-def test_f_scan_is_exact_per_partition(caplog, monkeypatch, ufunc248, gen248):
-    caplog.set_level(logging.INFO, logger="ecinj.collisions")
+def test_f_scan_is_exact_per_partition(progress, monkeypatch, ufunc248, gen248):
     spec = OrbitSpec(gen248, 20)
     pairs = 40 * 40
     whole = f_injectivity_scan(ufunc248, spec)
-    caplog.clear()
+    progress.clear()
     # a target of 250 keys, under a sixth of the pairs
     split_partitions(monkeypatch, 250)
     partitioned = f_injectivity_scan(ufunc248, spec)
-    counted = partitions(caplog, "f")
+    counted = partitions(progress, "f")
     assert len(counted) >= 7
     assert all(part["keys"] <= 250 for part in counted)
     assert sum(part["keys"] for part in counted) == pairs
@@ -911,12 +905,12 @@ def test_traced_p_scan_counts_collision_scan():
     assert spans["curve.on_curve"][0] == 2
 
 
-def test_zagier_runs_confirmed_against_exact_index(small_primes, caplog, confirmed):
+def test_zagier_runs_confirmed_against_exact_index(small_primes, progress, confirmed):
     small_primes(2**6)  # primes 61 and 59: 82,369 pair keys on 3,599 values
     report = zagier_probe(15)
-    assert "primes chosen: 61, 59" in [r.getMessage() for r in caplog.records]
+    assert "primes chosen: 61, 59" in progress
     # 287 rationals: partitions of about 2**14 keys
-    counted = partitions(caplog, "zagier")
+    counted = partitions(progress, "zagier")
     assert len(counted) >= 5 and all(part["runs"] > 0 and part["classes"] == 0 for part in counted)
     rats = list(rationals_by_height(15))
     modulus = 61 * 59
@@ -938,16 +932,15 @@ def test_zagier_runs_confirmed_against_exact_index(small_primes, caplog, confirm
     assert canonical_json(report.to_json_dict()) == canonical_json(exact.to_json_dict())
 
 
-def test_zagier_probe_is_exact_per_partition(caplog, monkeypatch):
-    caplog.set_level(logging.INFO, logger="ecinj.collisions")
+def test_zagier_probe_is_exact_per_partition(progress, monkeypatch):
     row = len(list(rationals_by_height(10)))  # 127 rationals
     pairs = row * row
     whole = zagier_probe(10)
-    caplog.clear()
+    progress.clear()
     # a target of 4,166 keys, about a quarter of the pairs
     split_partitions(monkeypatch, 4166)
     partitioned = zagier_probe(10)
-    counted = partitions(caplog, "zagier")
+    counted = partitions(progress, "zagier")
     assert len(counted) >= 4
     assert all(part["keys"] <= 4166 for part in counted)
     assert sum(part["keys"] for part in counted) == pairs
@@ -955,8 +948,7 @@ def test_zagier_probe_is_exact_per_partition(caplog, monkeypatch):
 
 
 @pytest.mark.parametrize("scan", ["P", "f", "zagier"])
-def test_empty_scan_is_one_empty_partition(caplog, ufunc248, gen248, scan):
-    caplog.set_level(logging.INFO, logger="ecinj.collisions")
+def test_empty_scan_is_one_empty_partition(progress, ufunc248, gen248, scan):
     if scan == "zagier":
         report = zagier_probe(0)
     elif scan == "f":
@@ -964,7 +956,7 @@ def test_empty_scan_is_one_empty_partition(caplog, ufunc248, gen248, scan):
     else:
         report = p_injectivity_scan(ufunc248, OrbitSpec(gen248, 0))
     assert findings(report) == (0, [], [])
-    assert partitions(caplog, scan) == [{"keys": 0, "runs": 0, "classes": 0}]
+    assert partitions(progress, scan) == [{"keys": 0, "runs": 0, "classes": 0}]
 
 
 def random_items(k, modulus, zeros):
@@ -1035,10 +1027,9 @@ def test_one_partition_fill_equals_the_split_fills(monkeypatch):
         assert classes == collision_scan(exact).classes, name
 
 
-def test_each_partition_edge_is_searched_once(caplog, monkeypatch, ufunc248, gen248):
+def test_each_partition_edge_is_searched_once(progress, monkeypatch, ufunc248, gen248):
     # ranges + 1 searches per pair scan: each inner edge's row counts close
     # the range below it and open the one above
-    caplog.set_level(logging.INFO, logger="ecinj.collisions")
     calls = []
     below = collisions._PairKeys.below
 
@@ -1053,13 +1044,13 @@ def test_each_partition_edge_is_searched_once(caplog, monkeypatch, ufunc248, gen
         ("zagier", lambda: zagier_probe(6)),
     ):
         calls.clear()
-        caplog.clear()
+        progress.clear()
         run()
-        ranges = len(partitions(caplog, scan))
+        ranges = len(partitions(progress, scan))
         assert ranges >= 3 and len(calls) == ranges + 1, scan
 
 
-def test_crowded_key_values_over_a_one_key_target(small_primes, caplog, monkeypatch, confirmed, ufunc248, gen248):
+def test_crowded_key_values_over_a_one_key_target(small_primes, progress, monkeypatch, confirmed, ufunc248, gen248):
     # a partition target of one key: at 127 * 113 the 144 f pairs are cut
     # into 144 equal key ranges, some holding the pairs of a key value held
     # by two or more pairs, and the findings are the oracle's
@@ -1072,7 +1063,7 @@ def test_crowded_key_values_over_a_one_key_target(small_primes, caplog, monkeypa
     n, gamma = ufunc248.params.n, ufunc248.params.gamma
     modulus, keys, _ = orbit_keys(ufunc248, spec, (), gamma)
     keys = pair_keys(keys.tolist(), n, gamma, modulus)
-    counted = partitions(caplog, "f")
+    counted = partitions(progress, "f")
     assert len(counted) == 144 and sum(part["keys"] for part in counted) == 144
     assert sum(part["runs"] for part in counted) == 21
     # after the P precondition's stream, one a partition, in stream order:
@@ -1085,11 +1076,10 @@ def test_crowded_key_values_over_a_one_key_target(small_primes, caplog, monkeypa
     assert sorted(sum(streams, [])) == repeated(keys)
 
 
-def test_pair_classes_crowded_value_over_the_target(caplog):
+def test_pair_classes_crowded_value_over_the_target(progress):
     # 130 items with the key 0: their 16,900 pairs share one key value,
     # more than the partition target of 2**14, and are one partition;
     # each class keeps its pairs in stream order
-    caplog.set_level(logging.INFO, logger="ecinj.collisions")
     k = 130
     labels = list(range(k))
     classes = collisions._pair_classes(
@@ -1097,7 +1087,7 @@ def test_pair_classes_crowded_value_over_the_target(caplog):
     )
     stream = (((a, b), Fraction(a + b)) for a in labels for b in labels)
     assert classes == collision_scan(stream).classes
-    assert partitions(caplog, "f")[0] == {"keys": k * k, "runs": 1, "classes": 2 * k - 3}
+    assert partitions(progress, "f")[0] == {"keys": k * k, "runs": 1, "classes": 2 * k - 3}
     assert k * k > max(collisions.PAIR_PARTITION_KEYS, collisions.PAIR_KEYS_PER_ITEM * k)
 
 

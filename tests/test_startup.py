@@ -10,6 +10,13 @@ add about 3.6 MiB to every command's peak RSS.  On Linux each probe reads
 RSS threshold, because interpreters preload different stdlib modules in
 `site`, so a threshold would not carry from one to another.
 
+No command loads `logging` either, which brings `traceback` and `string`,
+about 0.5 MiB of every process: `-v` writes the scans' progress lines
+through a plain hook.  `cmath` loads only with mpmath, and in
+`weierstrass-verify`.  Interpreters differ in what their `site` imports,
+so these stdlib modules are compared with a bare interpreter that imports
+the same libraries as the commands.
+
 Each probe runs in a fresh interpreter, because this one already holds
 numpy.
 """
@@ -23,9 +30,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# stdlib modules that no command may add to a bare interpreter's
+STDLIB = ("logging", "traceback", "cmath")
+
 PROBE = """
 import json, os, sys
 import ecinj.cli
+
+STDLIB = %r
 
 ecinj.cli.build_parser()
 state = {"ecinj": sorted(n for n in sys.modules if n.startswith("ecinj.")), "codes": []}
@@ -34,12 +46,20 @@ for argv in json.loads(sys.argv[1]):
 state["loaded"] = sorted(
     n for n in ("numpy", "numpy.ma", "mpmath", "hashlib", "_hashlib") if n in sys.modules
 )
+state["stdlib"] = sorted(n for n in STDLIB if n in sys.modules)
 state["libcrypto"] = None
 if sys.platform == "linux":
     with open("/proc/self/maps") as maps:
         state["libcrypto"] = any("libcrypto" in line for line in maps)
 print(json.dumps(state))
-"""
+""" % (STDLIB,)
+
+BARE = """
+import json, sys
+for name in sys.argv[1:]:
+    __import__(name)
+print(json.dumps(sorted(n for n in %r if n in sys.modules)))
+""" % (STDLIB,)
 
 LIGHT_COMMANDS = [["curve-info"], ["enumerate"], ["slope-bound"], ["cantor"]]
 ALL_COMMANDS = LIGHT_COMMANDS + [
@@ -47,13 +67,24 @@ ALL_COMMANDS = LIGHT_COMMANDS + [
 ]
 
 
-def probe(*commands):
+def python(*args):
+    """The JSON that a fresh interpreter prints, run with ecinj importable."""
     pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(list(commands))],
-        env={**os.environ, "PYTHONPATH": pythonpath}, capture_output=True, text=True, check=True,
+        [sys.executable, *args], env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True, text=True, check=True,
     )
     return json.loads(done.stdout)
+
+
+def probe(*commands):
+    return python("-c", PROBE, json.dumps(list(commands)))
+
+
+def added_stdlib(state):
+    """The STDLIB modules that the probe holds and a bare interpreter that
+    imports the same libraries does not."""
+    return set(state["stdlib"]) - set(python("-c", BARE, *state["loaded"]))
 
 
 def tracer_targets():
@@ -75,6 +106,7 @@ def test_light_commands_load_neither_library():
     state = probe(*LIGHT_COMMANDS)
     assert state["codes"] == [0] * len(LIGHT_COMMANDS)
     assert state["loaded"] == []
+    assert added_stdlib(state) == set()
 
 
 def test_density_loads_mpmath_only():
@@ -88,12 +120,14 @@ def test_check_p_loads_numpy_only():
     state = probe(["check-p"])
     assert state["codes"] == [0]
     assert state["loaded"] == ["numpy"]
+    assert added_stdlib(state) == set()
 
 
 def test_pair_scans_load_numpy_only():
     state = probe(["check-f"], ["zagier-probe"])
     assert state["codes"] == [0, 0]
     assert state["loaded"] == ["numpy"]
+    assert added_stdlib(state) == set()
 
 
 def test_finite_order_scans_load_neither_library():
@@ -104,6 +138,7 @@ def test_finite_order_scans_load_neither_library():
     )
     assert state["codes"] == [2, 0]
     assert state["loaded"] == []
+    assert added_stdlib(state) == set()
 
 
 def test_weierstrass_verify_loads_both_libraries():
@@ -118,3 +153,13 @@ def test_no_command_loads_openssl():
     assert state["codes"] == [0] * len(ALL_COMMANDS)
     assert not {"hashlib", "_hashlib"} & set(state["loaded"])
     assert not state["libcrypto"]
+
+
+def test_no_command_loads_logging():
+    # -v hands each progress line to a plain hook; mpmath brings cmath
+    # to the commands that load it
+    commands = [argv + flag for argv in ALL_COMMANDS for flag in ([], ["-v"])]
+    state = probe(*commands)
+    assert state["codes"] == [0] * len(commands)
+    assert state["loaded"] == ["mpmath", "numpy"]
+    assert added_stdlib(state) == set()
