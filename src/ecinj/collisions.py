@@ -80,11 +80,16 @@ the primes it chose and skipped, with the reason, each stage's candidates
 and each partition's counts, one line a call.  `_note` formats a line only
 when the hook is set, so a scan without it formats none.
 
-numpy loads on first use: each function that needs it imports it, so
-importing this module (and with it the CLI) costs no numpy start-up in the
-commands that run no scan, nor in a scan of a finite orbit.
+numpy loads on first use: each function that needs it takes it from
+`_numpy()`, so importing this module (and with it the CLI) costs no numpy
+start-up in the commands that run no scan, nor in a scan of a finite orbit.
+The first call also freezes the heap once (`gc.freeze`): what it holds then,
+the stdlib, ecinj and numpy, lives until exit, so neither a later collection
+nor the one at exit walks numpy's module cycles again.  A report is written
+and closed before `cli.main` returns, so it never waits on that collection.
 """
 
+import gc
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -148,6 +153,18 @@ def _note(fmt, *args):
         progress(fmt % args)
 
 
+@cache
+def _numpy():
+    """numpy, imported on the first call, which then freezes the heap
+    (`gc.freeze`), so the exit collection skips numpy's module cycles: a
+    check-p --M 100000 child took 25-31 ms from its last atexit handler to
+    its reap, and 6-8 ms frozen (2-vCPU Xeon)."""
+    import numpy
+
+    gc.freeze()
+    return numpy
+
+
 @dataclass
 class CollisionClass:
     value: Fraction
@@ -201,7 +218,7 @@ def _repeated_keys(part):
     `part`, each once, in increasing order and of its dtype.  Neighbours
     are compared CHUNK_KEYS at a time, so no mask covers the partition, and
     no chunk view outlives this call to keep the partition alive."""
-    import numpy as np
+    np = _numpy()
 
     found = [part[:0].copy()]
     for lo in range(1, len(part), CHUNK_KEYS):
@@ -221,7 +238,7 @@ def _run_table(runs, modulus):
     PREFILTER_ENTRIES_PER_RUN * runs entries rounded up to a power of two,
     or one per key value below `modulus` when that is fewer, and marks the
     entries of the runs, so at most one entry in sixteen is marked."""
-    import numpy as np
+    np = _numpy()
 
     top = modulus - 1
     entries = max(PREFILTER_ENTRIES_PER_RUN * len(runs), 1)
@@ -238,7 +255,7 @@ def _candidates(keys, runs, table):
     any block of keys below it may be read) marks is searched for among the
     runs, and about as few of the keys are when they spread evenly over
     their range."""
-    import numpy as np
+    np = _numpy()
 
     found = [np.empty(0, dtype=np.intp)]
     if len(runs):
@@ -259,7 +276,7 @@ def _crt(p, q, rp, rq):
     are read as uint32 and combined CHUNK_KEYS at a time, in place in the
     key array, so no temporary spans the scan.  Every intermediate value
     stays below 2**62."""
-    import numpy as np
+    np = _numpy()
 
     rp, rq = np.asarray(rp, dtype=np.uint32), np.asarray(rq, dtype=np.uint32)
     keys = np.empty(len(rp), dtype=np.uint64)
@@ -285,7 +302,7 @@ class _Work:
     Between kernel calls a caller may use `tree` and `lam` as scratch."""
 
     def __init__(self, n):
-        import numpy as np
+        np = _numpy()
 
         self.tree = np.empty(2 * n + 64, dtype=np.uint64)
         self.lam = np.empty(n, dtype=np.uint64)
@@ -302,7 +319,7 @@ def _inverse(a, p, out=None, work=None):
     The inverses are written into `out`, which may be `a`, and the tree into
     `work` (`_Work`); both are allocated when not given.  On the way down
     `out` holds each level's left children while they are overwritten."""
-    import numpy as np
+    np = _numpy()
 
     n = len(a)
     out = np.empty(n, dtype=np.uint64) if out is None else out
@@ -350,7 +367,7 @@ def _add_point(p, x, y, t, out=None, work=None):
     allocated when not given.  The slopes go to `work.lam`, y is read once
     and x last where x3 is first written, and y3 = lam*(tx - x3) - ty needs
     neither."""
-    import numpy as np
+    np = _numpy()
 
     n = len(x)
     x3, y3 = (np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.uint64)) if out is None else out
@@ -406,7 +423,7 @@ def _walk(cm: CurveModP, g: tuple, bound: int, work=None):
     source, and a fixed-stride block over it.  So each yielded block is a
     view that the walk overwrites once the next block is asked for.
     """
-    import numpy as np
+    np = _numpy()
 
     if not bound:
         return
@@ -457,7 +474,7 @@ def _ladder(cm: CurveModP, g, m):
     with bit b set (`_add_at`).  `none` marks the entries at the identity
     mod p, whose uint64 x and y are meaningless; `g` is G mod p, or None at
     the identity."""
-    import numpy as np
+    np = _numpy()
 
     n = len(m)
     x, y = np.zeros(n, dtype=np.uint64), np.zeros(n, dtype=np.uint64)
@@ -522,7 +539,7 @@ def _residue_blocks(spec: OrbitSpec, kept: tuple, cm: CurveModP, ar: int, br: in
     prime: the walk's own, or else, in the first block where a translate
     meets one, the least such k at its least m.
     """
-    import numpy as np
+    np = _numpy()
 
     p = cm.p
     g = cm.reduce_point(spec.generator)
@@ -580,7 +597,7 @@ def _orbit_residues(spec: OrbitSpec, kept: tuple, cm: CurveModP, ar: int, br: in
     UnsuitablePrimeError names the first in stream order by its `label`.
     Whatever else reduces to the identity, the reduction mod p is a ring
     map on these points' values."""
-    import numpy as np
+    np = _numpy()
 
     p, width = cm.p, max(len(kept), 1)
     pos, j = np.divmod(at, width)
@@ -606,7 +623,7 @@ def _orbit_residues(spec: OrbitSpec, kept: tuple, cm: CurveModP, ar: int, br: in
 def _filled(k, blocks):
     """The residues of the k items of `blocks` (`_residue_blocks`), one
     uint32 array."""
-    import numpy as np
+    np = _numpy()
 
     residues = np.empty(k, dtype=np.uint32)
     for lo, block in blocks:
@@ -722,7 +739,7 @@ def _mod_p_candidates(p, runs, blocks):
     residues mod p) in item order, whose residue is one of the sorted
     `runs`, in stream order, an int64 array, and their residues.  The table
     of `_candidates` is built once, and each block is read as it comes."""
-    import numpy as np
+    np = _numpy()
 
     table = _run_table(runs, p)
     at, rp = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.uint32)]
@@ -758,7 +775,7 @@ def _refined(r, at, run, rr):
     repeated ones, and how many runs those are.  Unequal residues at r prove
     unequal values, so no item of a true class is dropped.  (np.unique would
     do, but it imports numpy.ma, 1.1 MiB of every P-scan's peak RSS.)"""
-    import numpy as np
+    np = _numpy()
 
     pairs = run.astype(np.uint64) << 31
     pairs |= rr
@@ -900,7 +917,7 @@ def _pair_classes(scan, modulus, keys, n, gamma, value, label):
     value, or skewed items) grows, and sorted there; the pairs of its
     repeated keys are confirmed exactly.
     """
-    import numpy as np
+    np = _numpy()
 
     k = len(keys)
     w = [pow(v, n, modulus) for v in keys.tolist()]
@@ -960,7 +977,7 @@ class _PairKeys:
     """
 
     def __init__(self, left, right, modulus):
-        import numpy as np
+        np = _numpy()
 
         self.k = len(left)
         self.lorder = np.argsort(left)
@@ -976,7 +993,7 @@ class _PairKeys:
     def below(self, e):
         """How many keys of each row lie below e, an int64 array, for
         0 <= e <= N."""
-        import numpy as np
+        np = _numpy()
 
         count = np.searchsorted(self.rs2, self.shift + np.uint64(e))
         count -= self.base
@@ -987,7 +1004,7 @@ class _PairKeys:
         of `below` on, row by row, written to the front of the uint64 buffer
         `part`, which must hold them all; `offsets` is np.arange of its
         length."""
-        import numpy as np
+        np = _numpy()
 
         size = int(count.sum())
         # a key's place in rs2 is its row's first place plus its offset in
@@ -1008,7 +1025,7 @@ class _PairKeys:
         stream order: for each run key r, each row's entries of rs2 equal
         to r + N - ls_i, by a left and a right searchsorted.  Equal entries
         lie in one half of rs2, so they are one slice of `rorder`."""
-        import numpy as np
+        np = _numpy()
 
         k, found = self.k, []
         for r in runs.tolist():
@@ -1026,7 +1043,7 @@ def zagier_probe(h_bound: int) -> CollisionReport:
     rationals of height <= h_bound, keys (r1, r2) in text form, in the
     f-scan's pair partitions (`_pair_classes`).  A nonempty class would be
     a finding to surface, never to suppress."""
-    import numpy as np
+    np = _numpy()
 
     rats = list(rationals_by_height(h_bound))
     config = {"op": "zagier_probe", "height_bound": h_bound, "n": 7, "gamma": "3"}

@@ -17,10 +17,15 @@ through a plain hook.  `cmath` loads only with mpmath, and in
 so these stdlib modules are compared with a bare interpreter that imports
 the same libraries as the commands.
 
+The scans freeze the heap once, when numpy loads (`collisions._numpy`),
+so the exit collection does not walk numpy's module cycles; no other
+command freezes, and a second scan in one process does not freeze again.
+
 Each probe runs in a fresh interpreter, because this one already holds
-numpy.
+numpy and its heap is frozen once its first scan has run.
 """
 
+import gc
 import importlib.util
 import json
 import os
@@ -28,13 +33,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import ecinj.cli
+
 ROOT = Path(__file__).resolve().parents[1]
 
 # stdlib modules that no command may add to a bare interpreter's
 STDLIB = ("logging", "traceback", "cmath")
 
 PROBE = """
-import json, os, sys
+import gc, json, os, sys
 import ecinj.cli
 
 STDLIB = %r
@@ -47,6 +56,7 @@ state["loaded"] = sorted(
     n for n in ("numpy", "numpy.ma", "mpmath", "hashlib", "_hashlib") if n in sys.modules
 )
 state["stdlib"] = sorted(n for n in STDLIB if n in sys.modules)
+state["frozen"] = gc.get_freeze_count()
 state["libcrypto"] = None
 if sys.platform == "linux":
     with open("/proc/self/maps") as maps:
@@ -107,6 +117,7 @@ def test_light_commands_load_neither_library():
     assert state["codes"] == [0] * len(LIGHT_COMMANDS)
     assert state["loaded"] == []
     assert added_stdlib(state) == set()
+    assert state["frozen"] == 0
 
 
 def test_density_loads_mpmath_only():
@@ -114,6 +125,7 @@ def test_density_loads_mpmath_only():
     state = probe(["density"])
     assert state["codes"] == [0]
     assert state["loaded"] == ["mpmath"]
+    assert state["frozen"] == 0
 
 
 def test_check_p_loads_numpy_only():
@@ -139,6 +151,7 @@ def test_finite_order_scans_load_neither_library():
     assert state["codes"] == [2, 0]
     assert state["loaded"] == []
     assert added_stdlib(state) == set()
+    assert state["frozen"] == 0
 
 
 def test_weierstrass_verify_loads_both_libraries():
@@ -146,6 +159,27 @@ def test_weierstrass_verify_loads_both_libraries():
     state = probe(["weierstrass-verify"])
     assert state["codes"] == [0]
     assert state["loaded"] == ["mpmath", "numpy"]
+    # its numpy import is its own, outside the scans' freeze
+    assert state["frozen"] == 0
+
+
+@pytest.mark.parametrize("argv", [["check-p"], ["check-f"], ["zagier-probe"]])
+def test_each_scan_freezes_the_heap(argv):
+    state = probe(argv)
+    assert state["codes"] == [0]
+    assert state["frozen"] > 0
+
+
+def test_the_heap_is_frozen_once_per_process():
+    argv = ["check-p", "--M", "400", "--out", os.devnull]
+    assert ecinj.cli.main(argv) == 0
+    frozen = gc.get_freeze_count()
+    assert frozen > 0
+    # tracked objects made after the first freeze, which a second one would add
+    kept = [[] for _ in range(1000)]
+    assert ecinj.cli.main(argv) == 0
+    assert gc.get_freeze_count() == frozen
+    del kept
 
 
 def test_no_command_loads_openssl():
